@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import math
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,7 +44,7 @@ from .source import (
 )
 
 COUNTS_SCHEMA = "qkdbound-counts/1"
-RNG_ID = "numpy-default-rng-pcg64"
+RNG_ID = "numpy-default-rng-pcg64-multinomial-v2"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -143,15 +145,24 @@ def _resolve(args: argparse.Namespace) -> Dict:
 
 
 def _loss_grid(cfg: Dict) -> List[float]:
-    grid = []
-    loss = cfg["loss_start"]
-    # inclusive endpoint with float-noise slack of half a step
-    while loss <= cfg["loss_end"] + cfg["loss_step"] * 0.5:
-        grid.append(round(loss, 12))
-        loss += cfg["loss_step"]
-    if not grid:
-        raise ConfigError("empty loss grid")
-    return grid
+    start, step = cfg["loss_start"], cfg["loss_step"]
+    # built by index, with an inclusive endpoint and float-noise slack of
+    # half a step, so a step lost to rounding cannot stall the grid
+    span = (cfg["loss_end"] - start) / step
+    if not math.isfinite(span):
+        raise ConfigError("loss grid bounds must be finite")
+    last = math.floor(span + 0.5)
+
+    def point(i: int) -> float:
+        return round(start + i * step, 12)
+
+    # floats are sparsest at the far end: test the last step first, so a
+    # huge grid that cannot advance is refused before it is built
+    for i in itertools.chain([last - 1] if last else [], range(last)):
+        if point(i + 1) <= point(i):
+            raise ConfigError(f"loss step {step!r} does not advance the loss "
+                              f"at float precision near {point(i)!r}")
+    return [point(i) for i in range(last + 1)]
 
 
 def _protocols(cfg: Dict) -> List[str]:
@@ -294,6 +305,27 @@ def _require(doc: Dict, key: str):
     return doc[key]
 
 
+def _check_counts(n: int, l_c: int, per_tag: List[TagCounts]) -> None:
+    """Refuse counts no run of n rounds with l_c + 1 tags can produce."""
+    if not per_tag:
+        raise SchemaError("counts document has no tag blocks")
+    if len(per_tag) != l_c + 1:
+        raise SchemaError(f"l_c = {l_c} needs {l_c + 1} tag blocks, "
+                          f"found {len(per_tag)}")
+    for t in per_tag:
+        x = [v for pair in t.n_x.values() for v in pair]
+        if min(x + [t.n_w, t.n_det_z, t.n_err_z]) < 0:
+            raise SchemaError(f"tag {t.w}: negative count")
+        if t.n_err_z > t.n_det_z:
+            raise SchemaError(f"tag {t.w}: n_err_z = {t.n_err_z} exceeds "
+                              f"n_det_z = {t.n_det_z}")
+        if sum(x) + t.n_det_z > t.n_w:
+            raise SchemaError(f"tag {t.w}: X-basis and sifted counts exceed "
+                              f"n_w = {t.n_w}")
+    if sum(t.n_w for t in per_tag) != n:
+        raise SchemaError(f"tag sizes n_w do not sum to n = {n}")
+
+
 def load_counts(path: str) -> Tuple[Dict, ObservedStatistics, ProtocolProbs]:
     """Parse and validate a counts document; rebuild the statistics."""
     try:
@@ -316,13 +348,13 @@ def load_counts(path: str) -> Tuple[Dict, ObservedStatistics, ProtocolProbs]:
                   n_err_z=int(_require(t, "n_err_z")))
         for t in _require(doc, "per_tag")
     ]
-    if not per_tag:
-        raise SchemaError("counts document has no tag blocks")
+    n = int(_require(doc, "n"))
+    _check_counts(n, int(_require(doc, "l_c")), per_tag)
     settings = set(per_tag[0].n_x)
     totals = {j: (sum(t.n_x[j][0] for t in per_tag),
                   sum(t.n_x[j][1] for t in per_tag)) for j in settings}
     stats = ObservedStatistics.from_counts(
-        n=int(_require(doc, "n")), n_x=totals,
+        n=n, n_x=totals,
         n_det_z=sum(t.n_det_z for t in per_tag),
         n_err_z=sum(t.n_err_z for t in per_tag),
         probs=probs, per_tag=per_tag)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from .source import ProtocolProbs, SETTINGS_BB84, SETTINGS_THREE_STATE, SourceSp
 
 #: Identifier recorded in output metadata so results declare their channel model.
 CHANNEL_MODEL_ID = "single-photon-routing-darkcounts-v1"
+
+#: Largest run the multinomial sampler accepts: its counts are int64.
+MAX_ROUNDS = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,13 @@ class RunConfig:
     probs: ProtocolProbs
 
     def __post_init__(self):
+        if self.l_c < 0:
+            raise ValueError("correlation length must be nonnegative")
         if self.n < self.l_c + 1:
             raise ValueError("need at least l_c + 1 rounds")
+        if self.n > MAX_ROUNDS:
+            raise ValueError(f"n = {self.n} rounds exceeds the sampler's "
+                             f"limit of {MAX_ROUNDS} (int64)")
 
     def settings(self) -> Tuple[str, ...]:
         return SETTINGS_BB84 if self.protocol == "bb84" else SETTINGS_THREE_STATE
@@ -119,68 +127,61 @@ def simulate_asymptotic(spec: SourceSpec, probs: ProtocolProbs,
     return ObservedStatistics(q=q, y_z=y_z, e_bit=e_bit)
 
 
-def _outcome_table(settings: Tuple[str, ...], spec: SourceSpec,
-                   ch: ChannelParams) -> np.ndarray:
-    """Cumulative outcome thresholds, indexed [setting, basis(Z=0,X=1), edge]."""
+def _cell_probs(cfg: RunConfig, spec: SourceSpec,
+                ch: ChannelParams) -> np.ndarray:
+    """Per-round probabilities of the (setting, Bob's basis, outcome) cells.
+
+    Indexed [setting, basis (Z=0, X=1), outcome (gamma=0, gamma=1, no
+    click)]; entry p_j * p_basis * P(outcome | setting, basis).
+    """
     nominal = spec.nominal_phases()
-    table = np.empty((len(settings), 2, 2))
-    for si, j in enumerate(settings):
-        for bi, basis in enumerate(("Z", "X")):
-            p0, p1, _ = detection_probs(nominal[j], basis, ch)
-            table[si, bi] = (p0, p0 + p1)
-    return table
+    settings = cfg.settings()
+    p_j = np.array([cfg.probs.p_j[j] for j in settings])
+    p_basis = np.array([cfg.probs.p_zb, cfg.probs.p_xb])
+    outcome = np.array([[detection_probs(nominal[j], basis, ch)
+                         for basis in ("Z", "X")] for j in settings])
+    # ProtocolProbs lets p_j sum to 1 within 1e-9, numpy's multinomial
+    # within 1e-12: renormalise
+    p_j /= p_j.sum()
+    return p_j[:, None, None] * p_basis[None, :, None] * outcome
 
 
 def simulate_finite(cfg: RunConfig, spec: SourceSpec,
                     ch: ChannelParams) -> ObservedStatistics:
-    """Seeded Monte Carlo protocol run with per-tag bookkeeping.
+    """Seeded finite protocol run with per-tag bookkeeping.
 
-    Round k gets tag w = k mod (l_c + 1); each round samples Alice's setting,
-    Bob's basis and the detection outcome. Deterministic for a fixed
+    Round k gets tag w = k mod (l_c + 1), so the leading n mod (l_c + 1)
+    tags hold one extra round. Rounds are i.i.d. (source flaws do not
+    perturb the data), hence each tag's counts are exactly
+    Multinomial(n_w, p) over the (setting, basis, outcome) cells: one draw
+    per tag costs O(cells), independent of N. Deterministic for a fixed
     (seed, config) pair. Returned statistics include per-tag counts.
     """
     settings = cfg.settings()
-    n, n_tags = cfg.n, cfg.l_c + 1
+    n_tags = cfg.l_c + 1
+    base, extra = divmod(cfg.n, n_tags)
+    n_w = [base + (w < extra) for w in range(n_tags)]
+    cells = _cell_probs(cfg, spec, ch)
     rng = np.random.default_rng(cfg.seed)
-    p_j = np.array([cfg.probs.p_j[j] for j in settings])
-    j_idx = rng.choice(len(settings), size=n, p=p_j)
-    bob_x = rng.random(n) < cfg.probs.p_xb
-    u = rng.random(n)
+    counts = rng.multinomial(n_w, cells.ravel()).reshape(
+        (n_tags,) + cells.shape)
 
-    table = _outcome_table(settings, spec, ch)
-    edges = table[j_idx, bob_x.astype(int)]
-    # outcome: 0, 1, or 2 (no detection)
-    outcome = (u >= edges[:, 0]).astype(np.int64) + (u >= edges[:, 1])
-    tags = np.arange(n) % n_tags
-
-    i0z, i1z = settings.index("0Z"), settings.index("1Z")
-    alice_z = (j_idx == i0z) | (j_idx == i1z)
-    sent_bit = np.where(j_idx == i1z, 1, 0)
-    sift = alice_z & ~bob_x & (outcome < 2)
-    err = sift & (outcome != sent_bit)
-
-    per_tag: List[TagCounts] = []
-    for w in range(n_tags):
-        in_tag = tags == w
-        n_x: Dict[str, Tuple[int, int]] = {}
-        for si, j in enumerate(settings):
-            sel = in_tag & bob_x & (j_idx == si)
-            n_x[j] = (int(np.count_nonzero(sel & (outcome == 0))),
-                      int(np.count_nonzero(sel & (outcome == 1))))
-        per_tag.append(TagCounts(
-            w=w,
-            n_w=int(np.count_nonzero(in_tag)),
-            n_x=n_x,
-            n_det_z=int(np.count_nonzero(sift & in_tag)),
-            n_err_z=int(np.count_nonzero(err & in_tag)),
-        ))
+    n_x = counts[:, :, 1, :2].tolist()  # Bob in X, outcome gamma
+    # Alice in Z and Bob in Z, rows (0Z, 1Z) x (gamma=0, gamma=1)
+    zz = counts[:, [settings.index("0Z"), settings.index("1Z")], 0, :2]
+    n_det_z = zz.sum(axis=(1, 2)).tolist()
+    n_err_z = (zz[:, 0, 1] + zz[:, 1, 0]).tolist()
+    per_tag = [
+        TagCounts(w=w, n_w=n_w[w],
+                  n_x={j: tuple(n_x[w][si]) for si, j in enumerate(settings)},
+                  n_det_z=n_det_z[w], n_err_z=n_err_z[w])
+        for w in range(n_tags)
+    ]
 
     totals = {j: (sum(t.n_x[j][0] for t in per_tag),
                   sum(t.n_x[j][1] for t in per_tag)) for j in settings}
     return ObservedStatistics.from_counts(
-        n=n, n_x=totals,
-        n_det_z=sum(t.n_det_z for t in per_tag),
-        n_err_z=sum(t.n_err_z for t in per_tag),
+        n=cfg.n, n_x=totals, n_det_z=sum(n_det_z), n_err_z=sum(n_err_z),
         probs=cfg.probs, per_tag=per_tag)
 
 

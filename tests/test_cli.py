@@ -4,8 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import qkdbound
 
 from qkdbound.bounds import evaluate_point
 from qkdbound.cli import (
@@ -80,6 +86,19 @@ class TestSweep:
         _, _, rows = read_csv(out2)
         assert rows[0][2] == "0.0"
 
+    def test_step_below_float_precision_is_config_error(self):
+        # 1 dB is below the float spacing at 1e17: the grid cannot advance
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(qkdbound.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qkdbound.cli", "sweep",
+             "--loss-start", "1e17", "--loss-end", "1.00000000000001e17",
+             "--loss-step", "1"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "does not advance" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_unknown_config_field(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nonsense": 1}))
@@ -145,6 +164,32 @@ class TestSimulateAndBound:
                         "--n", "1000", "--seed", "1", "--lc", "0",
                         "--out", str(out)]) == EXIT_OK
         assert run_cli(["bound", str(out)]) == EXIT_COMPUTE
+
+    def test_simulate_rejects_n_beyond_int64(self, capsys):
+        assert run_cli(["simulate", "--n", str(10 ** 20)]) == EXIT_CONFIG
+        assert "int64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["per_tag"][0]["n_x"].__setitem__("0X", [-50, 10 ** 9]),
+         "negative count"),
+        (lambda d: d["per_tag"][1]["n_x"]["1X"].__setitem__(
+            0, d["per_tag"][1]["n_w"]), "exceed n_w"),
+        (lambda d: d["per_tag"][2].__setitem__(
+            "n_err_z", d["per_tag"][2]["n_det_z"] + 1), "exceeds n_det_z"),
+        (lambda d: d.__setitem__("n", d["n"] + 1), "do not sum to n"),
+        (lambda d: d.__setitem__("l_c", 1), "needs 2 tag blocks"),
+    ], ids=["negative", "x_plus_sifted_above_n_w", "errors_above_sifted",
+            "n_w_sum", "l_c_blocks"])
+    def test_bound_rejects_inconsistent_counts(self, tmp_path, capsys, edit,
+                                               message):
+        path = self._simulate(tmp_path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        assert run_cli(["bound", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "rate:" not in captured.out
 
     def test_simulate_rejects_both_protocols(self):
         assert run_cli(["simulate", "--protocol", "both"]) == EXIT_CONFIG
