@@ -29,10 +29,10 @@ from .coeffs import (
 )
 from .gmath import G_minus, G_plus, as_unit, binary_entropy
 from .source import (
+    InconsistentProtocol,
     PhaseRanges,
+    Protocol,
     ProtocolProbs,
-    SETTINGS_BB84,
-    SETTINGS_THREE_STATE,
     SourceSpec,
     virtual_prob_bounds,
 )
@@ -40,10 +40,6 @@ from .source import (
 
 class EmptySiftedKey(ValueError):
     """No detected Z-basis rounds; error rates are undefined."""
-
-
-class InconsistentProtocol(ValueError):
-    """Coefficient set and observed statistics disagree on the setting list."""
 
 
 @dataclass(frozen=True)
@@ -76,7 +72,7 @@ class ObservedStatistics:
     per_tag: Optional[List[TagCounts]] = None
 
     def __post_init__(self):
-        clamped = {j: (as_unit(q0, tol=1.0), as_unit(q1, tol=1.0))
+        clamped = {j: (as_unit(q0), as_unit(q1))
                    for j, (q0, q1) in self.q.items()}
         object.__setattr__(self, "q", clamped)
         as_unit(self.e_bit)
@@ -113,6 +109,17 @@ class ObservedStatistics:
         e_bit = n_err_z / n_det_z if n_det_z else 0.0
         return cls(q=q, y_z=y_z, e_bit=e_bit, n=n, n_det_z=n_det_z,
                    per_tag=per_tag)
+
+    @classmethod
+    def from_tags(cls, n: int, per_tag: List[TagCounts],
+                  probs: ProtocolProbs) -> "ObservedStatistics":
+        """Statistics of a tagged run's summed counts, keeping the tags."""
+        n_x = {j: (sum(t.n_x[j][0] for t in per_tag),
+                   sum(t.n_x[j][1] for t in per_tag)) for j in per_tag[0].n_x}
+        return cls.from_counts(n=n, n_x=n_x,
+                               n_det_z=sum(t.n_det_z for t in per_tag),
+                               n_err_z=sum(t.n_err_z for t in per_tag),
+                               probs=probs, per_tag=per_tag)
 
 
 @dataclass(frozen=True)
@@ -151,7 +158,8 @@ def phase_error_bound(stats: ObservedStatistics, probs: ProtocolProbs,
     """
     if stats.y_z <= 0.0 or stats.n_det_z == 0:
         raise EmptySiftedKey("no detected Z-basis rounds")
-    for j in c_upper.settings():
+    settings = c_upper.settings()
+    for j in settings:
         if j not in stats.q:
             raise InconsistentProtocol(
                 f"statistics lack setting {j} required by the {c_upper.protocol} "
@@ -160,8 +168,8 @@ def phase_error_bound(stats: ObservedStatistics, probs: ProtocolProbs,
     z = math.sqrt(1.0 - eps_u)
     pbar_1x, pbar_0x = pvir_upper
     # phase error: virtual bit alpha with Bob's X outcome gamma = 1 - alpha
-    q0 = {j: stats.q[j][0] for j in c_upper.settings()}
-    q1 = {j: stats.q[j][1] for j in c_upper.settings()}
+    q0 = {j: stats.q[j][0] for j in settings}
+    q1 = {j: stats.q[j][1] for j in settings}
     y_outer = (pbar_1x * _inner_detection_bound(q0, c_upper.row(1), z)
                + pbar_0x * _inner_detection_bound(q1, c_upper.row(0), z))
     y_outer = min(1.0, max(0.0, y_outer))
@@ -202,8 +210,9 @@ def secret_fraction_check(e_per_tag: Sequence[float], q_w: Sequence[float],
 def key_rate(y_z: float, e_ph_u: float, e_bit: float, f: float,
              e_ph_u_per_tag: Optional[List[float]] = None) -> KeyRateReport:
     """R = max(0, Y_Z * [1 - h(e_ph^U) - f * h(e_bit)])."""
-    if f < 1.0:
-        raise ValueError("error-correction efficiency f must be >= 1")
+    if not 1.0 <= f < math.inf:
+        raise ValueError(f"error-correction efficiency f = {f!r} must be "
+                         f"finite and >= 1")
     # h is symmetric about 1/2, so an error bound at or beyond 1/2 means the
     # corresponding cost is maximal, not h(e) evaluated past the peak
     h_ph = binary_entropy(min(e_ph_u, 0.5))
@@ -218,16 +227,12 @@ def bound_inputs_from_source(spec: SourceSpec, protocol: str
                              ) -> Tuple[CoefficientSet, Tuple[float, float], float]:
     """Worst-case coefficient bounds, virtual probabilities and effective
     epsilon for a characterised source — the inputs of phase_error_bound."""
-    if protocol == "bb84":
-        ranges = PhaseRanges.from_source(spec, settings=SETTINGS_BB84)
-        c_upper = coeff_bounds_bb84(ranges)
-    elif protocol == "three_state":
-        ranges = PhaseRanges.from_source(spec, settings=SETTINGS_THREE_STATE)
-        c_upper = coeff_bounds_three_state(ranges)
-    else:
-        raise InconsistentProtocol(f"unknown protocol {protocol!r}")
-    pvir = virtual_prob_bounds(ranges)
-    return c_upper, pvir, spec.effective_epsilon()
+    proto = Protocol.named(protocol)
+    ranges = PhaseRanges.from_source(spec, settings=proto.settings)
+    bounds_of = {"bb84": coeff_bounds_bb84,
+                 "three_state": coeff_bounds_three_state}[proto.name]
+    return (bounds_of(ranges), virtual_prob_bounds(ranges),
+            spec.effective_epsilon())
 
 
 def evaluate_point(stats: ObservedStatistics, probs: ProtocolProbs,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
@@ -36,12 +37,7 @@ from .simulator import (
     simulate_asymptotic,
     simulate_finite,
 )
-from .source import (
-    ProtocolProbs,
-    SETTINGS_BB84,
-    SETTINGS_THREE_STATE,
-    SourceSpec,
-)
+from .source import PROTOCOLS, Protocol, ProtocolProbs, SourceSpec
 
 COUNTS_SCHEMA = "qkdbound-counts/1"
 RNG_ID = "numpy-default-rng-pcg64-multinomial-v2"
@@ -167,20 +163,18 @@ def _loss_grid(cfg: Dict) -> List[float]:
 
 def _protocols(cfg: Dict) -> List[str]:
     if cfg["protocol"] == "both":
-        return ["bb84", "three_state"]
+        return [p.name for p in PROTOCOLS]
     return [cfg["protocol"].replace("-", "_")]
 
 
-def _default_probs(protocol: str) -> ProtocolProbs:
-    settings = SETTINGS_BB84 if protocol == "bb84" else SETTINGS_THREE_STATE
-    return ProtocolProbs.uniform(settings)
-
-
-def _open_out(path: Optional[str]):
+def _emit(path: Optional[str], text: str) -> None:
+    """Write the whole output at once, to stdout for no path or "-"."""
     if path is None or path == "-":
-        return sys.stdout, False
+        sys.stdout.write(text)
+        return
     try:
-        return open(path, "w", encoding="utf-8", newline=""), True
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -197,48 +191,36 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     losses = _loss_grid(cfg)
     rows = []
     for protocol in _protocols(cfg):
-        probs = _default_probs(protocol)
-        for loss in losses:
-            for eps in cfg["epsilon_u"]:
-                for delta in cfg["delta"]:
-                    for cap in cfg["cap_delta"]:
-                        for lc in cfg["lc"]:
-                            spec = SourceSpec(delta=delta, Delta=cap,
-                                              epsilon_u=eps,
-                                              correlation_length=lc)
-                            ch = ChannelParams(loss_db=loss, p_d=cfg["pd"],
-                                               f=cfg["f"])
-                            if cfg["mode"] == "asymptotic":
-                                stats = simulate_asymptotic(
-                                    spec, probs, ch, protocol=protocol)
-                            else:
-                                run = RunConfig(
-                                    n=int(cfg["n"]),
-                                    seed=int(cfg["seed"]) + len(rows),
-                                    l_c=lc, protocol=protocol, probs=probs)
-                                stats = simulate_finite(run, spec, ch)
-                            report = evaluate_point(stats, probs, spec,
-                                                    protocol, cfg["f"])
-                            rows.append((
-                                protocol, loss, eps, delta, cap, lc,
-                                report.y_z, report.e_bit, report.e_ph_u,
-                                report.rate))
-    out, should_close = _open_out(args.out)
-    try:
-        out.write(f"# qkdbound {__version__} sweep\n")
-        out.write(f"# channel_model: {CHANNEL_MODEL_ID}\n")
-        out.write(f"# mode: {cfg['mode']}\n")
-        if cfg["mode"] == "finite":
-            out.write(f"# n: {cfg['n']} base_seed: {cfg['seed']} rng: {RNG_ID}\n")
-        out.write(f"# pd: {cfg['pd']!r} f: {cfg['f']!r}\n")
-        writer = csv.writer(out)
-        writer.writerow(["protocol", "loss_db", "epsilon_u", "delta", "Delta",
-                         "l_c", "Y_Z", "e_bit", "e_ph_u", "rate"])
-        for row in rows:
-            writer.writerow(list(row[:6]) + [_sci(v) for v in row[6:]])
-    finally:
-        if should_close:
-            out.close()
+        probs = ProtocolProbs.uniform(Protocol.named(protocol).settings)
+        for loss, eps, delta, cap, lc in itertools.product(
+                losses, cfg["epsilon_u"], cfg["delta"], cfg["cap_delta"],
+                cfg["lc"]):
+            spec = SourceSpec(delta=delta, Delta=cap, epsilon_u=eps,
+                              correlation_length=lc)
+            ch = ChannelParams(loss_db=loss, p_d=cfg["pd"], f=cfg["f"])
+            if cfg["mode"] == "asymptotic":
+                stats = simulate_asymptotic(spec, probs, ch, protocol=protocol)
+            else:
+                run = RunConfig(n=int(cfg["n"]),
+                                seed=int(cfg["seed"]) + len(rows),
+                                l_c=lc, protocol=protocol, probs=probs)
+                stats = simulate_finite(run, spec, ch)
+            report = evaluate_point(stats, probs, spec, protocol, cfg["f"])
+            rows.append((protocol, loss, eps, delta, cap, lc, report.y_z,
+                         report.e_bit, report.e_ph_u, report.rate))
+    out = io.StringIO()
+    out.write(f"# qkdbound {__version__} sweep\n")
+    out.write(f"# channel_model: {CHANNEL_MODEL_ID}\n")
+    out.write(f"# mode: {cfg['mode']}\n")
+    if cfg["mode"] == "finite":
+        out.write(f"# n: {cfg['n']} base_seed: {cfg['seed']} rng: {RNG_ID}\n")
+    out.write(f"# pd: {cfg['pd']!r} f: {cfg['f']!r}\n")
+    writer = csv.writer(out)
+    writer.writerow(["protocol", "loss_db", "epsilon_u", "delta", "Delta",
+                     "l_c", "Y_Z", "e_bit", "e_ph_u", "rate"])
+    for row in rows:
+        writer.writerow(list(row[:6]) + [_sci(v) for v in row[6:]])
+    _emit(args.out, out.getvalue())
     return EXIT_OK
 
 
@@ -277,7 +259,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if cfg["protocol"] == "both":
         raise ConfigError("simulate needs a single protocol, not 'both'")
     protocol = _protocols(cfg)[0]
-    probs = _default_probs(protocol)
+    probs = ProtocolProbs.uniform(Protocol.named(protocol).settings)
     lc = int(cfg["lc"][0])
     spec = SourceSpec(delta=cfg["delta"][0], Delta=cfg["cap_delta"][0],
                       epsilon_u=cfg["epsilon_u"][0], correlation_length=lc)
@@ -286,23 +268,53 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     protocol=protocol, probs=probs)
     stats = simulate_finite(run, spec, ch)
     doc = _counts_document(cfg, protocol, spec, ch, probs, stats)
-    out, should_close = _open_out(args.out)
-    try:
-        json.dump(doc, out, indent=2, sort_keys=True)
-        out.write("\n")
-    finally:
-        if should_close:
-            out.close()
+    _emit(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # bound
 
-def _require(doc: Dict, key: str):
-    if key not in doc:
-        raise SchemaError(f"counts document missing field {key!r}")
-    return doc[key]
+def _require(section, key):
+    """``section[key]`` of a JSON object or array, or SchemaError."""
+    if isinstance(section, (dict, list)):
+        try:
+            return section[key]
+        except (KeyError, IndexError, TypeError):
+            pass
+    raise SchemaError(f"counts document missing field {key!r}")
+
+
+def _number(section, key) -> float:
+    value = _require(section, key)
+    if not (type(value) is int
+            or type(value) is float and math.isfinite(value)):
+        raise SchemaError(f"field {key!r} = {value!r} is not a finite number")
+    return value
+
+
+def _count(section, key) -> int:
+    value = _require(section, key)
+    if type(value) is not int:
+        raise SchemaError(f"field {key!r} = {value!r} is not an integer count")
+    return value
+
+
+def _settings_map(value, proto: Protocol, what: str) -> Dict:
+    if not isinstance(value, dict) or set(value) != set(proto.settings):
+        raise SchemaError(f"{what} must have one entry per {proto.name} "
+                          f"setting {list(proto.settings)}")
+    return value
+
+
+def _tag_counts(t, proto: Protocol) -> TagCounts:
+    n_x = {}
+    for j, pair in _settings_map(_require(t, "n_x"), proto, "n_x").items():
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SchemaError(f"n_x[{j!r}] = {pair!r} is not a pair of counts")
+        n_x[j] = (_count(pair, 0), _count(pair, 1))
+    return TagCounts(n_x=n_x, **{key: _count(t, key) for key in
+                                 ("w", "n_w", "n_det_z", "n_err_z")})
 
 
 def _check_counts(n: int, l_c: int, per_tag: List[TagCounts]) -> None:
@@ -316,6 +328,8 @@ def _check_counts(n: int, l_c: int, per_tag: List[TagCounts]) -> None:
         x = [v for pair in t.n_x.values() for v in pair]
         if min(x + [t.n_w, t.n_det_z, t.n_err_z]) < 0:
             raise SchemaError(f"tag {t.w}: negative count")
+        if t.n_w == 0:
+            raise SchemaError(f"tag {t.w}: no rounds (n_w = 0)")
         if t.n_err_z > t.n_det_z:
             raise SchemaError(f"tag {t.w}: n_err_z = {t.n_err_z} exceeds "
                               f"n_det_z = {t.n_det_z}")
@@ -337,38 +351,31 @@ def load_counts(path: str) -> Tuple[Dict, ObservedStatistics, ProtocolProbs]:
         raise SchemaError(f"{path} line {exc.lineno}: {exc.msg}") from exc
     if _require(doc, "schema") != COUNTS_SCHEMA:
         raise SchemaError(f"unsupported schema {doc['schema']!r}")
+    proto = Protocol.named(_require(doc, "protocol"))
     p = _require(doc, "probs")
-    probs = ProtocolProbs(p_za=_require(p, "p_za"), p_zb=_require(p, "p_zb"),
-                          p_j=dict(_require(p, "p_j")))
-    per_tag = [
-        TagCounts(w=int(_require(t, "w")), n_w=int(_require(t, "n_w")),
-                  n_x={j: (int(v[0]), int(v[1]))
-                       for j, v in _require(t, "n_x").items()},
-                  n_det_z=int(_require(t, "n_det_z")),
-                  n_err_z=int(_require(t, "n_err_z")))
-        for t in _require(doc, "per_tag")
-    ]
-    n = int(_require(doc, "n"))
-    _check_counts(n, int(_require(doc, "l_c")), per_tag)
-    settings = set(per_tag[0].n_x)
-    totals = {j: (sum(t.n_x[j][0] for t in per_tag),
-                  sum(t.n_x[j][1] for t in per_tag)) for j in settings}
-    stats = ObservedStatistics.from_counts(
-        n=n, n_x=totals,
-        n_det_z=sum(t.n_det_z for t in per_tag),
-        n_err_z=sum(t.n_err_z for t in per_tag),
-        probs=probs, per_tag=per_tag)
-    return doc, stats, probs
+    p_j = _settings_map(_require(p, "p_j"), proto, "probs.p_j")
+    probs = ProtocolProbs(p_za=_number(p, "p_za"), p_zb=_number(p, "p_zb"),
+                          p_j={j: _number(p_j, j) for j in p_j})
+    tags = _require(doc, "per_tag")
+    if not isinstance(tags, list):
+        raise SchemaError("per_tag must be a list of tag blocks")
+    per_tag = [_tag_counts(t, proto) for t in tags]
+    n = _count(doc, "n")
+    _check_counts(n, _count(doc, "l_c"), per_tag)
+    return doc, ObservedStatistics.from_tags(n, per_tag, probs), probs
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
     doc, stats, probs = load_counts(args.counts)
     src = _require(doc, "source")
-    spec = SourceSpec(delta=src["delta"], Delta=src["Delta"],
-                      epsilon_u=src["epsilon_u"],
-                      correlation_length=src["correlation_length"])
-    protocol = _require(doc, "protocol")
-    f = _require(doc, "channel")["f"]
+    spec = SourceSpec(delta=_number(src, "delta"), Delta=_number(src, "Delta"),
+                      epsilon_u=_number(src, "epsilon_u"),
+                      correlation_length=_count(src, "correlation_length"))
+    if spec.correlation_length != doc["l_c"]:  # it sets epsilon_eff
+        raise SchemaError(f"l_c = {doc['l_c']} differs from source."
+                          f"correlation_length = {spec.correlation_length}")
+    protocol = doc["protocol"]
+    f = _number(_require(doc, "channel"), "f")
     report = evaluate_point(stats, probs, spec, protocol, f)
     lines = [
         f"protocol: {protocol}",
@@ -380,13 +387,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if report.e_ph_u_per_tag is not None:
         for w, e in enumerate(report.e_ph_u_per_tag):
             lines.append(f"e_ph_u[tag {w}]: {_sci(e)}")
-    text = "\n".join(lines) + "\n"
-    out, should_close = _open_out(args.out)
-    try:
-        out.write(text)
-    finally:
-        if should_close:
-            out.close()
+    _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 

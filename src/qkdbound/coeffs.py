@@ -7,10 +7,12 @@ combination of the reference states is then a 3x3 linear system per
 virtual state. This module provides:
 
   * a generic solver (used as an independent oracle),
-  * the analytic closed forms for both protocol variants,
-  * worst-case coefficient upper bounds over phase ranges, via the
-    analytic corner rules inside their validity sectors and via dense
-    grid maximisation outside them.
+  * the analytic closed forms, one triple (0Z, 1Z, X reference) per virtual
+    bit alpha; both protocol variants share them and differ only in the X
+    reference and zeroed setting of each row (``source.Protocol``),
+  * worst-case coefficient upper bounds over phase ranges: the analytic
+    corner rules inside their validity sectors (only the alpha = 1 rule
+    differs between the variants) and dense grid maximisation outside them.
 """
 
 from __future__ import annotations
@@ -18,16 +20,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .source import (
-    PhaseRanges,
-    SETTINGS_BB84,
-    SETTINGS_THREE_STATE,
-    exact_virtual_prob,
-)
+from .source import BB84, THREE_STATE, PhaseRanges, Protocol
 
 #: Denominators / determinants smaller than this are treated as singular.
 SINGULAR_TOL = 1e-12
@@ -73,18 +70,18 @@ def virtual_triple(th0z: float, th1z: float, alpha: int) -> np.ndarray:
 class CoefficientSet:
     """Real decomposition coefficients c[alpha][setting], one row per virtual state.
 
-    Conventions: bb84 zeroes c[1]["0X"] and c[0]["1X"]; the three-state
-    variant has no 1X emission at all.
+    ``protocol`` names an entry of the protocol table, which fixes the
+    settings of each row and the one each row zeroes.
     """
 
-    protocol: str  # "bb84" | "three_state"
+    protocol: str
     c: Dict[int, Dict[str, float]]
 
     def row(self, alpha: int) -> Dict[str, float]:
         return self.c[alpha]
 
     def settings(self) -> Tuple[str, ...]:
-        return SETTINGS_BB84 if self.protocol == "bb84" else SETTINGS_THREE_STATE
+        return Protocol.named(self.protocol).settings
 
 
 def solve_generic(target: np.ndarray, ref_phases: Dict[str, float],
@@ -167,30 +164,36 @@ def c0_0x(th0z, th1z, th0x):
     return _checked(num, den) if np.ndim(num) == 0 else num / den
 
 
+#: Closed forms of row alpha, as (c_0Z, c_1Z, c_X) of the row's X reference.
+_CLOSED_FORMS = {1: (c1_0z, c1_1z, c1_x), 0: (c0_0z, c0_1z, c0_0x)}
+
+
+def _coefficient_set(proto: Protocol, rows: Dict[int, Sequence[float]]):
+    """Spread each row's (0Z, 1Z, X reference) values over the settings."""
+    c = {}
+    for alpha, values in rows.items():
+        named = dict(zip(("0Z", "1Z", proto.x_ref[alpha]), values))
+        c[alpha] = {j: 0.0 if j == proto.zeroed[alpha] else named[j]
+                    for j in proto.settings}
+    return CoefficientSet(protocol=proto.name, c=c)
+
+
+def _closed_form(proto: Protocol, phases: Sequence[float]) -> CoefficientSet:
+    th = dict(zip(proto.settings, phases))
+    return _coefficient_set(proto, {
+        alpha: [fn(th["0Z"], th["1Z"], th[proto.x_ref[alpha]])
+                for fn in _CLOSED_FORMS[alpha]]
+        for alpha in (1, 0)})
+
+
 def coeffs_bb84(th0z: float, th1z: float, th0x: float, th1x: float) -> CoefficientSet:
     """Closed-form coefficients for exact phases, bb84 zeroing convention."""
-    return CoefficientSet(
-        protocol="bb84",
-        c={
-            1: {"0Z": c1_0z(th0z, th1z, th1x), "1Z": c1_1z(th0z, th1z, th1x),
-                "0X": 0.0, "1X": c1_x(th0z, th1z, th1x)},
-            0: {"0Z": c0_0z(th0z, th1z, th0x), "1Z": c0_1z(th0z, th1z, th0x),
-                "0X": c0_0x(th0z, th1z, th0x), "1X": 0.0},
-        },
-    )
+    return _closed_form(BB84, (th0z, th1z, th0x, th1x))
 
 
 def coeffs_three_state(th0z: float, th1z: float, th0x: float) -> CoefficientSet:
     """Closed-form coefficients for exact phases, three-state variant."""
-    return CoefficientSet(
-        protocol="three_state",
-        c={
-            1: {"0Z": c1_0z(th0z, th1z, th0x), "1Z": c1_1z(th0z, th1z, th0x),
-                "0X": c1_x(th0z, th1z, th0x)},
-            0: {"0Z": c0_0z(th0z, th1z, th0x), "1Z": c0_1z(th0z, th1z, th0x),
-                "0X": c0_0x(th0z, th1z, th0x)},
-        },
-    )
+    return _closed_form(THREE_STATE, (th0z, th1z, th0x))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +223,41 @@ def _grid_max(fn, r0z, r1z, rx, start: int = 41, tol: float = 1e-9,
         n = 2 * n - 1
 
 
+def _alpha0_corners(r0z, r1z, r0x):
+    """In-sector corner rule of row 0, the same for both variants."""
+    return (c0_0z(r0z[0], r1z[0], r0x[1]), c0_1z(r0z[1], r1z[1], r0x[0]),
+            _corner_max(c0_0x, r0z, r1z, r0x))
+
+
+def _bb84_alpha1_corners(r0z, r1z, r1x):
+    return (c1_0z(r0z[1], r1z[1], r1x[0]), c1_1z(r0z[0], r1z[0], r1x[1]),
+            _corner_max(c1_x, r0z, r1z, r1x))
+
+
+def _three_state_alpha1_corners(r0z, r1z, r0x):
+    # the 0X maximiser of c_{1,0X} is interior when the Z midpoint falls
+    # inside the 0X range, otherwise the nearest endpoint
+    mid = (r0z[0] + r1z[1]) / 2.0
+    return (c1_0z(r0z[1], r1z[0], r0x[0]), c1_1z(r0z[1], r1z[0], r0x[1]),
+            c1_x(r0z[0], r1z[1], min(max(mid, r0x[0]), r0x[1])))
+
+
+def _coeff_bounds(proto: Protocol, ranges: PhaseRanges, method: str,
+                  alpha1_corners) -> CoefficientSet:
+    """Shared body of both coeff_bounds_* entry points."""
+    if method != "grid" and not ranges.in_analytic_sectors():
+        if method == "analytic":
+            raise SectorViolation("phase ranges outside analytic-bound sectors")
+        method = "grid"
+    r = {j: (ranges.lo[j], ranges.hi[j]) for j in proto.settings}
+    rows = {}
+    for alpha, corners in ((1, alpha1_corners), (0, _alpha0_corners)):
+        args = (r["0Z"], r["1Z"], r[proto.x_ref[alpha]])
+        rows[alpha] = ([_grid_max(fn, *args) for fn in _CLOSED_FORMS[alpha]]
+                       if method == "grid" else corners(*args))
+    return _coefficient_set(proto, rows)
+
+
 def coeff_bounds_bb84(ranges: PhaseRanges, method: str = "auto") -> CoefficientSet:
     """Upper bounds on every bb84 coefficient over the phase ranges.
 
@@ -228,82 +266,11 @@ def coeff_bounds_bb84(ranges: PhaseRanges, method: str = "auto") -> CoefficientS
     to dense grid maximisation of the exact closed forms; ``method="analytic"``
     raises SectorViolation instead.
     """
-    r0z = (ranges.lo["0Z"], ranges.hi["0Z"])
-    r1z = (ranges.lo["1Z"], ranges.hi["1Z"])
-    r0x = (ranges.lo["0X"], ranges.hi["0X"])
-    r1x = (ranges.lo["1X"], ranges.hi["1X"])
-
-    if method != "grid" and not ranges.in_analytic_sectors():
-        if method == "analytic":
-            raise SectorViolation("phase ranges outside analytic-bound sectors")
-        method = "grid"
-
-    if method == "grid":
-        c = {
-            1: {"0Z": _grid_max(c1_0z, r0z, r1z, r1x),
-                "1Z": _grid_max(c1_1z, r0z, r1z, r1x),
-                "0X": 0.0,
-                "1X": _grid_max(c1_x, r0z, r1z, r1x)},
-            0: {"0Z": _grid_max(c0_0z, r0z, r1z, r0x),
-                "1Z": _grid_max(c0_1z, r0z, r1z, r0x),
-                "0X": _grid_max(c0_0x, r0z, r1z, r0x),
-                "1X": 0.0},
-        }
-    else:
-        c = {
-            1: {"0Z": c1_0z(r0z[1], r1z[1], r1x[0]),
-                "1Z": c1_1z(r0z[0], r1z[0], r1x[1]),
-                "0X": 0.0,
-                "1X": _corner_max(c1_x, r0z, r1z, r1x)},
-            0: {"0Z": c0_0z(r0z[0], r1z[0], r0x[1]),
-                "1Z": c0_1z(r0z[1], r1z[1], r0x[0]),
-                "0X": _corner_max(c0_0x, r0z, r1z, r0x),
-                "1X": 0.0},
-        }
-    return CoefficientSet(protocol="bb84", c=c)
+    return _coeff_bounds(BB84, ranges, method, _bb84_alpha1_corners)
 
 
 def coeff_bounds_three_state(ranges: PhaseRanges,
                              method: str = "auto") -> CoefficientSet:
     """Upper bounds on every three-state coefficient over the phase ranges."""
-    r0z = (ranges.lo["0Z"], ranges.hi["0Z"])
-    r1z = (ranges.lo["1Z"], ranges.hi["1Z"])
-    r0x = (ranges.lo["0X"], ranges.hi["0X"])
-
-    three_state_sectors = all(
-        j in ranges.lo for j in SETTINGS_THREE_STATE
-    ) and ranges.in_analytic_sectors()
-    if method != "grid" and not three_state_sectors:
-        if method == "analytic":
-            raise SectorViolation("phase ranges outside analytic-bound sectors")
-        method = "grid"
-
-    if method == "grid":
-        c1_0x_u = _grid_max(c1_x, r0z, r1z, r0x)
-        c = {
-            1: {"0Z": _grid_max(c1_0z, r0z, r1z, r0x),
-                "1Z": _grid_max(c1_1z, r0z, r1z, r0x),
-                "0X": c1_0x_u},
-            0: {"0Z": _grid_max(c0_0z, r0z, r1z, r0x),
-                "1Z": _grid_max(c0_1z, r0z, r1z, r0x),
-                "0X": _grid_max(c0_0x, r0z, r1z, r0x)},
-        }
-    else:
-        # the 0X maximiser of c_{1,0X} is interior when the Z midpoint falls
-        # inside the 0X range, otherwise the nearest endpoint
-        mid = (r0z[0] + r1z[1]) / 2.0
-        if r0x[1] < mid:
-            c1_0x_u = c1_x(r0z[0], r1z[1], r0x[1])
-        elif mid < r0x[0]:
-            c1_0x_u = c1_x(r0z[0], r1z[1], r0x[0])
-        else:
-            c1_0x_u = c1_x(r0z[0], r1z[1], mid)
-        c = {
-            1: {"0Z": c1_0z(r0z[1], r1z[0], r0x[0]),
-                "1Z": c1_1z(r0z[1], r1z[0], r0x[1]),
-                "0X": c1_0x_u},
-            0: {"0Z": c0_0z(r0z[0], r1z[0], r0x[1]),
-                "1Z": c0_1z(r0z[1], r1z[1], r0x[0]),
-                "0X": _corner_max(c0_0x, r0z, r1z, r0x)},
-        }
-    return CoefficientSet(protocol="three_state", c=c)
+    return _coeff_bounds(THREE_STATE, ranges, method,
+                         _three_state_alpha1_corners)

@@ -23,7 +23,8 @@ CLAMP_TOL = 1e-9
 def as_unit(value, tol: float = CLAMP_TOL):
     """Clamp ``value`` into [0, 1], rejecting violations larger than ``tol``."""
     v = np.asarray(value, dtype=float)
-    if np.any(v < -tol) or np.any(v > 1.0 + tol):
+    # negated in-range test, so NaN is rejected too
+    if not (np.all(v >= -tol) and np.all(v <= 1.0 + tol)):
         raise ValueError(f"value outside [0, 1] beyond tolerance {tol}: {value!r}")
     clamped = np.clip(v, 0.0, 1.0)
     return float(clamped) if np.ndim(value) == 0 else clamped

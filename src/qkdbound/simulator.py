@@ -25,7 +25,7 @@ from typing import Tuple
 import numpy as np
 
 from .bounds import ObservedStatistics, TagCounts
-from .source import ProtocolProbs, SETTINGS_BB84, SETTINGS_THREE_STATE, SourceSpec
+from .source import BB84, Protocol, ProtocolProbs, SourceSpec
 
 #: Identifier recorded in output metadata so results declare their channel model.
 CHANNEL_MODEL_ID = "single-photon-routing-darkcounts-v1"
@@ -44,10 +44,12 @@ class ChannelParams:
     f: float = 1.16
 
     def __post_init__(self):
-        if self.loss_db < 0:
+        if not self.loss_db >= 0:
             raise ValueError("loss must be nonnegative")
         if not 0.0 <= self.p_d <= 1.0:
             raise ValueError("dark-count probability must be in [0, 1]")
+        if not 1.0 <= self.f < math.inf:
+            raise ValueError(f"f = {self.f!r} must be finite and >= 1")
 
     @property
     def eta(self) -> float:
@@ -61,10 +63,11 @@ class RunConfig:
     n: int
     seed: int
     l_c: int
-    protocol: str  # "bb84" | "three_state"
+    protocol: str
     probs: ProtocolProbs
 
     def __post_init__(self):
+        Protocol.named(self.protocol)
         if self.l_c < 0:
             raise ValueError("correlation length must be nonnegative")
         if self.n < self.l_c + 1:
@@ -74,7 +77,7 @@ class RunConfig:
                              f"limit of {MAX_ROUNDS} (int64)")
 
     def settings(self) -> Tuple[str, ...]:
-        return SETTINGS_BB84 if self.protocol == "bb84" else SETTINGS_THREE_STATE
+        return Protocol.named(self.protocol).settings
 
 
 def detection_probs(theta_j: float, basis: str,
@@ -104,17 +107,16 @@ def detection_probs(theta_j: float, basis: str,
 
 def simulate_asymptotic(spec: SourceSpec, probs: ProtocolProbs,
                         ch: ChannelParams,
-                        protocol: str = "bb84") -> ObservedStatistics:
+                        protocol: str = BB84.name) -> ObservedStatistics:
     """Exact conditional detection statistics in the efficient-scheme limit.
 
     q[j] are X-basis outcome probabilities conditioned on setting j; y_z and
     e_bit come from Z emissions measured in Z. Basis-choice probabilities
     drop out of all conditionals, matching p_ZA, p_ZB -> 1.
     """
-    settings = SETTINGS_BB84 if protocol == "bb84" else SETTINGS_THREE_STATE
     nominal = spec.nominal_phases()
     q = {}
-    for j in settings:
+    for j in Protocol.named(protocol).settings:
         p0, p1, _ = detection_probs(nominal[j], "X", ch)
         q[j] = (p0, p1)
     y_z = 0.0
@@ -177,12 +179,7 @@ def simulate_finite(cfg: RunConfig, spec: SourceSpec,
                   n_det_z=n_det_z[w], n_err_z=n_err_z[w])
         for w in range(n_tags)
     ]
-
-    totals = {j: (sum(t.n_x[j][0] for t in per_tag),
-                  sum(t.n_x[j][1] for t in per_tag)) for j in settings}
-    return ObservedStatistics.from_counts(
-        n=cfg.n, n_x=totals, n_det_z=sum(n_det_z), n_err_z=sum(n_err_z),
-        probs=cfg.probs, per_tag=per_tag)
+    return ObservedStatistics.from_tags(cfg.n, per_tag, cfg.probs)
 
 
 def true_virtual_error_rate(spec: SourceSpec, ch: ChannelParams) -> float:

@@ -12,13 +12,48 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from .gmath import as_unit
 
-#: Setting labels in canonical order.
-SETTINGS_BB84 = ("0Z", "1Z", "0X", "1X")
-SETTINGS_THREE_STATE = ("0Z", "1Z", "0X")
+
+class InconsistentProtocol(ValueError):
+    """Protocol name or setting list does not match the protocol table."""
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """One protocol variant of the shared virtual-state decomposition.
+
+    ``settings`` lists the emitted states in canonical order. Indexed by the
+    virtual bit alpha, ``x_ref`` names the X setting whose closed form enters
+    row alpha, and ``zeroed`` the setting whose coefficient that row fixes
+    at 0 (None when every setting is used).
+    """
+
+    name: str
+    settings: Tuple[str, ...]
+    x_ref: Tuple[str, str]
+    zeroed: Tuple[Optional[str], Optional[str]]
+
+    @classmethod
+    def named(cls, name: str) -> "Protocol":
+        """The table entry called ``name``; InconsistentProtocol otherwise."""
+        for proto in PROTOCOLS:
+            if proto.name == name:
+                return proto
+        raise InconsistentProtocol(f"unknown protocol {name!r}; expected one "
+                                   f"of {[p.name for p in PROTOCOLS]}")
+
+
+#: The protocol table. The four-state variant zeroes the X setting that the
+#: other row uses; the three-state variant has no 1X emission at all.
+BB84 = Protocol("bb84", ("0Z", "1Z", "0X", "1X"),
+                x_ref=("0X", "1X"), zeroed=("1X", "0X"))
+THREE_STATE = Protocol("three_state", ("0Z", "1Z", "0X"),
+                       x_ref=("0X", "0X"), zeroed=(None, None))
+PROTOCOLS = (BB84, THREE_STATE)
+SETTINGS_BB84, SETTINGS_THREE_STATE = BB84.settings, THREE_STATE.settings
 
 #: Sectors within which the analytic corner bounds are valid
 #: (a +-pi/6-style neighbourhood of each ideal phase).
@@ -28,11 +63,6 @@ ANALYTIC_SECTORS = {
     "0X": (math.pi / 3, 2 * math.pi / 3),
     "1X": (4 * math.pi / 3, 5 * math.pi / 3),
 }
-
-
-def qubit_bloch(theta: float) -> Tuple[float, float]:
-    """XZ-plane Bloch vector (x, z) = (sin theta, cos theta) of the encoded qubit."""
-    return (math.sin(theta), math.cos(theta))
 
 
 def epsilon_effective(eps_prime: float, l_c: int) -> float:
@@ -80,9 +110,6 @@ class PhaseRanges:
             if self.lo[j] > self.hi[j]:
                 raise ValueError(f"empty phase range for setting {j}")
 
-    def settings(self) -> Tuple[str, ...]:
-        return tuple(self.lo)
-
     def in_analytic_sectors(self) -> bool:
         """True when every interval sits inside its analytic-bound sector."""
         for j in self.lo:
@@ -121,8 +148,9 @@ class SourceSpec:
         as_unit(self.epsilon_u)
         if self.correlation_length < 0:
             raise ValueError("correlation length must be nonnegative")
-        if self.Delta < 0:
-            raise ValueError("Delta must be nonnegative")
+        if not (math.isfinite(self.delta) and 0.0 <= self.Delta < math.inf):
+            raise ValueError(f"need a finite delta and a finite nonnegative "
+                             f"Delta, got {self.delta!r} and {self.Delta!r}")
 
     @property
     def kappa(self) -> float:
@@ -160,9 +188,9 @@ class ProtocolProbs:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability")
         total = sum(self.p_j.values())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"setting probabilities sum to {total}, expected 1")
-        if abs(self.p_j.get("0Z", 0.0) - self.p_j.get("1Z", 0.0)) > 1e-12:
+        if not abs(self.p_j.get("0Z", 0.0) - self.p_j.get("1Z", 0.0)) <= 1e-12:
             raise ValueError("the two Z-basis settings must be equiprobable")
 
     @classmethod

@@ -77,6 +77,21 @@ class TestObservedStatistics:
         assert all(stats.q[j][0] == 1.0 for j in SETTINGS_BB84)
         assert stats.e_bit == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("q", [-0.5, 1.5, math.nan])
+    def test_rejects_q_outside_unit_interval(self, q):
+        # from_counts clamps its estimates, so only float noise is tolerated
+        with pytest.raises(ValueError):
+            ObservedStatistics(q={"0Z": (q, 0.0)}, y_z=0.5, e_bit=0.0)
+
+    def test_from_tags_sums_the_tags(self):
+        tags = [TagCounts(w=w, n_w=500, n_x={"0Z": (w, 2 * w)}, n_det_z=10 + w,
+                          n_err_z=w) for w in range(3)]
+        probs = ProtocolProbs(p_za=0.5, p_zb=0.5, p_j={"0Z": 0.5, "1Z": 0.5})
+        stats = ObservedStatistics.from_tags(1500, tags, probs)
+        assert stats == ObservedStatistics.from_counts(
+            n=1500, n_x={"0Z": (3, 6)}, n_det_z=33, n_err_z=3, probs=probs,
+            per_tag=tags)
+
     def test_partition_validated(self):
         tags = [TagCounts(w=0, n_w=10, n_x={"0Z": (0, 0)}, n_det_z=1,
                           n_err_z=0)]
@@ -146,6 +161,11 @@ class TestKeyRate:
     def test_rejects_sub_unit_efficiency(self):
         with pytest.raises(ValueError):
             key_rate(0.1, 0.0, 0.0, 0.9)
+
+    @pytest.mark.parametrize("f", [math.nan, math.inf])
+    def test_rejects_non_finite_efficiency(self, f):
+        with pytest.raises(ValueError):
+            key_rate(0.1, 0.0, 0.0, f)
 
 
 class TestSourcePipeline:

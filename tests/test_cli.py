@@ -13,7 +13,7 @@ import pytest
 
 import qkdbound
 
-from qkdbound.bounds import evaluate_point
+from qkdbound.bounds import bound_inputs_from_source, evaluate_point
 from qkdbound.cli import (
     EXIT_COMPUTE,
     EXIT_CONFIG,
@@ -22,7 +22,12 @@ from qkdbound.cli import (
     load_counts,
     main,
 )
-from qkdbound.simulator import ChannelParams, RunConfig, simulate_finite
+from qkdbound.simulator import (
+    ChannelParams,
+    RunConfig,
+    simulate_asymptotic,
+    simulate_finite,
+)
 from qkdbound.source import ProtocolProbs, SETTINGS_BB84, SourceSpec
 
 
@@ -107,6 +112,21 @@ class TestSweep:
     def test_missing_config_file_is_io_error(self):
         assert run_cli(["sweep", "--config", "/no/such/file.json"]) == EXIT_IO
 
+    @pytest.mark.parametrize("flag", ["--delta", "--cap-delta", "--epsilon-u",
+                                      "--f"])
+    def test_nan_parameter_is_config_error(self, flag, capsys):
+        # NaN used to pass every range check and yield e_ph_u = 0
+        assert run_cli(["sweep", "--loss-end", "10", flag, "nan"]) \
+            == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+
+    def test_unknown_protocol_in_config_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"protocol": "BB84"}))
+        assert run_cli(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+
 
 class TestSimulateAndBound:
     def _simulate(self, tmp_path, seed=5):
@@ -178,8 +198,40 @@ class TestSimulateAndBound:
             "n_err_z", d["per_tag"][2]["n_det_z"] + 1), "exceeds n_det_z"),
         (lambda d: d.__setitem__("n", d["n"] + 1), "do not sum to n"),
         (lambda d: d.__setitem__("l_c", 1), "needs 2 tag blocks"),
+        (lambda d: d["per_tag"][1]["n_x"].pop("1X"),
+         "n_x must have one entry per bb84 setting"),
+        (lambda d: d["per_tag"][0]["n_x"].__setitem__("0X", [5]),
+         "is not a pair of counts"),
+        (lambda d: d["per_tag"][0]["n_x"].__setitem__("2X", [0, 0]),
+         "n_x must have one entry per bb84 setting"),
+        (lambda d: d.update(protocol="three_state", probs=dict(
+            d["probs"], p_j={"0Z": 0.25, "1Z": 0.25, "0X": 0.5})),
+         "n_x must have one entry per three_state setting"),
+        (lambda d: d["probs"]["p_j"].__setitem__(
+            "2X", d["probs"]["p_j"].pop("1X")), "probs.p_j must have one"),
+        (lambda d: d["per_tag"][0]["n_x"]["0Z"].__setitem__(0, 12.7),
+         "12.7 is not an integer count"),
+        (lambda d: d.__setitem__("per_tag", dict(enumerate(d["per_tag"]))),
+         "per_tag must be a list"),
+        (lambda d: d["source"].pop("delta"), "missing field 'delta'"),
+        (lambda d: d["source"].__setitem__("Delta", "0.03"),
+         "'Delta' = '0.03' is not a finite number"),
+        (lambda d: d["channel"].pop("f"), "missing field 'f'"),
+        (lambda d: d["channel"].__setitem__("f", "1.16"),
+         "'f' = '1.16' is not a finite number"),
+        (lambda d: d["source"].__setitem__("correlation_length", 0),
+         "differs from source.correlation_length"),
+        (lambda d: d.update(n=d["n"] - d["per_tag"][0]["n_w"], per_tag=[
+            dict(d["per_tag"][0], n_w=0, n_det_z=0, n_err_z=0,
+                 n_x={j: [0, 0] for j in d["per_tag"][0]["n_x"]}),
+            *d["per_tag"][1:]]), "no rounds"),
     ], ids=["negative", "x_plus_sifted_above_n_w", "errors_above_sifted",
-            "n_w_sum", "l_c_blocks"])
+            "n_w_sum", "l_c_blocks", "tag_lacks_setting", "short_pair",
+            "setting_outside_protocol", "three_state_with_1x",
+            "p_j_settings", "non_integer_count", "per_tag_not_list",
+            "missing_source_field", "non_numeric_source_field",
+            "missing_f", "non_numeric_f", "l_c_vs_correlation_length",
+            "empty_tag"])
     def test_bound_rejects_inconsistent_counts(self, tmp_path, capsys, edit,
                                                message):
         path = self._simulate(tmp_path)
@@ -191,5 +243,38 @@ class TestSimulateAndBound:
         assert message in captured.err
         assert "rate:" not in captured.out
 
+    @pytest.mark.parametrize("flag", ["--delta", "--cap-delta", "--epsilon-u",
+                                      "--f"])
+    def test_simulate_nan_parameter_is_config_error(self, tmp_path, flag):
+        out = tmp_path / "counts.json"
+        assert run_cli(["simulate", "--n", "1000", flag, "nan",
+                        "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_simulate_rejects_both_protocols(self):
         assert run_cli(["simulate", "--protocol", "both"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("name", ["BB84", "bb-84"])
+    def test_bound_unknown_protocol_is_config_error(self, tmp_path, capsys,
+                                                    name):
+        path = self._simulate(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["protocol"] = name
+        path.write_text(json.dumps(doc))
+        assert run_cli(["bound", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "unknown protocol" in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["BB84", "bb-84"])
+def test_unknown_protocol_names_raise(name):
+    spec = SourceSpec()
+    with pytest.raises(ValueError, match="unknown protocol"):
+        RunConfig(n=10, seed=1, l_c=0, protocol=name,
+                  probs=ProtocolProbs.uniform(SETTINGS_BB84))
+    with pytest.raises(ValueError, match="unknown protocol"):
+        simulate_asymptotic(spec, ProtocolProbs.uniform(SETTINGS_BB84),
+                            ChannelParams(10.0), protocol=name)
+    with pytest.raises(ValueError, match="unknown protocol"):
+        bound_inputs_from_source(spec, name)

@@ -111,3 +111,9 @@ class TestAsUnit:
 
     def test_custom_tolerance(self):
         assert as_unit(1.05, tol=0.1) == 1.0
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            as_unit(math.nan)
+        with pytest.raises(ValueError):
+            as_unit(np.array([0.5, math.nan]))

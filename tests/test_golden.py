@@ -1,0 +1,56 @@
+"""Golden outputs: the CLI's CSV, counts documents and reports, byte for byte.
+
+The sha256 values were recorded before the bb84 / three-state code paths
+were merged into one table-driven implementation; any change to a printed
+digit, a setting order or a random stream shows up here.
+"""
+
+import hashlib
+
+import pytest
+
+from qkdbound.cli import EXIT_OK, main
+
+README_SWEEP = ["sweep", "--protocol", "both", "--loss-start", "0",
+                "--loss-end", "60", "--loss-step", "1",
+                "--epsilon-u", "0,1e-6,1e-4,1e-3", "--delta", "0.063",
+                "--cap-delta", "0.03"]
+
+#: delta = 0.6 leaves the analytic sectors: both protocols take the grid branch
+GRID_SWEEP = ["sweep", "--protocol", "both", "--loss-start", "0",
+              "--loss-end", "20", "--loss-step", "10", "--delta", "0.6",
+              "--cap-delta", "0.03", "--epsilon-u", "1e-6"]
+
+SIMULATE = ["simulate", "--loss-db", "10", "--n", "300000", "--seed",
+            "424242", "--lc", "2", "--epsilon-u", "1e-6"]
+
+
+def sha256_of(argv, path):
+    assert main(argv + ["--out", str(path)]) == EXIT_OK
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (README_SWEEP,
+     "418ac9f0ab0b30d0401d75b85839571688439ad0a5e48d0159e0e0e046bb9531"),
+    (GRID_SWEEP,
+     "d64d5c92ecf9d488bf2aee4642d16b7fb181a480e91075a038bb499f06eb9749"),
+], ids=["readme_sweep", "grid_branch_sweep"])
+def test_sweep_csv(tmp_path, argv, digest):
+    assert sha256_of(argv, tmp_path / "sweep.csv") == digest
+
+
+@pytest.mark.parametrize("protocol, doc_digest, report_digest", [
+    ("bb84",
+     "866800c1f08a31404a4ee8da39673625a8d8bd959ab8bd47317deabf125a30c1",
+     "ad1b99d6d077f194ee95bda60a8c2d43389e406f884dd0289b90dbcc3ce0e2a4"),
+    ("three-state",
+     "ffd3d2d360272834b26b17f904ee846ffe02aefbd5f2db1065011eee5c7c818f",
+     "3ebb2aa9a7671b6401684651fd2951d629808b605e5c51bc64cb28ded4769dc1"),
+], ids=["bb84", "three_state"])
+def test_counts_document_and_report(tmp_path, protocol, doc_digest,
+                                    report_digest):
+    doc = tmp_path / "counts.json"
+    assert sha256_of(SIMULATE + ["--protocol", protocol], doc) == doc_digest
+    assert sha256_of(["bound", str(doc)], tmp_path / "report.txt") \
+        == report_digest

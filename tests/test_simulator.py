@@ -147,6 +147,10 @@ class TestDetectionProbs:
             ChannelParams(0.0, p_d=1.5)
         with pytest.raises(ValueError):
             detection_probs(0.0, "Y", ChannelParams(0.0))
+        with pytest.raises(ValueError):
+            ChannelParams(math.nan)
+        with pytest.raises(ValueError):
+            ChannelParams(0.0, f=math.nan)
 
 
 class TestSimulateAsymptotic:

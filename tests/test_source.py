@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qkdbound.source import (
+    BB84,
+    PROTOCOLS,
+    THREE_STATE,
+    InconsistentProtocol,
     PhaseRanges,
+    Protocol,
     ProtocolProbs,
     SETTINGS_BB84,
     SETTINGS_THREE_STATE,
@@ -15,30 +20,38 @@ from qkdbound.source import (
     combine_side_channels,
     epsilon_effective,
     exact_virtual_prob,
-    qubit_bloch,
     tha_epsilon_bound,
     virtual_prob_bounds,
 )
 
 
-class TestQubitBloch:
-    def test_cardinal_states(self):
-        assert qubit_bloch(0.0) == pytest.approx((0.0, 1.0))
-        assert qubit_bloch(math.pi) == pytest.approx((0.0, -1.0))
-        assert qubit_bloch(math.pi / 2) == pytest.approx((1.0, 0.0))
+class TestProtocolTable:
+    def test_lookup(self):
+        assert Protocol.named("bb84") is BB84
+        assert Protocol.named("three_state") is THREE_STATE
+        assert [p.name for p in PROTOCOLS] == ["bb84", "three_state"]
+        assert issubclass(InconsistentProtocol, ValueError)
 
-    @given(st.floats(min_value=-10, max_value=10))
-    def test_unit_norm(self, theta):
-        x, z = qubit_bloch(theta)
-        assert x * x + z * z == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("name", ["BB84", "bb-84", "three-state", "",
+                                      None, ["bb84"]])
+    def test_unknown_name_raises(self, name):
+        with pytest.raises(InconsistentProtocol):
+            Protocol.named(name)
 
-    @given(st.floats(min_value=-3, max_value=3),
-           st.floats(min_value=-3, max_value=3))
-    def test_overlap_is_half_angle_cosine(self, a, b):
-        # |<w|w'>| for cos(t/2)|0> + sin(t/2)|1> states
-        va = np.array([math.cos(a / 2), math.sin(a / 2)])
-        vb = np.array([math.cos(b / 2), math.sin(b / 2)])
-        assert float(va @ vb) == pytest.approx(math.cos((a - b) / 2), abs=1e-12)
+    @pytest.mark.parametrize("proto", PROTOCOLS, ids=lambda p: p.name)
+    def test_rows_use_three_settings(self, proto):
+        # each row keeps both Z settings and its X reference, zeroes at most
+        # one other setting and leaves none unassigned
+        for alpha in (0, 1):
+            kept = {"0Z", "1Z", proto.x_ref[alpha]}
+            assert kept <= set(proto.settings)
+            assert proto.zeroed[alpha] not in kept
+            assert set(proto.settings) - kept <= {proto.zeroed[alpha]}
+
+    def test_setting_constants_alias_the_table(self):
+        assert SETTINGS_BB84 == ("0Z", "1Z", "0X", "1X") == BB84.settings
+        assert SETTINGS_THREE_STATE == ("0Z", "1Z", "0X") \
+            == THREE_STATE.settings
 
 
 class TestEpsilonCalculus:
@@ -101,6 +114,12 @@ class TestSourceSpec:
         with pytest.raises(ValueError):
             SourceSpec(Delta=-0.1)
 
+    @pytest.mark.parametrize("field", ["delta", "Delta", "epsilon_u"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError):
+            SourceSpec(**{field: value})
+
 
 class TestPhaseRanges:
     def test_from_source(self):
@@ -137,8 +156,21 @@ class TestProtocolProbs:
         with pytest.raises(ValueError):
             ProtocolProbs(p_za=0.5, p_zb=0.5, p_j={"0Z": 0.3, "1Z": 0.3})
 
+    def test_rejects_nan_setting_probability(self):
+        with pytest.raises(ValueError):
+            ProtocolProbs(p_za=0.5, p_zb=0.5,
+                          p_j={"0Z": 0.25, "1Z": 0.25, "0X": math.nan})
+
 
 class TestVirtualProbs:
+    @given(st.floats(min_value=-3, max_value=3),
+           st.floats(min_value=-3, max_value=3))
+    def test_overlap_is_half_angle_cosine(self, a, b):
+        # |<w|w'>| for cos(t/2)|0> + sin(t/2)|1> states
+        va = np.array([math.cos(a / 2), math.sin(a / 2)])
+        vb = np.array([math.cos(b / 2), math.sin(b / 2)])
+        assert float(va @ vb) == pytest.approx(math.cos((a - b) / 2), abs=1e-12)
+
     def test_ideal_point_ranges(self):
         r = PhaseRanges(lo={"0Z": 0.0, "1Z": math.pi},
                         hi={"0Z": 0.0, "1Z": math.pi})
