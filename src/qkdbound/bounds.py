@@ -199,11 +199,12 @@ def secret_fraction_check(e_per_tag: Sequence[float], q_w: Sequence[float],
     lhs = sum_w q_w h(e_w), mid = h(sum_w q_w e_w), rhs = h(e_ph_u), where
     q_w are the tags' shares of the sifted key (must sum to 1).
     """
+    e_per_tag, q_w = as_unit(e_per_tag), as_unit(q_w)
     if abs(sum(q_w) - 1.0) > 1e-9:
         raise ValueError("tag weights must sum to 1")
     lhs = sum(q * binary_entropy(e) for q, e in zip(q_w, e_per_tag))
     mid = binary_entropy(sum(q * e for q, e in zip(q_w, e_per_tag)))
-    rhs = binary_entropy(e_ph_u)
+    rhs = binary_entropy(as_unit(e_ph_u))
     return (lhs, mid, rhs)
 
 
@@ -215,8 +216,8 @@ def key_rate(y_z: float, e_ph_u: float, e_bit: float, f: float,
                          f"finite and >= 1")
     # h is symmetric about 1/2, so an error bound at or beyond 1/2 means the
     # corresponding cost is maximal, not h(e) evaluated past the peak
-    h_ph = binary_entropy(min(e_ph_u, 0.5))
-    h_bit = binary_entropy(min(e_bit, 0.5))
+    h_ph = binary_entropy(min(as_unit(e_ph_u), 0.5))
+    h_bit = binary_entropy(min(as_unit(e_bit), 0.5))
     r = y_z * (1.0 - h_ph - f * h_bit)
     return KeyRateReport(y_z=y_z, e_bit=e_bit, e_ph_u=e_ph_u,
                          rate=max(0.0, r), f=f,

@@ -258,6 +258,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     if cfg["protocol"] == "both":
         raise ConfigError("simulate needs a single protocol, not 'both'")
+    for key in ("epsilon_u", "delta", "cap_delta", "lc"):
+        if len(cfg[key]) > 1:
+            raise ConfigError(f"simulate takes one {key} value: {cfg[key]}")
     protocol = _protocols(cfg)[0]
     probs = ProtocolProbs.uniform(Protocol.named(protocol).settings)
     lc = int(cfg["lc"][0])
@@ -287,8 +290,8 @@ def _require(section, key):
 
 def _number(section, key) -> float:
     value = _require(section, key)
-    if not (type(value) is int
-            or type(value) is float and math.isfinite(value)):
+    # exact comparison: refuses NaN, infinities and ints too big for a float
+    if not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
         raise SchemaError(f"field {key!r} = {value!r} is not a finite number")
     return value
 

@@ -114,9 +114,10 @@ def solve_generic(target: np.ndarray, ref_phases: Dict[str, float],
 # protocol variants; only the X reference phase differs (1X for bb84,
 # 0X for three-state).
 
-def _checked(num: float, den: float) -> float:
-    if abs(den) < SINGULAR_TOL:
-        raise SingularSystem(f"coefficient denominator {den:.3e} below tolerance")
+def _checked(num, den):
+    gap = np.min(np.abs(den))  # over scalars or grids; NaN fails the test too
+    if not gap >= SINGULAR_TOL:
+        raise SingularSystem(f"coefficient denominator {gap:.3e} below tolerance")
     return num / den
 
 
@@ -124,14 +125,14 @@ def c1_0z(th0z, th1z, thx):
     num = np.sin(th0z / 2 - thx / 2) - np.sin(th1z / 2 - thx / 2)
     den = (np.sin(th1z / 2 - th0z + thx / 2)
            + 2 * np.sin(th0z / 2 - thx / 2) - np.sin(th1z / 2 - thx / 2))
-    return _checked(num, den) if np.ndim(num) == 0 else num / den
+    return _checked(num, den)
 
 
 def c1_1z(th0z, th1z, thx):
     num = -np.sin(th0z / 2 - thx / 2) + np.sin(th1z / 2 - thx / 2)
     den = (np.sin(th0z / 2 - th1z + thx / 2)
            - np.sin(th0z / 2 - thx / 2) + 2 * np.sin(th1z / 2 - thx / 2))
-    return _checked(num, den) if np.ndim(num) == 0 else num / den
+    return _checked(num, den)
 
 
 def c1_x(th0z, th1z, thx):
@@ -139,21 +140,21 @@ def c1_x(th0z, th1z, thx):
     den = (np.cos(th0z - th1z) - np.cos(th0z - thx) - np.cos(th1z - thx)
            + 2 * np.cos(th0z / 2 + th1z / 2 - thx)
            - 2 * np.cos(th0z / 2 - th1z / 2) + 1.0)
-    return _checked(num, den) if np.ndim(num) == 0 else num / den
+    return _checked(num, den)
 
 
 def c0_0z(th0z, th1z, th0x):
     num = np.sin(th0z / 2 - th0x / 2) + np.sin(th1z / 2 - th0x / 2)
     den = (2 * np.sin(th0z / 2 - th0x / 2)
            - np.sin(th1z / 2 - th0z + th0x / 2) + np.sin(th1z / 2 - th0x / 2))
-    return _checked(num, den) if np.ndim(num) == 0 else num / den
+    return _checked(num, den)
 
 
 def c0_1z(th0z, th1z, th0x):
     num = np.sin(th0z / 2 - th0x / 2) + np.sin(th1z / 2 - th0x / 2)
     den = (np.sin(th0z / 2 - th0x / 2)
            - np.sin(th0z / 2 - th1z + th0x / 2) + 2 * np.sin(th1z / 2 - th0x / 2))
-    return _checked(num, den) if np.ndim(num) == 0 else num / den
+    return _checked(num, den)
 
 
 def c0_0x(th0z, th1z, th0x):
@@ -161,7 +162,7 @@ def c0_0x(th0z, th1z, th0x):
     den = (np.cos(th0z - th1z) - np.cos(th0z - th0x) - np.cos(th1z - th0x)
            - 2 * np.cos(th0z / 2 + th1z / 2 - th0x)
            + 2 * np.cos(th0z / 2 - th1z / 2) + 1.0)
-    return _checked(num, den) if np.ndim(num) == 0 else num / den
+    return _checked(num, den)
 
 
 #: Closed forms of row alpha, as (c_0Z, c_1Z, c_X) of the row's X reference.

@@ -8,7 +8,9 @@ lower bound z on their overlap:
     G+(y, z)  = g+(y, z) if y < z^2    else 1
     G-(y, z)  = g-(y, z) if y > 1-z^2  else 0
 
-All functions accept floats or numpy arrays and are pure.
+All functions accept floats or numpy arrays. The kernels are pure formulas
+with the precondition that every input lies in [0, 1]; they do not check
+it. ``as_unit`` is the boundary check for callers that hold raw values.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ import numpy as np
 CLAMP_TOL = 1e-9
 
 
-def as_unit(value, tol: float = CLAMP_TOL):
-    """Clamp ``value`` into [0, 1], rejecting violations larger than ``tol``."""
+def as_unit(value):
+    """Clamp ``value`` into [0, 1], refusing excess beyond ``CLAMP_TOL``."""
     v = np.asarray(value, dtype=float)
     # negated in-range test, so NaN is rejected too
-    if not (np.all(v >= -tol) and np.all(v <= 1.0 + tol)):
-        raise ValueError(f"value outside [0, 1] beyond tolerance {tol}: {value!r}")
+    if not (np.all(v >= -CLAMP_TOL) and np.all(v <= 1.0 + CLAMP_TOL)):
+        raise ValueError(f"{value!r} lies outside [0, 1] beyond {CLAMP_TOL}")
     clamped = np.clip(v, 0.0, 1.0)
     return float(clamped) if np.ndim(value) == 0 else clamped
 
@@ -34,8 +36,6 @@ def g_pm(y, z, sign: int = +1):
     """Raw g+-(y, z); ``sign`` selects +1 or -1 for the square-root term."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    y = as_unit(y)
-    z = as_unit(z)
     w = 1.0 - z * z
     root = np.sqrt(np.maximum(w * y * (1.0 - y), 0.0))
     out = y + w * (1.0 - 2.0 * y) + sign * 2.0 * z * root
@@ -44,8 +44,6 @@ def g_pm(y, z, sign: int = +1):
 
 def G_plus(y, z):
     """Upper sandwich: g+(y, z) when y < z^2, otherwise 1."""
-    y = as_unit(y)
-    z = as_unit(z)
     out = np.where(y < z * z, g_pm(y, z, +1), 1.0)
     out = np.clip(out, 0.0, 1.0)
     return float(out) if np.ndim(out) == 0 else out
@@ -53,8 +51,6 @@ def G_plus(y, z):
 
 def G_minus(y, z):
     """Lower sandwich: g-(y, z) when y > 1 - z^2, otherwise 0."""
-    y = as_unit(y)
-    z = as_unit(z)
     out = np.where(y > 1.0 - z * z, g_pm(y, z, -1), 0.0)
     out = np.clip(out, 0.0, 1.0)
     return float(out) if np.ndim(out) == 0 else out
@@ -62,7 +58,6 @@ def G_minus(y, z):
 
 def binary_entropy(x):
     """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0."""
-    x = as_unit(x)
     xa = np.asarray(x, dtype=float)
     interior = (xa > 0.0) & (xa < 1.0)
     # short-circuit the endpoints to avoid 0*log(0)

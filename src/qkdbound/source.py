@@ -184,9 +184,12 @@ class ProtocolProbs:
     def __post_init__(self):
         object.__setattr__(self, "p_xa", 1.0 - self.p_za)
         object.__setattr__(self, "p_xb", 1.0 - self.p_zb)
-        for name, p in (("p_za", self.p_za), ("p_zb", self.p_zb)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be a probability")
+        # the count estimates divide by p_zb, p_xb and every p_j
+        if not (0.0 <= self.p_za <= 1.0 and 0.0 < self.p_zb < 1.0
+                and all(p > 0.0 for p in self.p_j.values())):
+            raise ValueError(f"need p_za in [0, 1], p_zb in (0, 1) and every "
+                             f"p_j > 0; got {self.p_za!r}, {self.p_zb!r}, "
+                             f"{self.p_j}")
         total = sum(self.p_j.values())
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"setting probabilities sum to {total}, expected 1")
@@ -218,4 +221,4 @@ def virtual_prob_bounds(ranges: PhaseRanges) -> Tuple[float, float]:
     """
     p1 = 0.5 * (1.0 - math.cos((ranges.lo["0Z"] - ranges.hi["1Z"]) / 2.0))
     p0 = 0.5 * (1.0 + math.cos((ranges.hi["0Z"] - ranges.lo["1Z"]) / 2.0))
-    return (as_unit(p1), as_unit(p0))
+    return (p1, p0)

@@ -68,6 +68,12 @@ class TestPhaseErrorBound:
                   for eps in (0.0, 1e-6, 1e-4, 1e-3, 1e-2)]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("eps", [math.nan, -0.1])
+    def test_rejects_epsilon_outside_unit_interval(self, eps):
+        # the G kernels do not check z = sqrt(1 - eps); this is the boundary
+        with pytest.raises(ValueError):
+            phase_error_bound(make_stats(), PROBS, IDEAL_C, (0.5, 0.5), eps)
+
 
 class TestObservedStatistics:
     def test_from_counts_clamps_noisy_estimates(self):
@@ -139,6 +145,17 @@ class TestSecretFractionCheck:
         with pytest.raises(ValueError):
             secret_fraction_check([0.1], [0.5], 0.1)
 
+    @pytest.mark.parametrize("e_per_tag, q_w, e_ph_u", [
+        ([0.01, 1.1], [0.5, 0.5], 0.02),
+        ([0.01, math.nan], [0.5, 0.5], 0.02),
+        ([0.01, 0.03], [1.5, -0.5], 0.02),
+        ([0.01, 0.03], [0.5, 0.5], -0.1),
+    ], ids=["tag_error_above_one", "nan_tag_error", "negative_weight",
+            "negative_aggregate"])
+    def test_rejects_out_of_range_entry(self, e_per_tag, q_w, e_ph_u):
+        with pytest.raises(ValueError):
+            secret_fraction_check(e_per_tag, q_w, e_ph_u)
+
 
 class TestKeyRate:
     def test_no_errors(self):
@@ -166,6 +183,15 @@ class TestKeyRate:
     def test_rejects_non_finite_efficiency(self, f):
         with pytest.raises(ValueError):
             key_rate(0.1, 0.0, 0.0, f)
+
+    @pytest.mark.parametrize("field", ["e_ph_u", "e_bit"])
+    @pytest.mark.parametrize("value", [math.nan, -0.1, 1.1])
+    def test_rejects_error_rate_outside_unit_interval(self, field, value):
+        # binary_entropy does not check: unrefused, a NaN e_ph_u would
+        # give h = 0 and the full rate
+        rates = {"e_ph_u": 0.0, "e_bit": 0.0, field: value}
+        with pytest.raises(ValueError):
+            key_rate(0.1, rates["e_ph_u"], rates["e_bit"], 1.16)
 
 
 class TestSourcePipeline:

@@ -225,13 +225,22 @@ class TestSimulateAndBound:
             dict(d["per_tag"][0], n_w=0, n_det_z=0, n_err_z=0,
                  n_x={j: [0, 0] for j in d["per_tag"][0]["n_x"]}),
             *d["per_tag"][1:]]), "no rounds"),
+        # each used to end in a division by zero (exit 4)
+        (lambda d: d["probs"].__setitem__("p_zb", 1), "p_zb in (0, 1)"),
+        (lambda d: d["probs"].__setitem__("p_zb", 0), "p_zb in (0, 1)"),
+        (lambda d: d["probs"]["p_j"].update({"0X": 0.5, "1X": 0}),
+         "every p_j > 0"),
+        # used to end in "int too large to convert to float" (exit 4)
+        (lambda d: d["source"].__setitem__("epsilon_u", 10 ** 400),
+         "is not a finite number"),
     ], ids=["negative", "x_plus_sifted_above_n_w", "errors_above_sifted",
             "n_w_sum", "l_c_blocks", "tag_lacks_setting", "short_pair",
             "setting_outside_protocol", "three_state_with_1x",
             "p_j_settings", "non_integer_count", "per_tag_not_list",
             "missing_source_field", "non_numeric_source_field",
             "missing_f", "non_numeric_f", "l_c_vs_correlation_length",
-            "empty_tag"])
+            "empty_tag", "p_zb_one", "p_zb_zero", "p_j_zero",
+            "int_beyond_float"])
     def test_bound_rejects_inconsistent_counts(self, tmp_path, capsys, edit,
                                                message):
         path = self._simulate(tmp_path)
@@ -253,6 +262,18 @@ class TestSimulateAndBound:
 
     def test_simulate_rejects_both_protocols(self):
         assert run_cli(["simulate", "--protocol", "both"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag, values", [
+        ("--epsilon-u", "0,1e-6"), ("--delta", "0.063,0.5"),
+        ("--cap-delta", "0.03,0.05"), ("--lc", "0,3")])
+    def test_simulate_rejects_several_values(self, tmp_path, capsys, flag,
+                                             values):
+        # only the first value used to be simulated, silently
+        out = tmp_path / "counts.json"
+        assert run_cli(["simulate", "--n", "1000", flag, values,
+                        "--out", str(out)]) == EXIT_CONFIG
+        assert "simulate takes one" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["BB84", "bb-84"])
     def test_bound_unknown_protocol_is_config_error(self, tmp_path, capsys,

@@ -87,6 +87,16 @@ class TestClosedForms:
     def test_degenerate_phases_raise(self):
         with pytest.raises(SingularSystem):
             coeffs_three_state(0.2, 0.2, math.pi / 2)
+        # one singular sample in a grid: no silent NaN from the array path
+        with pytest.raises(SingularSystem):
+            coeffs_three_state(np.array([0.2, 0.0]),
+                               np.array([0.2, math.pi]), math.pi / 2)
+        # a NaN denominator fails the pole test instead of passing it
+        with pytest.raises(SingularSystem):
+            coeffs_three_state(0.0, math.pi, math.nan)
+        with pytest.raises(SingularSystem):
+            coeffs_three_state(np.array([0.0, math.nan]), math.pi,
+                               math.pi / 2)
 
     def test_matches_generic_solver(self):
         rng = np.random.default_rng(11)

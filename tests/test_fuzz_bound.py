@@ -22,6 +22,9 @@ SIGNED = {("source", "delta")}
 #: Replacements no field accepts: other JSON types, or a string naming nothing.
 RETYPES = [None, True, "text", [], {}, ["a", "b"], {"k": 1}]
 
+#: A JSON integer no float can hold.
+HUGE = 10 ** 400
+
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -73,6 +76,8 @@ def mutate(doc, path, kind, pick):
     elif kind == "negate" and type(value) in (int, float) \
             and path not in SIGNED:
         parent[key] = -value
+    elif kind == "huge" and type(value) in (int, float):
+        parent[key] = HUGE
     elif kind == "relength" and isinstance(value, list) and value:
         if pick % 2:
             value.append(json.loads(json.dumps(value[-1])))
@@ -89,7 +94,8 @@ def test_mutants_replay_or_exit_2(original, data):
     mutant = json.loads(json.dumps(doc))
     path = data.draw(st.sampled_from(list(paths(mutant))), label="path")
     kind = data.draw(st.sampled_from(
-        ["drop", "retype", "nan", "negate", "relength"]), label="kind")
+        ["drop", "retype", "nan", "negate", "huge", "relength"]),
+        label="kind")
     mutate(mutant, path, kind, data.draw(st.integers(0, 99), label="pick"))
     path = root / "mutant.json"
     path.write_text(json.dumps(mutant))

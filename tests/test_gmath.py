@@ -109,9 +109,6 @@ class TestAsUnit:
         with pytest.raises(ValueError):
             as_unit(1.01)
 
-    def test_custom_tolerance(self):
-        assert as_unit(1.05, tol=0.1) == 1.0
-
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             as_unit(math.nan)

@@ -156,6 +156,17 @@ class TestProtocolProbs:
         with pytest.raises(ValueError):
             ProtocolProbs(p_za=0.5, p_zb=0.5, p_j={"0Z": 0.3, "1Z": 0.3})
 
+    @pytest.mark.parametrize("p_zb, p_j", [
+        (1.0, {"0Z": 0.25, "1Z": 0.25, "0X": 0.25, "1X": 0.25}),
+        (0.0, {"0Z": 0.25, "1Z": 0.25, "0X": 0.25, "1X": 0.25}),
+        (0.5, {"0Z": 0.25, "1Z": 0.25, "0X": 0.5, "1X": 0.0}),
+        (0.5, {"0Z": 0.3, "1Z": 0.3, "0X": 0.5, "1X": -0.1}),
+    ], ids=["p_zb_one", "p_zb_zero", "p_j_zero", "p_j_negative"])
+    def test_rejects_probabilities_the_estimates_divide_by(self, p_zb, p_j):
+        # from_counts divides by p_j * p_xb and by p_zb
+        with pytest.raises(ValueError):
+            ProtocolProbs(p_za=0.5, p_zb=p_zb, p_j=p_j)
+
     def test_rejects_nan_setting_probability(self):
         with pytest.raises(ValueError):
             ProtocolProbs(p_za=0.5, p_zb=0.5,
