@@ -13,7 +13,9 @@ and the key rate is R = max(0, Y_Z * [1 - h(e_ph^U) - f * h(e_bit)]).
 
 The same assembly serves exact conditional probabilities (asymptotic mode)
 and empirical counts (finite mode); no finite-size deviation terms are added,
-finite mode exists to exercise estimator convergence.
+finite mode exists to exercise estimator convergence. Asymptotic statistics
+may be arrays over a loss axis (``simulator.ChannelColumn``): the bound and
+the rate are then evaluated elementwise, in one pass per source.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .coeffs import (
     CoefficientSet,
     coeff_bounds_bb84,
     coeff_bounds_three_state,
 )
-from .gmath import G_minus, G_plus, as_unit, binary_entropy
+from .gmath import G_minus, G_plus, as_unit, binary_entropy, native
 from .source import (
     InconsistentProtocol,
     PhaseRanges,
@@ -61,7 +65,8 @@ class ObservedStatistics:
     q[j] = (q_0, q_1) are estimates of P(Bob detects gamma | Alice sent j,
     Bob measured X), clamped into [0,1]. y_z is the Z-basis detection yield
     conditioned on both parties choosing Z, so the sifted-key size is
-    N * p_ZA * p_ZB * y_z. ``n`` is None in asymptotic mode.
+    N * p_ZA * p_ZB * y_z. ``n`` is None in asymptotic mode, where q, y_z
+    and e_bit may also be arrays with one entry per loss.
     """
 
     q: Dict[str, Tuple[float, float]]
@@ -76,7 +81,7 @@ class ObservedStatistics:
                    for j, (q0, q1) in self.q.items()}
         object.__setattr__(self, "q", clamped)
         as_unit(self.e_bit)
-        if not 0.0 <= self.y_z <= 1.0 + 1e-9:
+        if not (np.all(self.y_z >= 0.0) and np.all(self.y_z <= 1.0 + 1e-9)):
             raise ValueError(f"y_z = {self.y_z} is not a probability")
         if self.per_tag is not None:
             if self.n is not None and sum(t.n_w for t in self.per_tag) != self.n:
@@ -156,7 +161,7 @@ def phase_error_bound(stats: ObservedStatistics, probs: ProtocolProbs,
     probability bounds. Sound for any channel when ``c_upper`` and
     ``pvir_upper`` upper-bound the true decomposition.
     """
-    if stats.y_z <= 0.0 or stats.n_det_z == 0:
+    if np.any(stats.y_z <= 0.0) or stats.n_det_z == 0:
         raise EmptySiftedKey("no detected Z-basis rounds")
     settings = c_upper.settings()
     for j in settings:
@@ -172,8 +177,8 @@ def phase_error_bound(stats: ObservedStatistics, probs: ProtocolProbs,
     q1 = {j: stats.q[j][1] for j in settings}
     y_outer = (pbar_1x * _inner_detection_bound(q0, c_upper.row(1), z)
                + pbar_0x * _inner_detection_bound(q1, c_upper.row(0), z))
-    y_outer = min(1.0, max(0.0, y_outer))
-    return min(1.0, G_plus(y_outer, z) / stats.y_z)
+    y_outer = np.minimum(1.0, np.maximum(0.0, y_outer))
+    return native(np.minimum(1.0, G_plus(y_outer, z) / stats.y_z))
 
 
 def per_tag_bounds(stats: ObservedStatistics, probs: ProtocolProbs,
@@ -216,18 +221,24 @@ def key_rate(y_z: float, e_ph_u: float, e_bit: float, f: float,
                          f"finite and >= 1")
     # h is symmetric about 1/2, so an error bound at or beyond 1/2 means the
     # corresponding cost is maximal, not h(e) evaluated past the peak
-    h_ph = binary_entropy(min(as_unit(e_ph_u), 0.5))
-    h_bit = binary_entropy(min(as_unit(e_bit), 0.5))
+    h_ph = binary_entropy(np.minimum(as_unit(e_ph_u), 0.5))
+    h_bit = binary_entropy(np.minimum(as_unit(e_bit), 0.5))
     r = y_z * (1.0 - h_ph - f * h_bit)
     return KeyRateReport(y_z=y_z, e_bit=e_bit, e_ph_u=e_ph_u,
-                         rate=max(0.0, r), f=f,
+                         rate=native(np.maximum(0.0, r)), f=f,
                          e_ph_u_per_tag=e_ph_u_per_tag)
 
 
-def bound_inputs_from_source(spec: SourceSpec, protocol: str
-                             ) -> Tuple[CoefficientSet, Tuple[float, float], float]:
+#: (c^U, (pbar_1X^U, pbar_0X^U), epsilon_eff), the source side of the bound
+BoundInputs = Tuple[CoefficientSet, Tuple[float, float], float]
+
+
+def bound_inputs_from_source(spec: SourceSpec, protocol: str) -> BoundInputs:
     """Worst-case coefficient bounds, virtual probabilities and effective
-    epsilon for a characterised source — the inputs of phase_error_bound."""
+    epsilon for a characterised source — the inputs of phase_error_bound.
+
+    None depends on the channel: c^U and pbar_vir are set by (protocol,
+    delta, Delta), epsilon_eff by (epsilon_u, l_c)."""
     proto = Protocol.named(protocol)
     ranges = PhaseRanges.from_source(spec, settings=proto.settings)
     bounds_of = {"bb84": coeff_bounds_bb84,
@@ -236,11 +247,18 @@ def bound_inputs_from_source(spec: SourceSpec, protocol: str
             spec.effective_epsilon())
 
 
-def evaluate_point(stats: ObservedStatistics, probs: ProtocolProbs,
-                   spec: SourceSpec, protocol: str, f: float) -> KeyRateReport:
-    """Full pipeline: source characterisation -> e_ph^U -> key rate."""
-    c_upper, pvir, eps = bound_inputs_from_source(spec, protocol)
+def evaluate_with_inputs(stats: ObservedStatistics, probs: ProtocolProbs,
+                         inputs: BoundInputs, f: float) -> KeyRateReport:
+    """e_ph^U -> key rate from precomputed ``bound_inputs_from_source``."""
+    c_upper, pvir, eps = inputs
     e_ph = phase_error_bound(stats, probs, c_upper, pvir, eps)
     per_tag = (per_tag_bounds(stats, probs, c_upper, pvir, eps)
                if stats.per_tag else None)
     return key_rate(stats.y_z, e_ph, stats.e_bit, f, e_ph_u_per_tag=per_tag)
+
+
+def evaluate_point(stats: ObservedStatistics, probs: ProtocolProbs,
+                   spec: SourceSpec, protocol: str, f: float) -> KeyRateReport:
+    """Full pipeline: source characterisation -> e_ph^U -> key rate."""
+    return evaluate_with_inputs(stats, probs,
+                                bound_inputs_from_source(spec, protocol), f)

@@ -22,16 +22,23 @@ import math
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import __version__
 from .bounds import (
+    BoundInputs,
     EmptySiftedKey,
+    KeyRateReport,
     ObservedStatistics,
     TagCounts,
+    bound_inputs_from_source,
     evaluate_point,
+    evaluate_with_inputs,
 )
 from .coeffs import SingularSystem
 from .simulator import (
     CHANNEL_MODEL_ID,
+    ChannelColumn,
     ChannelParams,
     RunConfig,
     simulate_asymptotic,
@@ -113,6 +120,27 @@ def _load_config_file(path: Optional[str]) -> Dict:
     return data
 
 
+_LIST_FIELDS = ("epsilon_u", "delta", "cap_delta", "lc")
+#: every other field (each entry, for a list) takes a JSON number
+_STRING_FIELDS = ("protocol", "mode")
+_INTEGER_FIELDS = ("n", "seed", "lc")
+
+
+def _check_type(key: str, value) -> None:
+    """Refuse a value of the wrong JSON type; a bool is never a number."""
+    if key in _STRING_FIELDS:
+        ok, what = type(value) is str, "a string"
+    elif key in _INTEGER_FIELDS:
+        ok, what = type(value) is int, "an integer"
+    else:
+        # an int beyond the float range cannot become a float
+        ok = type(value) is float or (type(value) is int and
+                                      abs(value) <= sys.float_info.max)
+        what = "a number"
+    if not ok:
+        raise ConfigError(f"{key} = {value!r} is not {what}")
+
+
 def _resolve(args: argparse.Namespace) -> Dict:
     """Merge CLI flags over config-file values over defaults."""
     cfg = dict(_DEFAULTS)
@@ -121,14 +149,16 @@ def _resolve(args: argparse.Namespace) -> Dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    for key in ("epsilon_u", "delta", "cap_delta", "lc"):
+    for key in _LIST_FIELDS:
         if not isinstance(cfg[key], list):
             cfg[key] = [cfg[key]]
         if not cfg[key]:
             raise ConfigError(f"{key} list must be nonempty")
+    for key, value in cfg.items():
+        for v in value if key in _LIST_FIELDS else [value]:
+            _check_type(key, v)
     for key in ("epsilon_u", "delta", "cap_delta"):
         cfg[key] = [float(v) for v in cfg[key]]
-    cfg["lc"] = [int(v) for v in cfg["lc"]]
     if cfg["protocol"] not in ("bb84", "three-state", "both"):
         raise ConfigError(f"unknown protocol {cfg['protocol']!r}")
     if cfg["mode"] not in ("asymptotic", "finite"):
@@ -186,28 +216,78 @@ def _sci(x: float) -> str:
 # ---------------------------------------------------------------------------
 # sweep
 
+def _source_inputs(specs: List[SourceSpec],
+                   protocol: str) -> List[BoundInputs]:
+    """``bound_inputs_from_source`` of every source, each part computed once.
+
+    c^U and pbar_vir depend on (protocol, delta, Delta) only, and
+    epsilon_eff on (epsilon_u, l_c) only; none depends on the loss.
+    """
+    coeffs, eps_eff = {}, {}
+    for spec in specs:
+        key = (spec.delta, spec.Delta)
+        if key not in coeffs:
+            coeffs[key] = bound_inputs_from_source(spec, protocol)[:2]
+        key = (spec.epsilon_u, spec.correlation_length)
+        if key not in eps_eff:
+            eps_eff[key] = spec.effective_epsilon()
+    return [coeffs[spec.delta, spec.Delta]
+            + (eps_eff[spec.epsilon_u, spec.correlation_length],)
+            for spec in specs]
+
+
+def _report_values(report: KeyRateReport) -> List[List[float]]:
+    """(Y_Z, e_bit, e_ph_u, rate) of a report, one row per loss."""
+    return np.column_stack([report.y_z, report.e_bit, report.e_ph_u,
+                            report.rate]).tolist()
+
+
+def _finite_column(cfg: Dict, protocol: str, probs: ProtocolProbs,
+                   spec: SourceSpec, inputs: BoundInputs,
+                   column: ChannelColumn,
+                   seeds: List[int]) -> List[List[float]]:
+    """Finite-mode rows down a loss column, one seeded run per loss."""
+    points = []
+    for ch, seed in zip(column.channels, seeds):
+        run = RunConfig(n=cfg["n"], seed=seed, l_c=spec.correlation_length,
+                        protocol=protocol, probs=probs)
+        points += _report_values(evaluate_with_inputs(
+            simulate_finite(run, spec, ch), probs, inputs, cfg["f"]))
+    return points
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     losses = _loss_grid(cfg)
+    column = ChannelColumn.of_losses(losses, p_d=cfg["pd"], f=cfg["f"])
+    sources = list(itertools.product(cfg["epsilon_u"], cfg["delta"],
+                                     cfg["cap_delta"], cfg["lc"]))
+    specs = [SourceSpec(delta=delta, Delta=cap, epsilon_u=eps,
+                        correlation_length=lc)
+             for eps, delta, cap, lc in sources]
     rows = []
     for protocol in _protocols(cfg):
         probs = ProtocolProbs.uniform(Protocol.named(protocol).settings)
-        for loss, eps, delta, cap, lc in itertools.product(
-                losses, cfg["epsilon_u"], cfg["delta"], cfg["cap_delta"],
-                cfg["lc"]):
-            spec = SourceSpec(delta=delta, Delta=cap, epsilon_u=eps,
-                              correlation_length=lc)
-            ch = ChannelParams(loss_db=loss, p_d=cfg["pd"], f=cfg["f"])
+        first_row = len(rows)
+        # per source, (Y_Z, e_bit, e_ph_u, rate) down the whole loss column
+        values = []
+        for k, (spec, inputs) in enumerate(
+                zip(specs, _source_inputs(specs, protocol))):
             if cfg["mode"] == "asymptotic":
-                stats = simulate_asymptotic(spec, probs, ch, protocol=protocol)
+                stats = simulate_asymptotic(spec, probs, column,
+                                            protocol=protocol)
+                values.append(_report_values(
+                    evaluate_with_inputs(stats, probs, inputs, cfg["f"])))
             else:
-                run = RunConfig(n=int(cfg["n"]),
-                                seed=int(cfg["seed"]) + len(rows),
-                                l_c=lc, protocol=protocol, probs=probs)
-                stats = simulate_finite(run, spec, ch)
-            report = evaluate_point(stats, probs, spec, protocol, cfg["f"])
-            rows.append((protocol, loss, eps, delta, cap, lc, report.y_z,
-                         report.e_bit, report.e_ph_u, report.rate))
+                # a finite row's seed is the base seed plus its CSV row index
+                seeds = [cfg["seed"] + first_row + i * len(specs) + k
+                         for i in range(len(losses))]
+                values.append(_finite_column(cfg, protocol, probs, spec,
+                                             inputs, column, seeds))
+        # rows in loss-major order
+        for i, loss in enumerate(losses):
+            for source, v in zip(sources, values):
+                rows.append((protocol, loss) + source + tuple(v[i]))
     out = io.StringIO()
     out.write(f"# qkdbound {__version__} sweep\n")
     out.write(f"# channel_model: {CHANNEL_MODEL_ID}\n")
@@ -237,8 +317,8 @@ def _counts_document(cfg: Dict, protocol: str, spec: SourceSpec,
         "protocol": protocol,
         "mode": "finite",
         "n": stats.n,
-        "seed": int(cfg["seed"]),
-        "l_c": int(cfg["lc"][0]),
+        "seed": cfg["seed"],
+        "l_c": cfg["lc"][0],
         "probs": {"p_za": probs.p_za, "p_zb": probs.p_zb, "p_j": probs.p_j},
         "source": {"delta": spec.delta, "Delta": spec.Delta,
                    "epsilon_u": spec.epsilon_u,
@@ -258,16 +338,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     if cfg["protocol"] == "both":
         raise ConfigError("simulate needs a single protocol, not 'both'")
-    for key in ("epsilon_u", "delta", "cap_delta", "lc"):
+    for key in _LIST_FIELDS:
         if len(cfg[key]) > 1:
             raise ConfigError(f"simulate takes one {key} value: {cfg[key]}")
     protocol = _protocols(cfg)[0]
     probs = ProtocolProbs.uniform(Protocol.named(protocol).settings)
-    lc = int(cfg["lc"][0])
+    lc = cfg["lc"][0]
     spec = SourceSpec(delta=cfg["delta"][0], Delta=cfg["cap_delta"][0],
                       epsilon_u=cfg["epsilon_u"][0], correlation_length=lc)
     ch = ChannelParams(loss_db=cfg["loss_db"], p_d=cfg["pd"], f=cfg["f"])
-    run = RunConfig(n=int(cfg["n"]), seed=int(cfg["seed"]), l_c=lc,
+    run = RunConfig(n=cfg["n"], seed=cfg["seed"], l_c=lc,
                     protocol=protocol, probs=probs)
     stats = simulate_finite(run, spec, ch)
     doc = _counts_document(cfg, protocol, spec, ch, probs, stats)

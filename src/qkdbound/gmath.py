@@ -8,7 +8,8 @@ lower bound z on their overlap:
     G+(y, z)  = g+(y, z) if y < z^2    else 1
     G-(y, z)  = g-(y, z) if y > 1-z^2  else 0
 
-All functions accept floats or numpy arrays. The kernels are pure formulas
+All functions accept floats or numpy arrays and return a float for a 0-d
+input (``native``), an array otherwise. The kernels are pure formulas
 with the precondition that every input lies in [0, 1]; they do not check
 it. ``as_unit`` is the boundary check for callers that hold raw values.
 """
@@ -22,14 +23,18 @@ import numpy as np
 CLAMP_TOL = 1e-9
 
 
+def native(x):
+    """``x`` as a Python float when it is 0-d, otherwise as an array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def as_unit(value):
     """Clamp ``value`` into [0, 1], refusing excess beyond ``CLAMP_TOL``."""
     v = np.asarray(value, dtype=float)
     # negated in-range test, so NaN is rejected too
     if not (np.all(v >= -CLAMP_TOL) and np.all(v <= 1.0 + CLAMP_TOL)):
         raise ValueError(f"{value!r} lies outside [0, 1] beyond {CLAMP_TOL}")
-    clamped = np.clip(v, 0.0, 1.0)
-    return float(clamped) if np.ndim(value) == 0 else clamped
+    return native(np.clip(v, 0.0, 1.0))
 
 
 def g_pm(y, z, sign: int = +1):
@@ -38,22 +43,18 @@ def g_pm(y, z, sign: int = +1):
         raise ValueError("sign must be +1 or -1")
     w = 1.0 - z * z
     root = np.sqrt(np.maximum(w * y * (1.0 - y), 0.0))
-    out = y + w * (1.0 - 2.0 * y) + sign * 2.0 * z * root
-    return float(out) if np.ndim(out) == 0 else out
+    return native(y + w * (1.0 - 2.0 * y) + sign * 2.0 * z * root)
 
 
 def G_plus(y, z):
     """Upper sandwich: g+(y, z) when y < z^2, otherwise 1."""
-    out = np.where(y < z * z, g_pm(y, z, +1), 1.0)
-    out = np.clip(out, 0.0, 1.0)
-    return float(out) if np.ndim(out) == 0 else out
+    return native(np.clip(np.where(y < z * z, g_pm(y, z, +1), 1.0), 0.0, 1.0))
 
 
 def G_minus(y, z):
     """Lower sandwich: g-(y, z) when y > 1 - z^2, otherwise 0."""
-    out = np.where(y > 1.0 - z * z, g_pm(y, z, -1), 0.0)
-    out = np.clip(out, 0.0, 1.0)
-    return float(out) if np.ndim(out) == 0 else out
+    return native(np.clip(np.where(y > 1.0 - z * z, g_pm(y, z, -1), 0.0),
+                          0.0, 1.0))
 
 
 def binary_entropy(x):
@@ -62,9 +63,8 @@ def binary_entropy(x):
     interior = (xa > 0.0) & (xa < 1.0)
     # short-circuit the endpoints to avoid 0*log(0)
     safe = np.where(interior, xa, 0.5)
-    out = np.where(
+    return native(np.where(
         interior,
         -safe * np.log2(safe) - (1.0 - safe) * np.log2(1.0 - safe),
         0.0,
-    )
-    return float(out) if np.ndim(x) == 0 else out
+    ))

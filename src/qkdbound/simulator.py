@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from functools import cached_property
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .bounds import ObservedStatistics, TagCounts
+from .gmath import native
 from .source import BB84, Protocol, ProtocolProbs, SourceSpec
 
 #: Identifier recorded in output metadata so results declare their channel model.
@@ -57,6 +59,46 @@ class ChannelParams:
 
 
 @dataclass(frozen=True)
+class ChannelColumn:
+    """Channels that differ only in loss: the loss axis of a sweep.
+
+    It stands in for ``ChannelParams`` wherever the channel enters
+    (``detection_probs``, ``simulate_asymptotic``), and every probability
+    derived from it is an array with one entry per loss. Each loss is a
+    validated ``ChannelParams`` whose own ``eta`` the column collects, so
+    an entry is bit-for-bit the scalar channel's (``np.power`` over the
+    losses differs from ``10.0 ** x`` in the last bit at some of them).
+    """
+
+    channels: Tuple[ChannelParams, ...]
+
+    def __post_init__(self):
+        if not self.channels:
+            raise ValueError("a channel column needs at least one loss")
+        if len({(c.p_d, c.theta_mis, c.f) for c in self.channels}) != 1:
+            raise ValueError("the channels of a column may differ only in "
+                             "loss")
+
+    @classmethod
+    def of_losses(cls, losses: Sequence[float], **params) -> "ChannelColumn":
+        """One ``ChannelParams(loss_db=loss, **params)`` per loss."""
+        return cls(tuple(ChannelParams(loss_db=loss, **params)
+                         for loss in losses))
+
+    @cached_property
+    def eta(self) -> np.ndarray:
+        return np.array([c.eta for c in self.channels])
+
+    @property
+    def p_d(self) -> float:
+        return self.channels[0].p_d
+
+    @property
+    def theta_mis(self) -> float:
+        return self.channels[0].theta_mis
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Finite-run parameters: rounds, seed, tagging period and protocol."""
 
@@ -81,8 +123,11 @@ class RunConfig:
 
 
 def detection_probs(theta_j: float, basis: str,
-                    ch: ChannelParams) -> Tuple[float, float, float]:
+                    ch: ChannelParams | ChannelColumn) -> Tuple:
     """(p_gamma0, p_gamma1, p_fail) for Bob measuring ``basis`` on the qubit.
+
+    Floats for a ``ChannelParams``, arrays over the losses for a
+    ``ChannelColumn``.
 
     Born probabilities of the XZ-plane state cos(theta'/2)|0> + sin(theta'/2)|1>
     are (1 +- cos theta')/2 in Z and (1 +- sin theta')/2 in X, with
@@ -106,13 +151,14 @@ def detection_probs(theta_j: float, basis: str,
 
 
 def simulate_asymptotic(spec: SourceSpec, probs: ProtocolProbs,
-                        ch: ChannelParams,
+                        ch: ChannelParams | ChannelColumn,
                         protocol: str = BB84.name) -> ObservedStatistics:
     """Exact conditional detection statistics in the efficient-scheme limit.
 
     q[j] are X-basis outcome probabilities conditioned on setting j; y_z and
     e_bit come from Z emissions measured in Z. Basis-choice probabilities
-    drop out of all conditionals, matching p_ZA, p_ZB -> 1.
+    drop out of all conditionals, matching p_ZA, p_ZB -> 1. For a
+    ``ChannelColumn`` every statistic is an array over its losses.
     """
     nominal = spec.nominal_phases()
     q = {}
@@ -125,7 +171,8 @@ def simulate_asymptotic(spec: SourceSpec, probs: ProtocolProbs,
         p0, p1, p_fail = detection_probs(nominal[j], "Z", ch)
         y_z += 0.5 * (1.0 - p_fail)
         wrong += 0.5 * (p1 if bit == 0 else p0)
-    e_bit = wrong / y_z if y_z > 0 else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_bit = native(np.where(y_z > 0, np.divide(wrong, y_z), 0.0))
     return ObservedStatistics(q=q, y_z=y_z, e_bit=e_bit)
 
 

@@ -127,6 +127,45 @@ class TestSweep:
         cfg.write_text(json.dumps({"protocol": "BB84"}))
         assert run_cli(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("field, value", [
+        ("protocol", ["bb84"]),
+        ("loss_start", "0"),
+        ("loss_end", True),
+        ("loss_step", "5"),
+        ("epsilon_u", ["1e-6"]),
+        ("delta", [0.063, True]),
+        ("cap_delta", "0.03"),
+        ("lc", 2.7),  # used to run with l_c = 2
+        ("pd", "1e-8"),
+        ("f", True),  # used to run and print "f: True"
+        ("mode", 1),
+        ("n", 1000.7),  # used to run n = 1000 and print 1000.7
+        ("seed", 1.0),
+        ("loss_db", None),
+        ("delta", [10 ** 400]),  # no float holds it
+    ])
+    def test_config_value_of_wrong_type_is_config_error(self, tmp_path,
+                                                        capsys, field,
+                                                        value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "finite", "n": 1000,
+                                   "loss_end": 5, field: value}))
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--config", str(cfg),
+                        "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert f"config error: {field} = " in capsys.readouterr().err
+
+    def test_empty_sifted_key_in_column_is_compute_error(self, tmp_path,
+                                                         capsys):
+        # at 400 dB without dark counts the last point detects nothing
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--pd", "0", "--loss-start", "0",
+                        "--loss-end", "400", "--loss-step", "400",
+                        "--out", str(out)]) == EXIT_COMPUTE
+        assert not out.exists()
+        assert "computation error" in capsys.readouterr().err
+
 
 class TestSimulateAndBound:
     def _simulate(self, tmp_path, seed=5):

@@ -1,14 +1,17 @@
 """Golden outputs: the CLI's CSV, counts documents and reports, byte for byte.
 
 The sha256 values were recorded before the bb84 / three-state code paths
-were merged into one table-driven implementation; any change to a printed
-digit, a setting order or a random stream shows up here.
+were merged into one table-driven implementation (the multi-source and
+finite sweeps before the sweep moved to one array pass per loss column);
+any change to a printed digit, a setting order or a random stream shows up
+here.
 """
 
 import hashlib
 
 import pytest
 
+from qkdbound import bounds
 from qkdbound.cli import EXIT_OK, main
 
 README_SWEEP = ["sweep", "--protocol", "both", "--loss-start", "0",
@@ -20,6 +23,19 @@ README_SWEEP = ["sweep", "--protocol", "both", "--loss-start", "0",
 GRID_SWEEP = ["sweep", "--protocol", "both", "--loss-start", "0",
               "--loss-end", "20", "--loss-step", "10", "--delta", "0.6",
               "--cap-delta", "0.03", "--epsilon-u", "1e-6"]
+
+#: several sources per protocol, so inputs cached under too coarse a key
+#: (say per protocol, or per delta alone) change a row
+MULTI_SOURCE_SWEEP = ["sweep", "--protocol", "both", "--loss-start", "0",
+                      "--loss-end", "40", "--loss-step", "5",
+                      "--epsilon-u", "0,1e-5", "--delta", "0.05,0.08",
+                      "--cap-delta", "0.02,0.03", "--lc", "0,2"]
+
+#: finite mode seeds row k with seed + k, so this pins the row order
+FINITE_SWEEP = ["sweep", "--protocol", "both", "--loss-start", "0",
+                "--loss-end", "20", "--loss-step", "10",
+                "--epsilon-u", "0,1e-6", "--lc", "0,1", "--mode", "finite",
+                "--n", "200000", "--seed", "7"]
 
 SIMULATE = ["simulate", "--loss-db", "10", "--n", "300000", "--seed",
             "424242", "--lc", "2", "--epsilon-u", "1e-6"]
@@ -35,7 +51,12 @@ def sha256_of(argv, path):
      "418ac9f0ab0b30d0401d75b85839571688439ad0a5e48d0159e0e0e046bb9531"),
     (GRID_SWEEP,
      "d64d5c92ecf9d488bf2aee4642d16b7fb181a480e91075a038bb499f06eb9749"),
-], ids=["readme_sweep", "grid_branch_sweep"])
+    (MULTI_SOURCE_SWEEP,
+     "66b03bc38cfd4b4fc9bc26d3073e355245d6e7a5e31d24980819b858515da63b"),
+    (FINITE_SWEEP,
+     "da193bb95ee1fef56d475e3f453ac91aa107f0d570041faa4693e81919beba19"),
+], ids=["readme_sweep", "grid_branch_sweep", "multi_source_sweep",
+        "finite_sweep"])
 def test_sweep_csv(tmp_path, argv, digest):
     assert sha256_of(argv, tmp_path / "sweep.csv") == digest
 
@@ -54,3 +75,22 @@ def test_counts_document_and_report(tmp_path, protocol, doc_digest,
     assert sha256_of(SIMULATE + ["--protocol", protocol], doc) == doc_digest
     assert sha256_of(["bound", str(doc)], tmp_path / "report.txt") \
         == report_digest
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (README_SWEEP, 2), (MULTI_SOURCE_SWEEP, 8),
+], ids=["readme_sweep", "multi_source_sweep"])
+def test_sweep_bounds_coefficients_once_per_source(tmp_path, monkeypatch,
+                                                   argv, calls):
+    # c^U depends on (protocol, delta, Delta) only, never on the loss
+    count = []
+    for name in ("coeff_bounds_bb84", "coeff_bounds_three_state"):
+        original = getattr(bounds, name)
+
+        def counted(ranges, *args, _original=original, **kwargs):
+            count.append(ranges)
+            return _original(ranges, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, name, counted)
+    assert main(argv + ["--out", str(tmp_path / "sweep.csv")]) == EXIT_OK
+    assert len(count) == calls
