@@ -66,7 +66,9 @@ class ObservedStatistics:
     Bob measured X), clamped into [0,1]. y_z is the Z-basis detection yield
     conditioned on both parties choosing Z, so the sifted-key size is
     N * p_ZA * p_ZB * y_z. ``n`` is None in asymptotic mode, where q, y_z
-    and e_bit may also be arrays with one entry per loss.
+    and e_bit may also be arrays with one entry per loss. In the tag column
+    of ``per_tag_bounds`` every field but ``per_tag`` is an array with one
+    entry per tag.
     """
 
     q: Dict[str, Tuple[float, float]]
@@ -91,27 +93,32 @@ class ObservedStatistics:
                 raise ValueError("per-tag sifted counts do not sum to the total")
 
     @classmethod
-    def from_counts(cls, n: int, n_x: Dict[str, Tuple[int, int]], n_det_z: int,
-                    n_err_z: int, probs: ProtocolProbs,
+    def from_counts(cls, n, n_x: Dict[str, Tuple], n_det_z, n_err_z,
+                    probs: ProtocolProbs,
                     per_tag: Optional[List[TagCounts]] = None
                     ) -> "ObservedStatistics":
         """Build clamped conditional estimates from raw counts.
 
         q[j][gamma] = N_{j,gammaX} / (N * p_j * p_XB); finite-sample noise can
         push the ratio above 1, so it is clamped (upward bias is safe: the
-        outer bound is nondecreasing in every q).
+        outer bound is nondecreasing in every q). The counts may be float
+        arrays with one entry per tag (``per_tag_bounds``); the estimates
+        are then arrays too, and Python floats for int counts.
         """
         q = {
             j: (
-                min(1.0, n_x[j][0] / (n * probs.p_j[j] * probs.p_xb)),
-                min(1.0, n_x[j][1] / (n * probs.p_j[j] * probs.p_xb)),
+                np.minimum(1.0, n_x[j][0] / (n * probs.p_j[j] * probs.p_xb)),
+                np.minimum(1.0, n_x[j][1] / (n * probs.p_j[j] * probs.p_xb)),
             )
             for j in n_x
         }
         # Alice's Z-basis probability is carried by the setting distribution
         p_zz = (probs.p_j["0Z"] + probs.p_j["1Z"]) * probs.p_zb
-        y_z = min(1.0, n_det_z / (n * p_zz)) if n_det_z else 0.0
-        e_bit = n_err_z / n_det_z if n_det_z else 0.0
+        y_z = native(np.minimum(1.0, n_det_z / (n * p_zz)))
+        # an empty sifted key has no error rate: divide its errors by 1, not
+        # 0 (which raises for int counts), and report 0
+        det = n_det_z + (n_det_z == 0)
+        e_bit = native(np.where(n_det_z, n_err_z / det, 0.0))
         return cls(q=q, y_z=y_z, e_bit=e_bit, n=n, n_det_z=n_det_z,
                    per_tag=per_tag)
 
@@ -161,7 +168,7 @@ def phase_error_bound(stats: ObservedStatistics, probs: ProtocolProbs,
     probability bounds. Sound for any channel when ``c_upper`` and
     ``pvir_upper`` upper-bound the true decomposition.
     """
-    if np.any(stats.y_z <= 0.0) or stats.n_det_z == 0:
+    if np.any(stats.y_z <= 0.0) or np.any(stats.n_det_z == 0):
         raise EmptySiftedKey("no detected Z-basis rounds")
     settings = c_upper.settings()
     for j in settings:
@@ -184,17 +191,25 @@ def phase_error_bound(stats: ObservedStatistics, probs: ProtocolProbs,
 def per_tag_bounds(stats: ObservedStatistics, probs: ProtocolProbs,
                    c_upper: CoefficientSet, pvir_upper: Tuple[float, float],
                    eps_u: float) -> List[float]:
-    """e_{ph,w}^U for every tag, from the per-tag counts."""
-    if not stats.per_tag:
+    """e_{ph,w}^U for every tag, from the per-tag counts in one array pass.
+
+    The tags' counts are stacked into float arrays, one entry per tag
+    (``np.array(..., dtype=float)`` rounds an int as ``int / float`` does),
+    so each tag's bound is the one its own scalar counts give.
+    """
+    tags = stats.per_tag
+    if not tags:
         raise ValueError("statistics carry no per-tag counts")
-    out = []
-    for tag in stats.per_tag:
-        tag_stats = ObservedStatistics.from_counts(
-            n=tag.n_w, n_x=tag.n_x, n_det_z=tag.n_det_z,
-            n_err_z=tag.n_err_z, probs=probs)
-        out.append(phase_error_bound(tag_stats, probs, c_upper, pvir_upper,
-                                     eps_u))
-    return out
+    settings = list(tags[0].n_x)
+    # one row per count, one entry per tag
+    n, n_det_z, n_err_z, *n_x = np.array(
+        [[t.n_w, t.n_det_z, t.n_err_z] + [c for j in settings for c in t.n_x[j]]
+         for t in tags], dtype=float).T
+    tag_stats = ObservedStatistics.from_counts(
+        n=n, n_x=dict(zip(settings, zip(n_x[::2], n_x[1::2]))),
+        n_det_z=n_det_z, n_err_z=n_err_z, probs=probs)
+    return phase_error_bound(tag_stats, probs, c_upper, pvir_upper,
+                             eps_u).tolist()
 
 
 def secret_fraction_check(e_per_tag: Sequence[float], q_w: Sequence[float],

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -163,6 +164,10 @@ def _resolve(args: argparse.Namespace) -> Dict:
         raise ConfigError(f"unknown protocol {cfg['protocol']!r}")
     if cfg["mode"] not in ("asymptotic", "finite"):
         raise ConfigError(f"unknown mode {cfg['mode']!r}")
+    for key in ("loss_start", "loss_end", "loss_step"):
+        if not math.isfinite(cfg[key]):
+            raise ConfigError(f"--{key.replace('_', '-')} = {cfg[key]!r} "
+                              f"is not finite")
     if cfg["loss_step"] <= 0:
         raise ConfigError("loss step must be positive")
     if cfg["loss_end"] < cfg["loss_start"]:
@@ -507,26 +512,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss-end", dest="loss_end", type=float)
     p.add_argument("--loss-step", dest="loss_step", type=float)
     _add_common(p)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="seeded protocol run (counts document)")
     p.add_argument("--loss-db", dest="loss_db", type=float)
     _add_common(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bound", help="bound a counts document")
     p.add_argument("counts", help="counts document (JSON)")
     p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_bound)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a replaced cmd_* is honoured
+    command = {"sweep": cmd_sweep, "simulate": cmd_simulate,
+               "bound": cmd_bound}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (ConfigError, ValueError) as exc:
         if isinstance(exc, (SingularSystem, EmptySiftedKey)):
             print(f"computation error: {exc}", file=sys.stderr)

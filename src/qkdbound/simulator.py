@@ -46,8 +46,9 @@ class ChannelParams:
     f: float = 1.16
 
     def __post_init__(self):
-        if not self.loss_db >= 0:
-            raise ValueError("loss must be nonnegative")
+        if not 0.0 <= self.loss_db < math.inf:
+            raise ValueError(f"loss {self.loss_db!r} dB must be finite and "
+                             f"nonnegative")
         if not 0.0 <= self.p_d <= 1.0:
             raise ValueError("dark-count probability must be in [0, 1]")
         if not 1.0 <= self.f < math.inf:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import qkdbound
+from qkdbound import cli
 
 from qkdbound.bounds import bound_inputs_from_source, evaluate_point
 from qkdbound.cli import (
@@ -121,6 +122,16 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "config error" in captured.err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--loss-start", "--loss-end",
+                                      "--loss-step"])
+    def test_non_finite_loss_grid_flag_is_named(self, flag, value, capsys):
+        # an infinite step used to be refused as "loss must be nonnegative"
+        assert run_cli(["sweep", f"{flag}={value}"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} = {value} is not finite" in captured.err
 
     def test_unknown_protocol_in_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -299,6 +310,16 @@ class TestSimulateAndBound:
                         "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_simulate_non_finite_loss_is_config_error(self, tmp_path, capsys,
+                                                      value):
+        # an infinite loss used to be written as "loss_db": Infinity
+        out = tmp_path / "counts.json"
+        assert run_cli(["simulate", "--n", "1000", f"--loss-db={value}",
+                        "--out", str(out)]) == EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate_rejects_both_protocols(self):
         assert run_cli(["simulate", "--protocol", "both"]) == EXIT_CONFIG
 
@@ -338,3 +359,49 @@ def test_unknown_protocol_names_raise(name):
                             ChannelParams(10.0), protocol=name)
     with pytest.raises(ValueError, match="unknown protocol"):
         bound_inputs_from_source(spec, name)
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch):
+    counts = tmp_path / "counts.json"
+    simulate = ["simulate", "--n", "10000", "--lc", "2", "--seed", "3"]
+    sweep = ["sweep", "--protocol", "both", "--loss-end", "20",
+             "--epsilon-u", "0,1e-6"]
+    assert run_cli(simulate + ["--out", str(counts)]) == EXIT_OK
+
+    def fresh(argv, name):
+        """Output of ``argv`` as the first call of a process."""
+        cli._parser.cache_clear()
+        path = tmp_path / f"fresh_{name}"
+        assert run_cli(argv + ["--out", str(path)]) == EXIT_OK
+        return path.read_bytes()
+
+    want = {"sweep": fresh(sweep, "sweep"),
+            "bound": fresh(["bound", str(counts)], "bound"),
+            "simulate": fresh(simulate, "simulate")}
+
+    cli._parser.cache_clear()
+    got = {}
+
+    def call(argv, name):
+        path = tmp_path / name
+        assert run_cli(argv + ["--out", str(path)]) == EXIT_OK
+        got[name] = path.read_bytes()
+
+    call(sweep, "sweep")
+    bound_calls = []
+    original = cli.cmd_bound
+
+    def recorded(args):
+        bound_calls.append(args.counts)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_bound", recorded)
+    call(["bound", str(counts)], "bound")
+    assert bound_calls == [str(counts)]
+    call(simulate, "simulate")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "--n", "1.5"])
+    assert exc.value.code == EXIT_CONFIG
+    call(sweep, "sweep again")
+    assert cli._parser.cache_info().misses == 1
+    assert got == dict(want, **{"sweep again": want["sweep"]})

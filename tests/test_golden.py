@@ -77,6 +77,28 @@ def test_counts_document_and_report(tmp_path, protocol, doc_digest,
         == report_digest
 
 
+#: ten tags: the per-tag bounds of the longest correlation the benchmark runs
+SIMULATE_LC9 = ["simulate", "--loss-db", "15", "--n", "200000", "--seed",
+                "99", "--lc", "9", "--epsilon-u", "1e-5"]
+
+
+@pytest.mark.parametrize("protocol, doc_digest, report_digest", [
+    ("bb84",
+     "b4cf061ef0c1f73e2962bc72dcd86bd182408537ec11658093f0e03ca73977f5",
+     "cf987cc29d9c187b808d987fa2f9a76ae46f5aff223a6a4cb586e5a74c8416ef"),
+    ("three-state",
+     "50d5af0512090026ef24bc2970376304ba833f0fca16deb1bb08e506457514bd",
+     "0d7fa61bb06f1a72ad6d374ee413f24951b319889d4d05faa3fafcba26560a8c"),
+], ids=["bb84", "three_state"])
+def test_lc9_counts_document_and_report(tmp_path, protocol, doc_digest,
+                                        report_digest):
+    doc = tmp_path / "counts.json"
+    assert sha256_of(SIMULATE_LC9 + ["--protocol", protocol], doc) \
+        == doc_digest
+    assert sha256_of(["bound", str(doc)], tmp_path / "report.txt") \
+        == report_digest
+
+
 @pytest.mark.parametrize("argv, calls", [
     (README_SWEEP, 2), (MULTI_SOURCE_SWEEP, 8),
 ], ids=["readme_sweep", "multi_source_sweep"])

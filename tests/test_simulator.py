@@ -151,6 +151,9 @@ class TestDetectionProbs:
             ChannelParams(math.nan)
         with pytest.raises(ValueError):
             ChannelParams(0.0, f=math.nan)
+        # an infinite loss used to pass, to be written as Infinity
+        with pytest.raises(ValueError, match="must be finite"):
+            ChannelParams(math.inf)
 
 
 class TestSimulateAsymptotic:
