@@ -21,7 +21,7 @@ import itertools
 import json
 import math
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,9 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_COMPUTE = 4
 
+#: the most rows (losses x sources x protocols) one sweep may compute
+MAX_SWEEP_ROWS = 1_000_000
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
@@ -71,36 +74,62 @@ class SchemaError(ConfigError):
 # ---------------------------------------------------------------------------
 # Configuration plumbing.
 
-_DEFAULTS = {
-    "protocol": "bb84",
-    "loss_start": 0.0,
-    "loss_end": 60.0,
-    "loss_step": 5.0,
-    "epsilon_u": [0.0],
-    "delta": [0.063],
-    "cap_delta": [0.03],
-    "lc": [0],
-    "pd": 1e-8,
-    "f": 1.16,
-    "mode": "asymptotic",
-    "n": 1_000_000,
-    "seed": 1,
-    "loss_db": 20.0,
-}
+class _Field(NamedTuple):
+    """One configuration field: its flag, config-file key and default."""
+
+    name: str
+    #: JSON kind of the value, or of each entry of a list: str, int or float
+    kind: type
+    #: a list default makes a list field, comma-separated on the command line
+    default: object
+    commands: Tuple[str, ...] = ("sweep", "simulate")
+    choices: Optional[Tuple[str, ...]] = None
+    help: Optional[str] = None
+
+    @property
+    def listed(self) -> bool:
+        return isinstance(self.default, list)
+
+
+_FIELDS = (
+    _Field("loss_start", float, 0.0, ("sweep",)),
+    _Field("loss_end", float, 60.0, ("sweep",)),
+    _Field("loss_step", float, 5.0, ("sweep",)),
+    _Field("loss_db", float, 20.0, ("simulate",)),
+    _Field("protocol", str, "bb84", choices=tuple(
+        p.name.replace("_", "-") for p in PROTOCOLS) + ("both",)),
+    _Field("epsilon_u", float, [0.0],
+           help="comma-separated list of side-channel weights"),
+    _Field("delta", float, [0.063],
+           help="systematic phase deviation(s), radians"),
+    _Field("cap_delta", float, [0.03],
+           help="phase fluctuation half-width(s) Delta, radians"),
+    _Field("lc", int, [0], help="correlation length(s)"),
+    _Field("pd", float, 1e-8, help="dark-count probability"),
+    _Field("f", float, 1.16, help="error-correction efficiency"),
+    _Field("mode", str, "asymptotic", choices=("asymptotic", "finite")),
+    _Field("n", int, 1_000_000, help="rounds per finite run"),
+    _Field("seed", int, 1, help="RNG seed (finite mode)"),
+)
+
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number"}
+
+
+def _is_kind(kind: type, value) -> bool:
+    """Whether a JSON value is of ``kind``; a bool is never a number."""
+    if kind is float:
+        # an int beyond the float range cannot become a float
+        return type(value) is float or (type(value) is int and
+                                        abs(value) <= sys.float_info.max)
+    return type(value) is kind
 
 
 def _float_list(text: str) -> List[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}: {exc}") from exc
+    return [float(x) for x in text.split(",") if x.strip() != ""]
 
 
 def _int_list(text: str) -> List[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}: {exc}") from exc
+    return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
 def _load_config_file(path: Optional[str]) -> Dict:
@@ -115,55 +144,31 @@ def _load_config_file(path: Optional[str]) -> Dict:
         raise ConfigError(f"config file {path} line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path}: top level must be an object")
-    unknown = set(data) - set(_DEFAULTS)
+    unknown = set(data) - {fld.name for fld in _FIELDS}
     if unknown:
         raise ConfigError(f"config file {path}: unknown fields {sorted(unknown)}")
     return data
 
 
-_LIST_FIELDS = ("epsilon_u", "delta", "cap_delta", "lc")
-#: every other field (each entry, for a list) takes a JSON number
-_STRING_FIELDS = ("protocol", "mode")
-_INTEGER_FIELDS = ("n", "seed", "lc")
-
-
-def _check_type(key: str, value) -> None:
-    """Refuse a value of the wrong JSON type; a bool is never a number."""
-    if key in _STRING_FIELDS:
-        ok, what = type(value) is str, "a string"
-    elif key in _INTEGER_FIELDS:
-        ok, what = type(value) is int, "an integer"
-    else:
-        # an int beyond the float range cannot become a float
-        ok = type(value) is float or (type(value) is int and
-                                      abs(value) <= sys.float_info.max)
-        what = "a number"
-    if not ok:
-        raise ConfigError(f"{key} = {value!r} is not {what}")
-
-
 def _resolve(args: argparse.Namespace) -> Dict:
-    """Merge CLI flags over config-file values over defaults."""
-    cfg = dict(_DEFAULTS)
-    cfg.update(_load_config_file(getattr(args, "config", None)))
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    for key in _LIST_FIELDS:
-        if not isinstance(cfg[key], list):
-            cfg[key] = [cfg[key]]
-        if not cfg[key]:
-            raise ConfigError(f"{key} list must be nonempty")
-    for key, value in cfg.items():
-        for v in value if key in _LIST_FIELDS else [value]:
-            _check_type(key, v)
-    for key in ("epsilon_u", "delta", "cap_delta"):
-        cfg[key] = [float(v) for v in cfg[key]]
-    if cfg["protocol"] not in ("bb84", "three-state", "both"):
-        raise ConfigError(f"unknown protocol {cfg['protocol']!r}")
-    if cfg["mode"] not in ("asymptotic", "finite"):
-        raise ConfigError(f"unknown mode {cfg['mode']!r}")
+    """Merge CLI flags over config-file values over defaults; check each."""
+    cfg = _load_config_file(getattr(args, "config", None))
+    for fld in _FIELDS:
+        value = getattr(args, fld.name, None)
+        if value is None:
+            value = cfg.get(fld.name, fld.default)
+        values = value if fld.listed and isinstance(value, list) else [value]
+        if not values:
+            raise ConfigError(f"{fld.name} list must be nonempty")
+        for v in values:
+            if not _is_kind(fld.kind, v):
+                raise ConfigError(f"{fld.name} = {v!r} is not "
+                                  f"{_KIND_NAMES[fld.kind]}")
+            if fld.choices and v not in fld.choices:
+                raise ConfigError(f"unknown {fld.name} {v!r}")
+        if fld.kind is float:
+            values = [float(v) for v in values]
+        cfg[fld.name] = values if fld.listed else values[0]
     for key in ("loss_start", "loss_end", "loss_step"):
         if not math.isfinite(cfg[key]):
             raise ConfigError(f"--{key.replace('_', '-')} = {cfg[key]!r} "
@@ -175,7 +180,7 @@ def _resolve(args: argparse.Namespace) -> Dict:
     return cfg
 
 
-def _loss_grid(cfg: Dict) -> List[float]:
+def _loss_grid(cfg: Dict, rows_per_loss: int) -> List[float]:
     start, step = cfg["loss_start"], cfg["loss_step"]
     # built by index, with an inclusive endpoint and float-noise slack of
     # half a step, so a step lost to rounding cannot stall the grid
@@ -183,17 +188,16 @@ def _loss_grid(cfg: Dict) -> List[float]:
     if not math.isfinite(span):
         raise ConfigError("loss grid bounds must be finite")
     last = math.floor(span + 0.5)
-
-    def point(i: int) -> float:
-        return round(start + i * step, 12)
-
-    # floats are sparsest at the far end: test the last step first, so a
-    # huge grid that cannot advance is refused before it is built
-    for i in itertools.chain([last - 1] if last else [], range(last)):
-        if point(i + 1) <= point(i):
+    rows = (last + 1) * rows_per_loss
+    if rows > MAX_SWEEP_ROWS:
+        raise ConfigError(f"sweep of {rows} rows exceeds the limit of "
+                          f"{MAX_SWEEP_ROWS} rows")
+    grid = [round(start + i * step, 12) for i in range(last + 1)]
+    for a, b in zip(grid, grid[1:]):
+        if b <= a:
             raise ConfigError(f"loss step {step!r} does not advance the loss "
-                              f"at float precision near {point(i)!r}")
-    return [point(i) for i in range(last + 1)]
+                              f"at float precision near {a!r}")
+    return grid
 
 
 def _protocols(cfg: Dict) -> List[str]:
@@ -263,15 +267,17 @@ def _finite_column(cfg: Dict, protocol: str, probs: ProtocolProbs,
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    losses = _loss_grid(cfg)
+    protocols = _protocols(cfg)
+    axes = [cfg[key] for key in ("epsilon_u", "delta", "cap_delta", "lc")]
+    # counted before any grid or source list is built
+    losses = _loss_grid(cfg, len(protocols) * math.prod(map(len, axes)))
     column = ChannelColumn.of_losses(losses, p_d=cfg["pd"], f=cfg["f"])
-    sources = list(itertools.product(cfg["epsilon_u"], cfg["delta"],
-                                     cfg["cap_delta"], cfg["lc"]))
+    sources = list(itertools.product(*axes))
     specs = [SourceSpec(delta=delta, Delta=cap, epsilon_u=eps,
                         correlation_length=lc)
              for eps, delta, cap, lc in sources]
     rows = []
-    for protocol in _protocols(cfg):
+    for protocol in protocols:
         probs = ProtocolProbs.uniform(Protocol.named(protocol).settings)
         first_row = len(rows)
         # per source, (Y_Z, e_bit, e_ph_u, rate) down the whole loss column
@@ -312,6 +318,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
+#: a counts document's source fields, each the SourceSpec attribute of the
+#: same name, with its JSON kind
+_SOURCE_FIELDS = {"delta": float, "Delta": float, "epsilon_u": float,
+                  "correlation_length": int}
+#: a tag block's scalar fields, each the TagCounts attribute of the same name
+_TAG_COUNTS = ("w", "n_w", "n_det_z", "n_err_z")
+
+
 def _counts_document(cfg: Dict, protocol: str, spec: SourceSpec,
                      ch: ChannelParams, probs: ProtocolProbs,
                      stats: ObservedStatistics) -> Dict:
@@ -325,15 +339,12 @@ def _counts_document(cfg: Dict, protocol: str, spec: SourceSpec,
         "seed": cfg["seed"],
         "l_c": cfg["lc"][0],
         "probs": {"p_za": probs.p_za, "p_zb": probs.p_zb, "p_j": probs.p_j},
-        "source": {"delta": spec.delta, "Delta": spec.Delta,
-                   "epsilon_u": spec.epsilon_u,
-                   "correlation_length": spec.correlation_length},
+        "source": {key: getattr(spec, key) for key in _SOURCE_FIELDS},
         "channel": {"loss_db": ch.loss_db, "p_d": ch.p_d,
                     "theta_mis": ch.theta_mis, "f": ch.f},
         "per_tag": [
-            {"w": t.w, "n_w": t.n_w,
-             "n_x": {j: list(t.n_x[j]) for j in t.n_x},
-             "n_det_z": t.n_det_z, "n_err_z": t.n_err_z}
+            dict({key: getattr(t, key) for key in _TAG_COUNTS},
+                 n_x={j: list(t.n_x[j]) for j in t.n_x})
             for t in stats.per_tag
         ],
     }
@@ -343,9 +354,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     if cfg["protocol"] == "both":
         raise ConfigError("simulate needs a single protocol, not 'both'")
-    for key in _LIST_FIELDS:
-        if len(cfg[key]) > 1:
-            raise ConfigError(f"simulate takes one {key} value: {cfg[key]}")
+    for fld in _FIELDS:
+        if fld.listed and len(cfg[fld.name]) > 1:
+            raise ConfigError(f"simulate takes one {fld.name} value: "
+                              f"{cfg[fld.name]}")
     protocol = _protocols(cfg)[0]
     probs = ProtocolProbs.uniform(Protocol.named(protocol).settings)
     lc = cfg["lc"][0]
@@ -375,15 +387,14 @@ def _require(section, key):
 
 def _number(section, key) -> float:
     value = _require(section, key)
-    # exact comparison: refuses NaN, infinities and ints too big for a float
-    if not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
+    if not (_is_kind(float, value) and math.isfinite(value)):
         raise SchemaError(f"field {key!r} = {value!r} is not a finite number")
     return value
 
 
 def _count(section, key) -> int:
     value = _require(section, key)
-    if type(value) is not int:
+    if not _is_kind(int, value):
         raise SchemaError(f"field {key!r} = {value!r} is not an integer count")
     return value
 
@@ -401,8 +412,7 @@ def _tag_counts(t, proto: Protocol) -> TagCounts:
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"n_x[{j!r}] = {pair!r} is not a pair of counts")
         n_x[j] = (_count(pair, 0), _count(pair, 1))
-    return TagCounts(n_x=n_x, **{key: _count(t, key) for key in
-                                 ("w", "n_w", "n_det_z", "n_err_z")})
+    return TagCounts(n_x=n_x, **{key: _count(t, key) for key in _TAG_COUNTS})
 
 
 def _check_counts(n: int, l_c: int, per_tag: List[TagCounts]) -> None:
@@ -412,7 +422,9 @@ def _check_counts(n: int, l_c: int, per_tag: List[TagCounts]) -> None:
     if len(per_tag) != l_c + 1:
         raise SchemaError(f"l_c = {l_c} needs {l_c + 1} tag blocks, "
                           f"found {len(per_tag)}")
-    for t in per_tag:
+    for w, t in enumerate(per_tag):
+        if t.w != w:
+            raise SchemaError(f"tag block {w} has w = {t.w}")
         x = [v for pair in t.n_x.values() for v in pair]
         if min(x + [t.n_w, t.n_det_z, t.n_err_z]) < 0:
             raise SchemaError(f"tag {t.w}: negative count")
@@ -456,9 +468,8 @@ def load_counts(path: str) -> Tuple[Dict, ObservedStatistics, ProtocolProbs]:
 def cmd_bound(args: argparse.Namespace) -> int:
     doc, stats, probs = load_counts(args.counts)
     src = _require(doc, "source")
-    spec = SourceSpec(delta=_number(src, "delta"), Delta=_number(src, "Delta"),
-                      epsilon_u=_number(src, "epsilon_u"),
-                      correlation_length=_count(src, "correlation_length"))
+    spec = SourceSpec(**{key: (_number if kind is float else _count)(src, key)
+                         for key, kind in _SOURCE_FIELDS.items()})
     if spec.correlation_length != doc["l_c"]:  # it sets epsilon_eff
         raise SchemaError(f"l_c = {doc['l_c']} differs from source."
                           f"correlation_length = {spec.correlation_length}")
@@ -482,52 +493,30 @@ def cmd_bound(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing / entry point
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--protocol", choices=["bb84", "three-state", "both"])
-    p.add_argument("--epsilon-u", dest="epsilon_u", type=_float_list,
-                   help="comma-separated list of side-channel weights")
-    p.add_argument("--delta", type=_float_list,
-                   help="systematic phase deviation(s), radians")
-    p.add_argument("--cap-delta", dest="cap_delta", type=_float_list,
-                   help="phase fluctuation half-width(s) Delta, radians")
-    p.add_argument("--lc", type=_int_list, help="correlation length(s)")
-    p.add_argument("--pd", type=float, help="dark-count probability")
-    p.add_argument("--f", type=float, help="error-correction efficiency")
-    p.add_argument("--mode", choices=["asymptotic", "finite"])
-    p.add_argument("--n", type=int, help="rounds per finite run")
-    p.add_argument("--seed", type=int, help="RNG seed (finite mode)")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out", help="output path (default stdout)")
-
-
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process from ``_FIELDS``."""
     parser = argparse.ArgumentParser(
         prog="qkdbound",
         description="Secret-key-rate lower bounds for qubit QKD with "
                     "imperfect sources")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sweep", help="key rates over a parameter grid (CSV)")
-    p.add_argument("--loss-start", dest="loss_start", type=float)
-    p.add_argument("--loss-end", dest="loss_end", type=float)
-    p.add_argument("--loss-step", dest="loss_step", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("simulate", help="seeded protocol run (counts document)")
-    p.add_argument("--loss-db", dest="loss_db", type=float)
-    _add_common(p)
-
+    out_help = "output path (default stdout)"
+    for command, text in (("sweep", "key rates over a parameter grid (CSV)"),
+                          ("simulate", "seeded protocol run (counts document)")):
+        p = sub.add_parser(command, help=text)
+        for fld in _FIELDS:
+            if command in fld.commands:
+                parse = ({float: _float_list, int: _int_list}[fld.kind]
+                         if fld.listed else fld.kind)
+                p.add_argument("--" + fld.name.replace("_", "-"), type=parse,
+                               choices=fld.choices, help=fld.help)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--out", help=out_help)
     p = sub.add_parser("bound", help="bound a counts document")
     p.add_argument("counts", help="counts document (JSON)")
-    p.add_argument("--out", help="output path (default stdout)")
-
+    p.add_argument("--out", help=out_help)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built once per process."""
-    return build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -537,7 +526,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                "bound": cmd_bound}[args.command]
     try:
         return command(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         if isinstance(exc, (SingularSystem, EmptySiftedKey)):
             print(f"computation error: {exc}", file=sys.stderr)
             return EXIT_COMPUTE

@@ -105,6 +105,50 @@ class TestSweep:
         assert "does not advance" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_sweep_beyond_row_limit_is_config_error(self):
+        # 1e12 losses: the step check used to walk them all and never end
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(qkdbound.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qkdbound.cli", "sweep",
+             "--loss-end", "1e9", "--loss-step", "1e-3"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert (f"sweep of 1000000000001 rows exceeds the limit of "
+                f"{cli.MAX_SWEEP_ROWS} rows") in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("loss_end, code", [("10", EXIT_OK),
+                                                ("15", EXIT_CONFIG)])
+    def test_row_limit_counts_losses_sources_and_protocols(
+            self, tmp_path, monkeypatch, capsys, loss_end, code):
+        # 3 or 4 losses x 2 sources x 2 protocols against a limit of 12
+        monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 12)
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--protocol", "both", "--loss-end",
+                        loss_end, "--loss-step", "5", "--epsilon-u", "0,1e-6",
+                        "--out", str(out)]) == code
+        if code == EXIT_OK:
+            assert len(read_csv(out)[2]) == 12
+        else:
+            assert not out.exists()
+            assert "sweep of 16 rows exceeds the limit of 12 rows" \
+                in capsys.readouterr().err
+
+    def test_whole_number_in_config_file_reads_as_flag(self, tmp_path):
+        # an int used to stay an int and print "5" where the flag gives "5.0"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"loss_start": 0, "loss_end": 10,
+                                   "loss_step": 5, "pd": 0,
+                                   "epsilon_u": [0]}))
+        from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        assert run_cli(["sweep", "--config", str(cfg),
+                        "--out", str(from_file)]) == EXIT_OK
+        assert run_cli(["sweep", "--loss-start", "0", "--loss-end", "10",
+                        "--loss-step", "5", "--pd", "0", "--epsilon-u", "0",
+                        "--out", str(from_flags)]) == EXIT_OK
+        assert from_file.read_bytes() == from_flags.read_bytes()
+
     def test_unknown_config_field(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nonsense": 1}))
@@ -283,6 +327,11 @@ class TestSimulateAndBound:
         # used to end in "int too large to convert to float" (exit 4)
         (lambda d: d["source"].__setitem__("epsilon_u", 10 ** 400),
          "is not a finite number"),
+        # each used to exit 0
+        (lambda d: [t.__setitem__("w", 7) for t in d["per_tag"]],
+         "tag block 0 has w = 7"),
+        (lambda d: d["per_tag"][1].__setitem__("w", -3),
+         "tag block 1 has w = -3"),
     ], ids=["negative", "x_plus_sifted_above_n_w", "errors_above_sifted",
             "n_w_sum", "l_c_blocks", "tag_lacks_setting", "short_pair",
             "setting_outside_protocol", "three_state_with_1x",
@@ -290,7 +339,7 @@ class TestSimulateAndBound:
             "missing_source_field", "non_numeric_source_field",
             "missing_f", "non_numeric_f", "l_c_vs_correlation_length",
             "empty_tag", "p_zb_one", "p_zb_zero", "p_j_zero",
-            "int_beyond_float"])
+            "int_beyond_float", "w_not_position", "negative_w"])
     def test_bound_rejects_inconsistent_counts(self, tmp_path, capsys, edit,
                                                message):
         path = self._simulate(tmp_path)

@@ -4,7 +4,9 @@ The sha256 values were recorded before the bb84 / three-state code paths
 were merged into one table-driven implementation (the multi-source and
 finite sweeps before the sweep moved to one array pass per loss column);
 any change to a printed digit, a setting order or a random stream shows up
-here.
+here. The ``--help`` texts and argparse rejection messages were recorded
+before the CLI's flags came to be built from one table of config fields, at
+80 columns under Python 3.11.
 """
 
 import hashlib
@@ -116,3 +118,68 @@ def test_sweep_bounds_coefficients_once_per_source(tmp_path, monkeypatch,
         monkeypatch.setattr(bounds, name, counted)
     assert main(argv + ["--out", str(tmp_path / "sweep.csv")]) == EXIT_OK
     assert len(count) == calls
+
+
+#: argparse rejections, each of which exits 2 before any command runs:
+#: name -> (argv, sha256 of the usage line and message)
+REJECTIONS = {
+    "sweep_n_not_int": (["sweep", "--n", "1.5"],
+        "5ebde78caaf1a6428a7d8ce11538ff6ca3eb3ff044b1c0f8e355c9d25de9bbc0"),
+    "sweep_delta_not_number": (["sweep", "--delta", "x"],
+        "1949de3404f9e7536d28986ceab79195f416480723ffe8c60d6f7450edc9954b"),
+    "sweep_lc_not_int": (["sweep", "--lc", "1.5"],
+        "916865e26581784ba9f4f94c11108dca3e4be6a4187dd3ea5054e3115fd858b2"),
+    "sweep_protocol_choice": (["sweep", "--protocol", "BB84"],
+        "0cc9ce671d605ede6c23339c5157f273c0d2ea183901e1d43fe765ca5171572c"),
+    "sweep_mode_choice": (["sweep", "--mode", "x"],
+        "f4eee9303f7372ddbbf166cb26bb24dd089d53c1e4ae51b4c60b428fce937f6a"),
+    "sweep_pd_not_number": (["sweep", "--pd", "x"],
+        "b5b4ce733322c76f39b0cf6b4395a9ce4640ed36436558d643579aa561a49ee5"),
+    "sweep_loss_db_unknown": (["sweep", "--loss-db", "10"],
+        "0b1eccdae50a0bed65eaa861b05336745acb0baa2d5fb00a99161e6e6102cd2a"),
+    "simulate_seed_not_int": (["simulate", "--seed", "x"],
+        "8628129738621c242df469f41365f29d1a2c20da0f5f03aef41a383586d94598"),
+    "simulate_loss_step_unknown": (["simulate", "--loss-step", "1"],
+        "80ce95ba91d55af76637a927aca10c569497eb377d56b22cea52d721ceb9b404"),
+    "bound_missing_counts": (["bound"],
+        "1aa9d23946d57947b44aff826f916a22a3da860e12ef055fde395d0b6bd4a004"),
+    "bound_delta_unknown": (["bound", "counts.json", "--delta", "0.1"],
+        "acc1fa691acc733479a19eb6d9d50dc5b40a151a854ea19b80a0c8607510c984"),
+    "no_command": ([],
+        "ecf47b556d60fbf2e0da503ce47548171ae22b56908645239a3b25e6d93c9b15"),
+    "unknown_command": (["plot"],
+        "739377bcf670feed86d9463d5d01f456f6a55a7357eb92a2562617c19f185ac8"),
+}
+
+
+def cli_text(argv, capsys, monkeypatch):
+    """Exit code and stdout + stderr of an argparse exit of ``main``."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out + captured.err
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ([],
+     "acb4ccedf26fc983c0fc19e01409c341a4bec753f845c37bf89c70b234c2b66d"),
+    (["sweep"],
+     "7f31143193d790d2a3514578585cc19fa1c97438c12cc7e38c24ac96723e6c63"),
+    (["simulate"],
+     "15282b077c7bdf7349f9b4203ebbd3c76ada64f4123e3495cb69689ce5051ee2"),
+    (["bound"],
+     "ee8cdb0bd78c8a1f363c08abb8b744df82c8d90430e3d3484f19cdf88a4f8870"),
+], ids=["qkdbound", "sweep", "simulate", "bound"])
+def test_help_text(capsys, monkeypatch, argv, digest):
+    code, text = cli_text(argv + ["--help"], capsys, monkeypatch)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", list(REJECTIONS.values()),
+                         ids=list(REJECTIONS))
+def test_argparse_rejection_text(capsys, monkeypatch, argv, digest):
+    code, text = cli_text(argv, capsys, monkeypatch)
+    assert code == 2
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
