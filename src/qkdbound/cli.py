@@ -153,6 +153,7 @@ def _load_config_file(path: Optional[str]) -> Dict:
 def _resolve(args: argparse.Namespace) -> Dict:
     """Merge CLI flags over config-file values over defaults; check each."""
     cfg = _load_config_file(getattr(args, "config", None))
+    file_fields = set(cfg)
     for fld in _FIELDS:
         value = getattr(args, fld.name, None)
         if value is None:
@@ -169,6 +170,10 @@ def _resolve(args: argparse.Namespace) -> Dict:
         if fld.kind is float:
             values = [float(v) for v in values]
         cfg[fld.name] = values if fld.listed else values[0]
+    for fld in _FIELDS:
+        if fld.name in file_fields and args.command not in fld.commands:
+            raise ConfigError(f"config file field {fld.name} is not read by "
+                              f"{args.command}")
     for key in ("loss_start", "loss_end", "loss_step"):
         if not math.isfinite(cfg[key]):
             raise ConfigError(f"--{key.replace('_', '-')} = {cfg[key]!r} "
@@ -537,6 +542,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_IO
     except ArithmeticError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"computation error: out of memory{detail}", file=sys.stderr)
         return EXIT_COMPUTE
 
 

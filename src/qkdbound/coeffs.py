@@ -12,11 +12,13 @@ virtual state. This module provides:
     reference and zeroed setting of each row (``source.Protocol``),
   * worst-case coefficient upper bounds over phase ranges: the analytic
     corner rules inside their validity sectors (only the alpha = 1 rule
-    differs between the variants) and dense grid maximisation outside them.
+    differs between the variants) and dense grid maximisation outside them,
+    walked in slabs of bounded size with every trig term computed once.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -110,63 +112,100 @@ def solve_generic(target: np.ndarray, ref_phases: Dict[str, float],
 
 
 # ---------------------------------------------------------------------------
-# Analytic closed forms. The alpha=1 forms are shared between the two
-# protocol variants; only the X reference phase differs (1X for bb84,
-# 0X for three-state).
+# Analytic closed forms, each written once as (numerator, denominator) over
+# the trig terms its parameters name, at the phase triple (0Z, 1Z, X
+# reference). The alpha=1 forms are shared between the two protocol
+# variants; only the X reference phase differs (1X for bb84, 0X for
+# three-state).
+
+#: the trig terms of the closed forms at phases (a, b, c) = (theta_0Z,
+#: theta_1Z, theta of the row's X reference)
+_TERMS = {
+    "sin_ac": lambda a, b, c: np.sin(a / 2 - c / 2),
+    "sin_bc": lambda a, b, c: np.sin(b / 2 - c / 2),
+    "sin_bac": lambda a, b, c: np.sin(b / 2 - a + c / 2),
+    "sin_abc": lambda a, b, c: np.sin(a / 2 - b + c / 2),
+    "cos_ab": lambda a, b, c: np.cos(a - b),
+    "cos_ac": lambda a, b, c: np.cos(a - c),
+    "cos_bc": lambda a, b, c: np.cos(b - c),
+    "cos_mid": lambda a, b, c: np.cos(a / 2 + b / 2 - c),
+    "cos_half": lambda a, b, c: np.cos(a / 2 - b / 2),
+}
+#: the terms that do not depend on theta_0Z
+_FREE_OF_0Z = ("sin_bc", "cos_bc")
+
+
+def _c1_0z(sin_ac, sin_bc, sin_bac):
+    return sin_ac - sin_bc, sin_bac + 2 * sin_ac - sin_bc
+
+
+def _c1_1z(sin_ac, sin_bc, sin_abc):
+    return -sin_ac + sin_bc, sin_abc - sin_ac + 2 * sin_bc
+
+
+def _c1_x(cos_ab, cos_ac, cos_bc, cos_mid, cos_half):
+    den = cos_ab - cos_ac - cos_bc + 2 * cos_mid - 2 * cos_half + 1.0
+    return cos_ab - 1.0, den
+
+
+def _c0_0z(sin_ac, sin_bc, sin_bac):
+    return sin_ac + sin_bc, 2 * sin_ac - sin_bac + sin_bc
+
+
+def _c0_1z(sin_ac, sin_bc, sin_abc):
+    return sin_ac + sin_bc, sin_ac - sin_abc + 2 * sin_bc
+
+
+def _c0_0x(cos_ab, cos_ac, cos_bc, cos_mid, cos_half):
+    den = cos_ab - cos_ac - cos_bc - 2 * cos_mid + 2 * cos_half + 1.0
+    return cos_ab - 1.0, den
+
+
+#: closed forms of row alpha, as (c_0Z, c_1Z, c_X of the row's X reference)
+_FORMULAS = {1: (_c1_0z, _c1_1z, _c1_x), 0: (_c0_0z, _c0_1z, _c0_0x)}
+#: the terms each closed form takes, in order
+_TERMS_OF = {formula: tuple(inspect.signature(formula).parameters)
+             for row in _FORMULAS.values() for formula in row}
+
+
+def _at(formula, a, b, c):
+    """(numerator, denominator) of a closed form at phases (a, b, c)."""
+    return formula(*(_TERMS[name](a, b, c) for name in _TERMS_OF[formula]))
+
+
+def _check_pole(gap) -> None:
+    """Refuse a denominator whose smallest magnitude ``gap`` is a pole."""
+    if not gap >= SINGULAR_TOL:  # NaN fails the test too
+        raise SingularSystem(f"coefficient denominator {gap:.3e} below tolerance")
+
 
 def _checked(num, den):
-    gap = np.min(np.abs(den))  # over scalars or grids; NaN fails the test too
-    if not gap >= SINGULAR_TOL:
-        raise SingularSystem(f"coefficient denominator {gap:.3e} below tolerance")
+    _check_pole(abs(den).min())  # over numpy scalars or grids
     return num / den
 
 
 def c1_0z(th0z, th1z, thx):
-    num = np.sin(th0z / 2 - thx / 2) - np.sin(th1z / 2 - thx / 2)
-    den = (np.sin(th1z / 2 - th0z + thx / 2)
-           + 2 * np.sin(th0z / 2 - thx / 2) - np.sin(th1z / 2 - thx / 2))
-    return _checked(num, den)
+    return _checked(*_at(_c1_0z, th0z, th1z, thx))
 
 
 def c1_1z(th0z, th1z, thx):
-    num = -np.sin(th0z / 2 - thx / 2) + np.sin(th1z / 2 - thx / 2)
-    den = (np.sin(th0z / 2 - th1z + thx / 2)
-           - np.sin(th0z / 2 - thx / 2) + 2 * np.sin(th1z / 2 - thx / 2))
-    return _checked(num, den)
+    return _checked(*_at(_c1_1z, th0z, th1z, thx))
 
 
 def c1_x(th0z, th1z, thx):
-    num = np.cos(th0z - th1z) - 1.0
-    den = (np.cos(th0z - th1z) - np.cos(th0z - thx) - np.cos(th1z - thx)
-           + 2 * np.cos(th0z / 2 + th1z / 2 - thx)
-           - 2 * np.cos(th0z / 2 - th1z / 2) + 1.0)
-    return _checked(num, den)
+    return _checked(*_at(_c1_x, th0z, th1z, thx))
 
 
 def c0_0z(th0z, th1z, th0x):
-    num = np.sin(th0z / 2 - th0x / 2) + np.sin(th1z / 2 - th0x / 2)
-    den = (2 * np.sin(th0z / 2 - th0x / 2)
-           - np.sin(th1z / 2 - th0z + th0x / 2) + np.sin(th1z / 2 - th0x / 2))
-    return _checked(num, den)
+    return _checked(*_at(_c0_0z, th0z, th1z, th0x))
 
 
 def c0_1z(th0z, th1z, th0x):
-    num = np.sin(th0z / 2 - th0x / 2) + np.sin(th1z / 2 - th0x / 2)
-    den = (np.sin(th0z / 2 - th0x / 2)
-           - np.sin(th0z / 2 - th1z + th0x / 2) + 2 * np.sin(th1z / 2 - th0x / 2))
-    return _checked(num, den)
+    return _checked(*_at(_c0_1z, th0z, th1z, th0x))
 
 
 def c0_0x(th0z, th1z, th0x):
-    num = np.cos(th0z - th1z) - 1.0
-    den = (np.cos(th0z - th1z) - np.cos(th0z - th0x) - np.cos(th1z - th0x)
-           - 2 * np.cos(th0z / 2 + th1z / 2 - th0x)
-           + 2 * np.cos(th0z / 2 - th1z / 2) + 1.0)
-    return _checked(num, den)
-
-
-#: Closed forms of row alpha, as (c_0Z, c_1Z, c_X) of the row's X reference.
-_CLOSED_FORMS = {1: (c1_0z, c1_1z, c1_x), 0: (c0_0z, c0_1z, c0_0x)}
+    return _checked(*_at(_c0_0x, th0z, th1z, th0x))
 
 
 def _coefficient_set(proto: Protocol, rows: Dict[int, Sequence[float]]):
@@ -181,10 +220,12 @@ def _coefficient_set(proto: Protocol, rows: Dict[int, Sequence[float]]):
 
 def _closed_form(proto: Protocol, phases: Sequence[float]) -> CoefficientSet:
     th = dict(zip(proto.settings, phases))
-    return _coefficient_set(proto, {
-        alpha: [fn(th["0Z"], th["1Z"], th[proto.x_ref[alpha]])
-                for fn in _CLOSED_FORMS[alpha]]
-        for alpha in (1, 0)})
+    rows = {}
+    for alpha in (1, 0):
+        triple = (th["0Z"], th["1Z"], th[proto.x_ref[alpha]])
+        rows[alpha] = [_checked(*_at(formula, *triple))
+                       for formula in _FORMULAS[alpha]]
+    return _coefficient_set(proto, rows)
 
 
 def coeffs_bb84(th0z: float, th1z: float, th0x: float, th1x: float) -> CoefficientSet:
@@ -205,23 +246,87 @@ def _corner_max(fn, r0z: Tuple[float, float], r1z: Tuple[float, float],
     return max(fn(a, b, c) for a, b, c in itertools.product(r0z, r1z, rx))
 
 
-def _grid_max(fn, r0z, r1z, rx, start: int = 41, tol: float = 1e-9,
-              max_points: int = 700) -> float:
-    """Dense-grid maximisation of a 3-phase closed form, refined until stable."""
-    prev = None
-    n = start
-    while True:
-        g0 = np.linspace(r0z[0], r0z[1], n)
-        g1 = np.linspace(r1z[0], r1z[1], n)
-        gx = np.linspace(rx[0], rx[1], n)
-        a, b, c = np.meshgrid(g0, g1, gx, indexing="ij", sparse=True)
-        cur = float(np.max(fn(a, b, c)))
-        if prev is not None and abs(cur - prev) < tol:
-            return cur
-        if 2 * n > max_points:
-            return cur
-        prev = cur
-        n = 2 * n - 1
+#: grid points per axis of the first grid; each refinement takes n -> 2n - 1
+_GRID_START = 41
+#: a form's grid maximum is final once a refinement moves it less than this
+_GRID_TOL = 1e-9
+#: no refinement may exceed this many points per axis
+_GRID_MAX_POINTS = 700
+#: grid points evaluated at once: what bounds the grid's working memory
+_SLAB_POINTS = 1 << 14
+
+
+def _scan_level(formulas, r0z, r1z, rx, n: int, with_start: bool):
+    """Smallest |denominator| and maximum of each form on the n-point grid.
+
+    The grid is walked in slabs of whole 0Z rows, of at most
+    ``_SLAB_POINTS`` points unless one row is larger, and each trig term of
+    a slab is computed once for all forms. Returns, per form, a list of
+    [gap, max] with one entry per grid size. With ``with_start`` the entry
+    of the ``_GRID_START``-point grid comes first, read off the even-index
+    points: ``np.linspace(lo, hi, 2 * m - 1)[::2]`` is
+    ``np.linspace(lo, hi, m)`` bit for bit.
+    """
+    g0 = np.linspace(r0z[0], r0z[1], n)[:, None, None]
+    g1 = np.linspace(r1z[0], r1z[1], n)[:, None]
+    gx = np.linspace(rx[0], rx[1], n)
+    names = dict.fromkeys(name for formula in formulas
+                          for name in _TERMS_OF[formula])
+    free = {name: _TERMS[name](None, g1, gx) for name in _FREE_OF_0Z
+            if name in names}
+    rows = max(1, _SLAB_POINTS // (n * n))
+    views = [(slice(None),) * 3]
+    if with_start:
+        rows += rows % 2  # each slab starts on an even-index row
+        views.insert(0, (slice(None, None, 2),) * 3)
+    found = [[[np.inf, -np.inf] for _ in views] for _ in formulas]
+    for i in range(0, n, rows):
+        terms = {name: free[name] if name in free
+                 else _TERMS[name](g0[i:i + rows], g1, gx) for name in names}
+        for formula, per_size in zip(formulas, found):
+            num, den = formula(*(terms[name] for name in _TERMS_OF[formula]))
+            size, value = np.abs(den), num / den
+            for view, acc in zip(views, per_size):
+                # np.minimum keeps a NaN, so it fails the pole test
+                acc[0] = np.minimum(acc[0], size[view].min())
+                acc[1] = np.maximum(acc[1], value[view].max())
+    return found
+
+
+def _grid_maxima(formulas, r0z, r1z, rx):
+    """Grid maximum of each closed form over one (0Z, 1Z, X) range triple.
+
+    Each form is maximised on grids of n = 41, 81, 161, ... points per
+    axis until a refinement moves its maximum by less than ``_GRID_TOL`` or
+    the next grid would exceed ``_GRID_MAX_POINTS``. The forms still
+    refining share the scan of each grid, and the first two grids share one
+    scan. The first form, in order, with a grid point within SINGULAR_TOL
+    of a pole raises SingularSystem.
+    """
+    maxima = [None] * len(formulas)
+    prev = [None] * len(formulas)
+    pending = list(range(len(formulas)))
+    sizes = (_GRID_START, 2 * _GRID_START - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # poles raise below
+        while pending:
+            scans = _scan_level([formulas[k] for k in pending], r0z, r1z, rx,
+                                sizes[-1], len(sizes) == 2)
+            kept = []
+            for k, scan in zip(pending, scans):
+                for n, (gap, cur) in zip(sizes, scan):
+                    _check_pole(gap)
+                    cur = float(cur)
+                    settled = (prev[k] is not None
+                               and abs(cur - prev[k]) < _GRID_TOL)
+                    if settled or 2 * n > _GRID_MAX_POINTS:
+                        maxima[k] = cur
+                        break
+                    prev[k] = cur
+                else:
+                    kept.append(k)
+            pending = kept
+            sizes = (2 * sizes[-1] - 1,)
+    return maxima
 
 
 def _alpha0_corners(r0z, r1z, r0x):
@@ -252,10 +357,18 @@ def _coeff_bounds(proto: Protocol, ranges: PhaseRanges, method: str,
         method = "grid"
     r = {j: (ranges.lo[j], ranges.hi[j]) for j in proto.settings}
     rows = {}
-    for alpha, corners in ((1, alpha1_corners), (0, _alpha0_corners)):
-        args = (r["0Z"], r["1Z"], r[proto.x_ref[alpha]])
-        rows[alpha] = ([_grid_max(fn, *args) for fn in _CLOSED_FORMS[alpha]]
-                       if method == "grid" else corners(*args))
+    if method == "grid":
+        # rows with the same X reference share one grid (three-state: 0X)
+        for x in dict.fromkeys(proto.x_ref[alpha] for alpha in (1, 0)):
+            alphas = [alpha for alpha in (1, 0) if proto.x_ref[alpha] == x]
+            maxima = _grid_maxima(
+                [formula for alpha in alphas for formula in _FORMULAS[alpha]],
+                r["0Z"], r["1Z"], r[x])
+            for i, alpha in enumerate(alphas):
+                rows[alpha] = maxima[3 * i:3 * i + 3]
+    else:
+        for alpha, corners in ((1, alpha1_corners), (0, _alpha0_corners)):
+            rows[alpha] = corners(r["0Z"], r["1Z"], r[proto.x_ref[alpha]])
     return _coefficient_set(proto, rows)
 
 
@@ -264,8 +377,8 @@ def coeff_bounds_bb84(ranges: PhaseRanges, method: str = "auto") -> CoefficientS
 
     Inside the analytic sectors the corner rules are used (four single-corner
     evaluations, two 8-corner maxima). Outside, ``method="auto"`` falls back
-    to dense grid maximisation of the exact closed forms; ``method="analytic"``
-    raises SectorViolation instead.
+    to dense grid maximisation of the exact closed forms, evaluated in slabs
+    of bounded size; ``method="analytic"`` raises SectorViolation instead.
     """
     return _coeff_bounds(BB84, ranges, method, _bb84_alpha1_corners)
 

@@ -177,6 +177,17 @@ class TestSweep:
         assert captured.out == ""
         assert f"{flag} = {value} is not finite" in captured.err
 
+    def test_config_field_sweep_does_not_read(self, tmp_path, capsys):
+        # used to exit 0, ignoring the loss
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"loss_db": 5}))
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--loss-end", "5", "--config", str(cfg),
+                        "--out", str(out)]) == EXIT_CONFIG
+        assert ("config error: config file field loss_db is not read by "
+                "sweep") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_protocol_in_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"protocol": "BB84"}))
@@ -369,6 +380,17 @@ class TestSimulateAndBound:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_field_simulate_does_not_read(self, tmp_path, capsys):
+        # used to exit 0, ignoring the loss
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"loss_end": 5}))
+        out = tmp_path / "counts.json"
+        assert run_cli(["simulate", "--n", "1000", "--config", str(cfg),
+                        "--out", str(out)]) == EXIT_CONFIG
+        assert ("config error: config file field loss_end is not read by "
+                "simulate") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate_rejects_both_protocols(self):
         assert run_cli(["simulate", "--protocol", "both"]) == EXIT_CONFIG
 
@@ -454,3 +476,19 @@ def test_one_parser_serves_every_call(tmp_path, monkeypatch):
     call(sweep, "sweep again")
     assert cli._parser.cache_info().misses == 1
     assert got == dict(want, **{"sweep again": want["sweep"]})
+
+
+@pytest.mark.parametrize("message, printed", [
+    ("Unable to allocate 6.00 GiB", "out of memory: Unable to allocate 6.00 GiB"),
+    ("", "out of memory")])
+@pytest.mark.parametrize("command", ["sweep", "simulate", "bound"])
+def test_memory_error_is_compute_error(monkeypatch, capsys, command, message,
+                                       printed):
+    # used to end in a traceback (exit 1)
+    def exhausted(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, f"cmd_{command}", exhausted)
+    argv = [command] + (["counts.json"] if command == "bound" else [])
+    assert run_cli(argv) == EXIT_COMPUTE
+    assert capsys.readouterr().err == f"computation error: {printed}\n"

@@ -1,0 +1,166 @@
+"""Out-of-sector coefficient bounds against a form-by-form grid reference.
+
+Outside the analytic sectors ``coeff_bounds_*`` maximise the closed forms
+on refined grids, walked in slabs with shared trig terms. Every bound must
+be, bit for bit, what maximising each closed form on its own full grid
+gives: the reference below, with its closed forms written out as they were
+before the trig terms were shared. A grid sample on a pole must raise
+SingularSystem in both, and the slab walk must keep its memory below one
+81^3 grid.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qkdbound.coeffs import (
+    SINGULAR_TOL,
+    SingularSystem,
+    coeff_bounds_bb84,
+    coeff_bounds_three_state,
+)
+from qkdbound.source import BB84, PROTOCOLS, PhaseRanges, SourceSpec
+
+BOUNDS = {"bb84": coeff_bounds_bb84, "three_state": coeff_bounds_three_state}
+
+
+# ---------------------------------------------------------------------------
+# The reference: each closed form maximised on its own full grid.
+
+def _checked(num, den):
+    gap = np.min(np.abs(den))  # over scalars or grids; NaN fails the test too
+    if not gap >= SINGULAR_TOL:
+        raise SingularSystem(f"coefficient denominator {gap:.3e} below tolerance")
+    return num / den
+
+
+def c1_0z(th0z, th1z, thx):
+    num = np.sin(th0z / 2 - thx / 2) - np.sin(th1z / 2 - thx / 2)
+    den = (np.sin(th1z / 2 - th0z + thx / 2)
+           + 2 * np.sin(th0z / 2 - thx / 2) - np.sin(th1z / 2 - thx / 2))
+    return _checked(num, den)
+
+
+def c1_1z(th0z, th1z, thx):
+    num = -np.sin(th0z / 2 - thx / 2) + np.sin(th1z / 2 - thx / 2)
+    den = (np.sin(th0z / 2 - th1z + thx / 2)
+           - np.sin(th0z / 2 - thx / 2) + 2 * np.sin(th1z / 2 - thx / 2))
+    return _checked(num, den)
+
+
+def c1_x(th0z, th1z, thx):
+    num = np.cos(th0z - th1z) - 1.0
+    den = (np.cos(th0z - th1z) - np.cos(th0z - thx) - np.cos(th1z - thx)
+           + 2 * np.cos(th0z / 2 + th1z / 2 - thx)
+           - 2 * np.cos(th0z / 2 - th1z / 2) + 1.0)
+    return _checked(num, den)
+
+
+def c0_0z(th0z, th1z, th0x):
+    num = np.sin(th0z / 2 - th0x / 2) + np.sin(th1z / 2 - th0x / 2)
+    den = (2 * np.sin(th0z / 2 - th0x / 2)
+           - np.sin(th1z / 2 - th0z + th0x / 2) + np.sin(th1z / 2 - th0x / 2))
+    return _checked(num, den)
+
+
+def c0_1z(th0z, th1z, th0x):
+    num = np.sin(th0z / 2 - th0x / 2) + np.sin(th1z / 2 - th0x / 2)
+    den = (np.sin(th0z / 2 - th0x / 2)
+           - np.sin(th0z / 2 - th1z + th0x / 2) + 2 * np.sin(th1z / 2 - th0x / 2))
+    return _checked(num, den)
+
+
+def c0_0x(th0z, th1z, th0x):
+    num = np.cos(th0z - th1z) - 1.0
+    den = (np.cos(th0z - th1z) - np.cos(th0z - th0x) - np.cos(th1z - th0x)
+           - 2 * np.cos(th0z / 2 + th1z / 2 - th0x)
+           + 2 * np.cos(th0z / 2 - th1z / 2) + 1.0)
+    return _checked(num, den)
+
+
+CLOSED_FORMS = {1: (c1_0z, c1_1z, c1_x), 0: (c0_0z, c0_1z, c0_0x)}
+
+
+def _grid_max(fn, r0z, r1z, rx, start: int = 41, tol: float = 1e-9,
+              max_points: int = 700) -> float:
+    """Dense-grid maximisation of a 3-phase closed form, refined until stable."""
+    prev = None
+    n = start
+    while True:
+        g0 = np.linspace(r0z[0], r0z[1], n)
+        g1 = np.linspace(r1z[0], r1z[1], n)
+        gx = np.linspace(rx[0], rx[1], n)
+        a, b, c = np.meshgrid(g0, g1, gx, indexing="ij", sparse=True)
+        cur = float(np.max(fn(a, b, c)))
+        if prev is not None and abs(cur - prev) < tol:
+            return cur
+        if 2 * n > max_points:
+            return cur
+        prev = cur
+        n = 2 * n - 1
+
+
+def reference_bounds(proto, ranges):
+    """{(alpha, setting): bound} of every closed form, row 1 first."""
+    r = {j: (ranges.lo[j], ranges.hi[j]) for j in proto.settings}
+    out = {}
+    for alpha in (1, 0):
+        x = proto.x_ref[alpha]
+        for j, fn in zip(("0Z", "1Z", x), CLOSED_FORMS[alpha]):
+            out[alpha, j] = _grid_max(fn, r["0Z"], r["1Z"], r[x])
+    return out
+
+
+def assert_grid_matches_reference(proto, ranges):
+    assert not ranges.in_analytic_sectors()
+    expected = reference_bounds(proto, ranges)
+    got = BOUNDS[proto.name](ranges)
+    for (alpha, j), value in expected.items():
+        assert got.c[alpha][j].hex() == value.hex(), (alpha, j)
+
+
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=6, deadline=None)
+@given(proto=st.sampled_from(PROTOCOLS), delta=st.floats(0.35, 0.9),
+       cap_delta=st.floats(0.0, 0.08))
+def test_out_of_sector_bounds_equal_reference(proto, delta, cap_delta):
+    # delta >= 0.35 puts 1X = 3/2 (pi + delta) past its sector, at any Delta
+    ranges = PhaseRanges.from_source(SourceSpec(delta=delta, Delta=cap_delta))
+    assert_grid_matches_reference(proto, ranges)
+
+
+def test_refinement_past_81_points_equals_reference():
+    # bb84's c_{1,0Z} needs the 161-point grid here; the other forms stop
+    # at 81 points
+    ranges = PhaseRanges.from_source(SourceSpec(delta=1.0, Delta=0.05))
+    assert_grid_matches_reference(BB84, ranges)
+
+
+@pytest.mark.parametrize("proto", PROTOCOLS, ids=lambda p: p.name)
+def test_pole_on_grid_raises_in_both(proto):
+    # equal 0Z and 1Z ranges put theta_0Z = theta_1Z on the grid's
+    # diagonal, a pole of every c_{alpha,0Z}
+    lo = {"0Z": 0.0, "1Z": 0.0, "0X": math.pi / 2, "1X": 3 * math.pi / 2}
+    hi = dict(lo, **{"0Z": 0.5, "1Z": 0.5})
+    ranges = PhaseRanges(lo=lo, hi=hi)
+    with pytest.raises(SingularSystem) as expected:
+        reference_bounds(proto, ranges)
+    with pytest.raises(SingularSystem) as got:
+        BOUNDS[proto.name](ranges)
+    assert str(got.value) == str(expected.value)
+
+
+def test_grid_memory_stays_below_one_full_grid():
+    ranges = PhaseRanges.from_source(SourceSpec(delta=0.6, Delta=0.05))
+    coeff_bounds_bb84(ranges)  # first-call allocations are not the grid's
+    tracemalloc.start()
+    try:
+        coeff_bounds_bb84(ranges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 81 ** 3 * 8
