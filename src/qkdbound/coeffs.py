@@ -12,8 +12,12 @@ virtual state. This module provides:
     reference and zeroed setting of each row (``source.Protocol``),
   * worst-case coefficient upper bounds over phase ranges: the analytic
     corner rules inside their validity sectors (only the alpha = 1 rule
-    differs between the variants) and dense grid maximisation outside them,
-    walked in slabs of bounded size with every trig term computed once.
+    differs between the variants) and dense grid maximisation outside them.
+    The grid is cut into blocks; every form is enclosed over every block
+    (exact sin/cos ranges of the affine phase terms, and a mean-value form
+    of the quotient, widened for float rounding), and only the blocks that
+    may hold the maximum or a pole are evaluated, which gives the full
+    grid's values bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .gmath import trig_range
 from .source import BB84, THREE_STATE, PhaseRanges, Protocol
 
 #: Denominators / determinants smaller than this are treated as singular.
@@ -131,8 +136,19 @@ _TERMS = {
     "cos_mid": lambda a, b, c: np.cos(a / 2 + b / 2 - c),
     "cos_half": lambda a, b, c: np.cos(a / 2 - b / 2),
 }
-#: the terms that do not depend on theta_0Z
-_FREE_OF_0Z = ("sin_bc", "cos_bc")
+#: each term of _TERMS as (function, weights of theta_0Z, theta_1Z and the X
+#: reference phase in its argument)
+_ARGS = {
+    "sin_ac": (np.sin, (0.5, 0.0, -0.5)),
+    "sin_bc": (np.sin, (0.0, 0.5, -0.5)),
+    "sin_bac": (np.sin, (-1.0, 0.5, 0.5)),
+    "sin_abc": (np.sin, (0.5, -1.0, 0.5)),
+    "cos_ab": (np.cos, (1.0, -1.0, 0.0)),
+    "cos_ac": (np.cos, (1.0, 0.0, -1.0)),
+    "cos_bc": (np.cos, (0.0, 1.0, -1.0)),
+    "cos_mid": (np.cos, (0.5, 0.5, -1.0)),
+    "cos_half": (np.cos, (0.5, -0.5, 0.0)),
+}
 
 
 def _c1_0z(sin_ac, sin_bc, sin_bac):
@@ -252,44 +268,225 @@ _GRID_START = 41
 _GRID_TOL = 1e-9
 #: no refinement may exceed this many points per axis
 _GRID_MAX_POINTS = 700
-#: grid points evaluated at once: what bounds the grid's working memory
-_SLAB_POINTS = 1 << 14
+#: grid points per axis of one block of the pruned scan; even, so that every
+#: block starts on an even index and holds points of the coarser grid
+_BLOCK = 14
+#: blocks enclosed at once: what bounds the enclosure pass's working memory
+_SLAB_BLOCKS = 1 << 12
+
+#: the derivative of each term function, as (function, sign)
+_DERIVATIVE = {np.sin: (np.cos, 1.0), np.cos: (np.sin, -1.0)}
+
+_EPS = np.finfo(float).eps
+#: float64 rounding allowances of the enclosures. A term is off its exact
+#: value by the rounding of its argument (at most _EPS per unit of the
+#: argument's magnitude) plus that of sin or cos (_TRIG_ERR); a numerator or
+#: denominator adds that of its at most six sums of terms weighing at most 9
+#: in all (_SUM_ERR). Each allowance covers both the grid's evaluation and
+#: the enclosure's own, with room to spare.
+_TRIG_ERR = 2 * _EPS
+_SUM_ERR = 128 * _EPS
+#: the most a numerator or denominator can weigh in terms
+_TERM_WEIGHT = 9
+
+
+class _Enclosure:
+    """Interval [lo, hi] of an expression over each block of a grid, with
+    an interval (dlo[i], dhi[i]) of its derivative along each phase axis i.
+
+    It supports the sums, differences and constant multiples the closed
+    forms are made of, so a closed form applied to the enclosures of its
+    terms encloses its own numerator and denominator.
+    """
+
+    __slots__ = ("lo", "hi", "dlo", "dhi")
+
+    def __init__(self, lo, hi, dlo, dhi):
+        self.lo, self.hi, self.dlo, self.dhi = lo, hi, dlo, dhi
+
+    def __add__(self, other):
+        if not isinstance(other, _Enclosure):
+            return _Enclosure(self.lo + other, self.hi + other,
+                              self.dlo, self.dhi)
+        return _Enclosure(self.lo + other.lo, self.hi + other.hi,
+                          tuple(map(np.add, self.dlo, other.dlo)),
+                          tuple(map(np.add, self.dhi, other.dhi)))
+
+    def __neg__(self):
+        return _Enclosure(-self.hi, -self.lo, tuple(-d for d in self.dhi),
+                          tuple(-d for d in self.dlo))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, k):
+        if k < 0:
+            return -(self * -k)
+        return _Enclosure(self.lo * k, self.hi * k, tuple(d * k for d in self.dlo),
+                          tuple(d * k for d in self.dhi))
+
+    __rmul__ = __mul__
+
+    def widened(self, by):
+        return _Enclosure(self.lo - by, self.hi + by, self.dlo, self.dhi)
+
+
+def _enclose_term(name, boxes, mags):
+    """Enclosure of one term of _TERMS over blocks.
+
+    ``boxes`` holds, per phase axis, the (lo, hi) arrays of the blocks'
+    phase ranges, shaped to broadcast; ``mags`` the largest |phase| per axis.
+    The argument range is widened by its rounding before the exact sin or
+    cos range is taken, and that range by the rounding of sin and cos, so
+    it holds every computed value of the term in the block as well as every
+    exact one.
+    """
+    fn, weights = _ARGS[name]
+    lo = hi = 0.0
+    for w, (b_lo, b_hi) in zip(weights, boxes):
+        if w:
+            lo = lo + w * (b_lo if w > 0 else b_hi)
+            hi = hi + w * (b_hi if w > 0 else b_lo)
+    slack = 4 * _EPS * (sum(abs(w) * m for w, m in zip(weights, mags)) + 1.0)
+    lo, hi = lo - slack, hi + slack
+    v_lo, v_hi = trig_range(fn, lo, hi)
+    d_fn, sign = _DERIVATIVE[fn]
+    g_lo, g_hi = trig_range(d_fn, lo, hi)
+    dlo, dhi = [], []
+    for w in weights:
+        w = w * sign
+        dlo.append(w * (g_lo if w > 0 else g_hi))
+        dhi.append(w * (g_hi if w > 0 else g_lo))
+    return _Enclosure(v_lo - _TRIG_ERR, v_hi + _TRIG_ERR, tuple(dlo), tuple(dhi))
+
+
+def _product(a, b):
+    """Interval product of (lo, hi) pairs."""
+    ends = [x * y for x in a for y in b]
+    return np.minimum.reduce(ends), np.maximum.reduce(ends)
+
+
+def _bound_forms(formulas, boxes, mags):
+    """Upper bound and smallest-|denominator| bound of each form per block.
+
+    ``boxes`` and ``mags`` are as for ``_enclose_term``. Returns, per form,
+    (upper, gap) arrays over the blocks: every computed grid value of the
+    form in a block is at most ``upper``, and every computed |denominator|
+    at least ``gap``. The upper bound is the smaller of the interval
+    quotient of the enclosed numerator and denominator and a mean-value
+    form: the value at the block centre plus the interval gradient times
+    the half-width, widened by the most the computed values can differ from
+    the exact ones. A denominator enclosure that holds 0 gives gap 0 and
+    upper +inf.
+    """
+    names = dict.fromkeys(name for formula in formulas
+                          for name in _TERMS_OF[formula])
+    terms = {name: _enclose_term(name, boxes, mags) for name in names}
+    centres = [(lo + hi) / 2 for lo, hi in boxes]
+    radii = [np.maximum(hi - mid, mid - lo) * (1 + 4 * _EPS)
+             for (lo, hi), mid in zip(boxes, centres)]
+    at_centre = {name: _TERMS[name](*centres) for name in names}
+    point_err = (_TERM_WEIGHT * (4 * _EPS * (2 * max(mags) + 1.0) + _TRIG_ERR)
+                 + _SUM_ERR)
+    out = []
+    for formula in formulas:
+        num, den = (x.widened(_SUM_ERR) for x in
+                    formula(*(terms[name] for name in _TERMS_OF[formula])))
+        gap = np.maximum(np.maximum(den.lo, -den.hi), 0.0)
+        inverse = (1 / den.hi, 1 / den.lo)  # of a denominator that excludes 0
+        value = _product((num.lo, num.hi), inverse)
+        size = np.maximum(-value[0], value[1]) * (1 + 4 * _EPS)
+        high = value[1] + 4 * _EPS * size
+        # the most a computed value can differ from the exact one
+        margin = point_err * (1.0 + size) / gap + 4 * _EPS * size
+        # f' = (num' - f den') / den along each axis, times the half-width
+        slope = 0.0
+        for d, r in enumerate(radii):
+            drag = _product(value, (den.dlo[d], den.dhi[d]))
+            lo, hi = _product((num.dlo[d] - drag[1], num.dhi[d] - drag[0]), inverse)
+            rounding = 8 * _EPS * (np.maximum(-num.dlo[d], num.dhi[d])
+                                   + np.maximum(-drag[0], drag[1]))
+            slope = slope + (np.maximum(-lo, hi) + rounding / gap) * r
+        c_num, c_den = formula(*(at_centre[name] for name in _TERMS_OF[formula]))
+        centre = c_num / c_den
+        mean_value = centre + 2 * margin + slope
+        mean_value = mean_value + 8 * _EPS * (np.abs(centre) + 2 * margin + slope)
+        upper = np.where(gap > 0, np.fmin(high, mean_value), np.inf)
+        out.append((np.where(np.isnan(upper), np.inf, upper), gap))
+    return out
 
 
 def _scan_level(formulas, r0z, r1z, rx, n: int, with_start: bool):
     """Smallest |denominator| and maximum of each form on the n-point grid.
 
-    The grid is walked in slabs of whole 0Z rows, of at most
-    ``_SLAB_POINTS`` points unless one row is larger, and each trig term of
-    a slab is computed once for all forms. Returns, per form, a list of
-    [gap, max] with one entry per grid size. With ``with_start`` the entry
-    of the ``_GRID_START``-point grid comes first, read off the even-index
-    points: ``np.linspace(lo, hi, 2 * m - 1)[::2]`` is
-    ``np.linspace(lo, hi, m)`` bit for bit.
+    The grid is cut into blocks of ``_BLOCK`` points per axis, and each
+    form is enclosed over every block (``_bound_forms``) in slabs of at
+    most ``_SLAB_BLOCKS`` blocks. A form is then evaluated pointwise only on
+    the blocks whose upper bound reaches the largest value found on the
+    block with the highest bound, and on those whose denominator bound lies
+    below SINGULAR_TOL, with the terms of a block computed once for all
+    forms that visit it. The maxima are then those of the full grid, and
+    so is the smallest |denominator| wherever it lies below SINGULAR_TOL.
+    Returns, per form, a list of [gap, max] with one entry per grid size.
+    With ``with_start`` the entry of the ``_GRID_START``-point grid comes
+    first, read off the even-index points: ``np.linspace(lo, hi, 2 * m -
+    1)[::2]`` is ``np.linspace(lo, hi, m)`` bit for bit.
     """
-    g0 = np.linspace(r0z[0], r0z[1], n)[:, None, None]
-    g1 = np.linspace(r1z[0], r1z[1], n)[:, None]
-    gx = np.linspace(rx[0], rx[1], n)
-    names = dict.fromkeys(name for formula in formulas
-                          for name in _TERMS_OF[formula])
-    free = {name: _TERMS[name](None, g1, gx) for name in _FREE_OF_0Z
-            if name in names}
-    rows = max(1, _SLAB_POINTS // (n * n))
+    grids = [np.linspace(lo, hi, n) for lo, hi in (r0z, r1z, rx)]
+    # the points of a range of one phase are all equal: its first stands
+    # for all of them
+    edges = [np.append(np.arange(0, n, _BLOCK), n) if g[0] < g[-1]
+             else np.array([0, 1]) for g in grids]
+    shape = tuple(len(e) - 1 for e in edges)
+    bcast = ((-1, 1, 1), (-1, 1), (-1,))
+    axes = [(np.minimum.reduceat(g, e[:-1]), np.maximum.reduceat(g, e[:-1]))
+            for g, e in zip(grids, edges)]
+    mags = [max(abs(g[0]), abs(g[-1])) for g in grids]
+    bounds = [(np.empty(shape), np.empty(shape)) for _ in formulas]
+    rows = max(1, _SLAB_BLOCKS // (shape[1] * shape[2]))
+    for i in range(0, shape[0], rows):
+        cut = [slice(i, i + rows), slice(None), slice(None)]
+        slab = _bound_forms(formulas, [[x[c].reshape(b) for x in axis] for
+                                       axis, c, b in zip(axes, cut, bcast)], mags)
+        for (upper, gap), (u, g) in zip(bounds, slab):
+            upper[i:i + rows], gap[i:i + rows] = u, g
+
     views = [(slice(None),) * 3]
     if with_start:
-        rows += rows % 2  # each slab starts on an even-index row
         views.insert(0, (slice(None, None, 2),) * 3)
     found = [[[np.inf, -np.inf] for _ in views] for _ in formulas]
-    for i in range(0, n, rows):
-        terms = {name: free[name] if name in free
-                 else _TERMS[name](g0[i:i + rows], g1, gx) for name in names}
-        for formula, per_size in zip(formulas, found):
-            num, den = formula(*(terms[name] for name in _TERMS_OF[formula]))
-            size, value = np.abs(den), num / den
-            for view, acc in zip(views, per_size):
-                # np.minimum keeps a NaN, so it fails the pole test
-                acc[0] = np.minimum(acc[0], size[view].min())
-                acc[1] = np.maximum(acc[1], value[view].max())
+    seen = [set() for _ in formulas]
+
+    def visit(wanted):
+        """Evaluate each form on the blocks ``wanted[k]`` it has not seen."""
+        visitors = {}
+        for k, blocks in enumerate(wanted):
+            for b in set(blocks.tolist()) - seen[k]:
+                visitors.setdefault(b, []).append(k)
+                seen[k].add(b)
+        for b, ks in visitors.items():
+            phases = [g[e[i]:e[i + 1]].reshape(to) for g, e, i, to
+                      in zip(grids, edges, np.unravel_index(b, shape), bcast)]
+            names = dict.fromkeys(name for k in ks
+                                  for name in _TERMS_OF[formulas[k]])
+            terms = {name: _TERMS[name](*phases) for name in names}
+            for k in ks:
+                formula = formulas[k]
+                num, den = formula(*(terms[name] for name in _TERMS_OF[formula]))
+                size, value = np.abs(den), num / den
+                for view, acc in zip(views, found[k]):
+                    # np.minimum keeps a NaN, so it fails the pole test
+                    acc[0] = np.minimum(acc[0], size[view].min())
+                    acc[1] = np.maximum(acc[1], value[view].max())
+
+    # the block with the highest bound, and every block near a pole (a NaN
+    # bound counts as one)
+    visit([np.append(np.flatnonzero(~(gap >= SINGULAR_TOL)), np.argmax(upper))
+           for upper, gap in bounds])
+    # every block that may beat the values found so far; a NaN value is a
+    # pole the check raises on
+    visit([np.flatnonzero(upper >= np.fmin.reduce([acc[1] for acc in per_size]))
+           for (upper, _), per_size in zip(bounds, found)])
     return found
 
 
@@ -302,6 +499,13 @@ def _grid_maxima(formulas, r0z, r1z, rx):
     refining share the scan of each grid, and the first two grids share one
     scan. The first form, in order, with a grid point within SINGULAR_TOL
     of a pole raises SingularSystem.
+
+    Each scan is pruned (``_scan_level``): it evaluates a form only on the
+    blocks of ``_BLOCK``^3 points whose enclosure may reach the maximum or
+    a pole, so each maximum, convergence decision and SingularSystem message
+    is that of the full grid. Its memory is two floats per form and block,
+    the enclosures of at most ``_SLAB_BLOCKS`` blocks and the points of one
+    block, not the grid.
     """
     maxima = [None] * len(formulas)
     prev = [None] * len(formulas)
@@ -377,8 +581,9 @@ def coeff_bounds_bb84(ranges: PhaseRanges, method: str = "auto") -> CoefficientS
 
     Inside the analytic sectors the corner rules are used (four single-corner
     evaluations, two 8-corner maxima). Outside, ``method="auto"`` falls back
-    to dense grid maximisation of the exact closed forms, evaluated in slabs
-    of bounded size; ``method="analytic"`` raises SectorViolation instead.
+    to dense grid maximisation of the exact closed forms, evaluated only on
+    the grid blocks that may hold a maximum or a pole;
+    ``method="analytic"`` raises SectorViolation instead.
     """
     return _coeff_bounds(BB84, ranges, method, _bb84_alpha1_corners)
 

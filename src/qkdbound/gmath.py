@@ -12,6 +12,9 @@ All functions accept floats or numpy arrays and return a float for a 0-d
 input (``native``), an array otherwise. The kernels are pure formulas
 with the precondition that every input lies in [0, 1]; they do not check
 it. ``as_unit`` is the boundary check for callers that hold raw values.
+
+``trig_range`` gives the exact range of sin or cos over intervals, which
+the virtual-probability and coefficient bounds of the source model share.
 """
 
 from __future__ import annotations
@@ -68,3 +71,31 @@ def binary_entropy(x):
         -safe * np.log2(safe) - (1.0 - safe) * np.log2(1.0 - safe),
         0.0,
     ))
+
+
+#: where each function takes its minimum and its maximum, modulo 2 pi
+_EXTREMA = {np.sin: (-np.pi / 2, np.pi / 2), np.cos: (np.pi, 0.0)}
+
+
+def _holds(lo, hi, at):
+    """Whether [lo, hi] holds a point ``at`` + 2 pi k; rounding errs to True."""
+    turn = 2.0 * np.pi
+    # the first candidate at or above lo, give or take the rounding of the
+    # division: the one below is tested too
+    point = at + turn * np.ceil((lo - at) / turn)
+    slack = 8.0 * np.finfo(float).eps * (np.abs(lo) + np.abs(hi) + turn)
+    return (point <= hi + slack) | (point - turn >= lo - slack)
+
+
+def trig_range(fn, lo, hi):
+    """Exact range (min, max) of ``fn`` (np.sin or np.cos) over [lo, hi].
+
+    Elementwise over arrays. Each end is the larger or smaller endpoint
+    value, or +-1 where the interval holds that extremum of ``fn``, so
+    the endpoint values are returned bit for bit where they are extreme.
+    """
+    at_min, at_max = _EXTREMA[fn]
+    f_lo, f_hi = fn(lo), fn(hi)
+    low = np.where(_holds(lo, hi, at_min), -1.0, np.minimum(f_lo, f_hi))
+    high = np.where(_holds(lo, hi, at_max), 1.0, np.maximum(f_lo, f_hi))
+    return native(low), native(high)

@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from .gmath import as_unit
+import numpy as np
+
+from .gmath import as_unit, trig_range
 
 
 class InconsistentProtocol(ValueError):
@@ -216,9 +218,11 @@ def exact_virtual_prob(th0z: float, th1z: float, alpha: int) -> float:
 def virtual_prob_bounds(ranges: PhaseRanges) -> Tuple[float, float]:
     """Worst-case normalised virtual probabilities over the Z phase ranges.
 
-    Returns (pbar_1X_upper, pbar_0X_upper). The Z-basis prefactor p_ZA is
-    divided out; the bound assembly only ever uses the ratio.
+    Returns (pbar_1X_upper, pbar_0X_upper): the exact maxima of
+    (1 -+ cos u)/2 over the range of u = (theta_0Z - theta_1Z)/2, which is
+    1 where that range holds an extremum of cos. The Z-basis prefactor p_ZA
+    is divided out; the bound assembly only ever uses the ratio.
     """
-    p1 = 0.5 * (1.0 - math.cos((ranges.lo["0Z"] - ranges.hi["1Z"]) / 2.0))
-    p0 = 0.5 * (1.0 + math.cos((ranges.hi["0Z"] - ranges.lo["1Z"]) / 2.0))
-    return (p1, p0)
+    low, high = trig_range(np.cos, (ranges.lo["0Z"] - ranges.hi["1Z"]) / 2.0,
+                           (ranges.hi["0Z"] - ranges.lo["1Z"]) / 2.0)
+    return (0.5 * (1.0 - low), 0.5 * (1.0 + high))

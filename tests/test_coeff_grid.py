@@ -1,12 +1,12 @@
 """Out-of-sector coefficient bounds against a form-by-form grid reference.
 
 Outside the analytic sectors ``coeff_bounds_*`` maximise the closed forms
-on refined grids, walked in slabs with shared trig terms. Every bound must
-be, bit for bit, what maximising each closed form on its own full grid
-gives: the reference below, with its closed forms written out as they were
-before the trig terms were shared. A grid sample on a pole must raise
-SingularSystem in both, and the slab walk must keep its memory below one
-81^3 grid.
+on refined grids, evaluating only the grid blocks whose enclosures may hold
+a maximum or a pole. Every bound must be, bit for bit, what maximising each
+closed form on its own full grid gives: the reference below, with its
+closed forms written out as they were before the trig terms were shared. A
+grid sample on a pole must raise SingularSystem in both, with the same
+message, and the scan must keep its memory below one 81^3 grid.
 """
 
 import math
@@ -164,3 +164,78 @@ def test_grid_memory_stays_below_one_full_grid():
     finally:
         tracemalloc.stop()
     assert peak < 81 ** 3 * 8
+
+
+def _seeded_boxes():
+    """30 out-of-sector phase boxes: sources with |delta| past the sectors,
+    boxes of random phases and widths, which may hold a pole, and the two
+    below. Larger |delta| or Delta refine past 161 points, where the
+    reference takes seconds per box."""
+    rng = np.random.default_rng(20261018)
+    boxes = []
+    for _ in range(18):
+        spec = SourceSpec(delta=rng.choice([-1, 1]) * rng.uniform(0.35, 0.9),
+                          Delta=rng.choice([0.0, rng.uniform(0.0, 0.08)]))
+        boxes.append(PhaseRanges.from_source(spec))
+    while len(boxes) < 28:
+        lo = {j: rng.uniform(-math.pi, 2 * math.pi) for j in BB84.settings}
+        hi = {j: v + rng.choice([0.0, 1e-6, rng.uniform(0.0, 0.1)])
+              for j, v in lo.items()}
+        ranges = PhaseRanges(lo=lo, hi=hi)
+        if not ranges.in_analytic_sectors():
+            boxes.append(ranges)
+    # bb84's c_{1,0Z} refines to 161 points here; the next one is a pole
+    boxes.append(PhaseRanges.from_source(SourceSpec(delta=1.0, Delta=0.05)))
+    lo = {"0Z": 0.0, "1Z": 0.0, "0X": math.pi / 2, "1X": 3 * math.pi / 2}
+    boxes.append(PhaseRanges(lo=lo, hi=dict(lo, **{"0Z": 0.5, "1Z": 0.5})))
+    return boxes
+
+
+def test_seeded_boxes_equal_reference_in_both_protocols():
+    # bb84 and three-state share row 0, so the reference grid of each form
+    # and range triple is computed once
+    memo = {}
+
+    def reference(fn, *triple):
+        if (fn, triple) not in memo:
+            try:
+                memo[fn, triple] = _grid_max(fn, *triple)
+            except SingularSystem as exc:
+                memo[fn, triple] = exc
+        return memo[fn, triple]
+
+    for ranges in _seeded_boxes():
+        assert not ranges.in_analytic_sectors()
+        r = {j: (ranges.lo[j], ranges.hi[j]) for j in BB84.settings}
+        for proto in PROTOCOLS:
+            expected = {}
+            for alpha in (1, 0):
+                x = proto.x_ref[alpha]
+                for j, fn in zip(("0Z", "1Z", x), CLOSED_FORMS[alpha]):
+                    expected[alpha, j] = reference(fn, r["0Z"], r["1Z"], r[x])
+            # the reference raises on the first pole in this order
+            pole = next((v for v in expected.values()
+                         if isinstance(v, SingularSystem)), None)
+            if pole is not None:
+                with pytest.raises(SingularSystem) as got:
+                    BOUNDS[proto.name](ranges)
+                assert str(got.value) == str(pole)
+                continue
+            got = BOUNDS[proto.name](ranges)
+            for (alpha, j), value in expected.items():
+                assert got.c[alpha][j].hex() == value.hex(), (ranges, alpha, j)
+
+
+def test_pole_in_blocks_the_values_rule_out_raises_in_both():
+    # theta_0Z just past a zero of the determinant of row 1 (1Z and 1X are
+    # single phases): |denominator| of c_{1,0Z} and c_{1,X} runs from about
+    # 4e-13 to 1.2e-12 and 8e-13 to 2.4e-12. c_{1,0Z} tends to -inf there,
+    # so only the pole rule visits its grid points below SINGULAR_TOL; c_{1,X}
+    # tends to +inf and would raise with its own, different gap
+    lo = {"0Z": -0.3821853071792574, "1Z": 3.28, "0X": 1.9, "1X": 5.901}
+    ranges = PhaseRanges(lo=lo, hi=dict(lo, **{"0Z": -0.382185307178599}))
+    with pytest.raises(SingularSystem) as expected:
+        reference_bounds(BB84, ranges)
+    with pytest.raises(SingularSystem) as got:
+        coeff_bounds_bb84(ranges)
+    assert str(got.value) == str(expected.value)

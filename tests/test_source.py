@@ -212,3 +212,19 @@ class TestVirtualProbs:
         for a, b in zip(t0, t1):
             assert exact_virtual_prob(a, b, 1) <= p1u + 1e-12
             assert exact_virtual_prob(a, b, 0) <= p0u + 1e-12
+
+    @pytest.mark.parametrize("cap_delta", [0.0, 0.03, 0.3, 1.0])
+    def test_bounds_are_the_maxima_over_the_ranges(self, cap_delta):
+        # dense samples of (theta_0Z, theta_1Z) for sources across
+        # delta in [-pi, pi]: each bound holds every sampled pbar and lies
+        # within the sampling step of their maximum, also where the range
+        # of (theta_0Z - theta_1Z)/2 crosses an extremum of cos
+        for delta in np.linspace(-math.pi, math.pi, 61):
+            r = PhaseRanges.from_source(SourceSpec(delta=delta, Delta=cap_delta))
+            t0 = np.linspace(r.lo["0Z"], r.hi["0Z"], 101)[:, None]
+            t1 = np.linspace(r.lo["1Z"], r.hi["1Z"], 101)
+            cos_u = np.cos((t0 - t1) / 2.0)
+            for bound, sampled in zip(virtual_prob_bounds(r),
+                                      (0.5 * (1.0 - cos_u), 0.5 * (1.0 + cos_u))):
+                assert sampled.max() <= bound + 1e-12, delta
+                assert bound - sampled.max() <= 1e-4, delta
