@@ -31,7 +31,7 @@ from .coeffs import (
     coeff_bounds_bb84,
     coeff_bounds_three_state,
 )
-from .gmath import G_minus, G_plus, as_unit, binary_entropy, native
+from .gmath import G_minus, G_plus, as_unit, binary_entropy, native, within
 from .source import (
     InconsistentProtocol,
     PhaseRanges,
@@ -66,9 +66,11 @@ class ObservedStatistics:
     Bob measured X), clamped into [0,1]. y_z is the Z-basis detection yield
     conditioned on both parties choosing Z, so the sifted-key size is
     N * p_ZA * p_ZB * y_z. ``n`` is None in asymptotic mode, where q, y_z
-    and e_bit may also be arrays with one entry per loss. In the tag column
-    of ``per_tag_bounds`` every field but ``per_tag`` is an array with one
-    entry per tag.
+    and e_bit may also be arrays with one entry per loss. In the count
+    column of ``evaluate_with_inputs`` and ``per_tag_bounds`` every field
+    but ``per_tag`` is an array: entry 0 is the run total, entry w + 1 tag
+    w. All q estimates are checked and clamped by one ``as_unit`` call over
+    the stacked (q_0, q_1) pairs.
     """
 
     q: Dict[str, Tuple[float, float]]
@@ -79,11 +81,11 @@ class ObservedStatistics:
     per_tag: Optional[List[TagCounts]] = None
 
     def __post_init__(self):
-        clamped = {j: (as_unit(q0), as_unit(q1))
-                   for j, (q0, q1) in self.q.items()}
-        object.__setattr__(self, "q", clamped)
+        pairs = as_unit(list(self.q.values()))
+        object.__setattr__(self, "q", {j: (q0, q1) for j, (q0, q1)
+                                       in zip(self.q, pairs)})
         as_unit(self.e_bit)
-        if not (np.all(self.y_z >= 0.0) and np.all(self.y_z <= 1.0 + 1e-9)):
+        if not within(self.y_z, 0.0, 1.0 + 1e-9):
             raise ValueError(f"y_z = {self.y_z} is not a probability")
         if self.per_tag is not None:
             if self.n is not None and sum(t.n_w for t in self.per_tag) != self.n:
@@ -102,8 +104,9 @@ class ObservedStatistics:
         q[j][gamma] = N_{j,gammaX} / (N * p_j * p_XB); finite-sample noise can
         push the ratio above 1, so it is clamped (upward bias is safe: the
         outer bound is nondecreasing in every q). The counts may be float
-        arrays with one entry per tag (``per_tag_bounds``); the estimates
-        are then arrays too, and Python floats for int counts.
+        arrays, one entry for the run total and one per tag (the count
+        column of ``evaluate_with_inputs``); the estimates are then arrays
+        too.
         """
         q = {
             j: (
@@ -188,28 +191,40 @@ def phase_error_bound(stats: ObservedStatistics, probs: ProtocolProbs,
     return native(np.minimum(1.0, G_plus(y_outer, z) / stats.y_z))
 
 
-def per_tag_bounds(stats: ObservedStatistics, probs: ProtocolProbs,
+def _column_bounds(stats: ObservedStatistics, probs: ProtocolProbs,
                    c_upper: CoefficientSet, pvir_upper: Tuple[float, float],
                    eps_u: float) -> List[float]:
-    """e_{ph,w}^U for every tag, from the per-tag counts in one array pass.
+    """[e_ph^U of the run total] + [e_{ph,w}^U of every tag], in one pass.
 
-    The tags' counts are stacked into float arrays, one entry per tag
-    (``np.array(..., dtype=float)`` rounds an int as ``int / float`` does),
-    so each tag's bound is the one its own scalar counts give.
+    Entry 0 sums the tags' counts exactly, as Python ints. The counts are
+    stacked into float arrays (``np.array(..., dtype=float)`` rounds an int
+    as ``int / float`` does), so every entry is the bound its own scalar
+    counts give through ``from_counts`` and ``phase_error_bound``.
     """
     tags = stats.per_tag
     if not tags:
         raise ValueError("statistics carry no per-tag counts")
     settings = list(tags[0].n_x)
-    # one row per count, one entry per tag
+    rows = [[t.n_w, t.n_det_z, t.n_err_z]
+            + [c for j in settings for c in t.n_x[j]] for t in tags]
+    # one row per count, one entry for the total and one per tag
     n, n_det_z, n_err_z, *n_x = np.array(
-        [[t.n_w, t.n_det_z, t.n_err_z] + [c for j in settings for c in t.n_x[j]]
-         for t in tags], dtype=float).T
-    tag_stats = ObservedStatistics.from_counts(
+        [[sum(count) for count in zip(*rows)]] + rows, dtype=float).T
+    column = ObservedStatistics.from_counts(
         n=n, n_x=dict(zip(settings, zip(n_x[::2], n_x[1::2]))),
         n_det_z=n_det_z, n_err_z=n_err_z, probs=probs)
-    return phase_error_bound(tag_stats, probs, c_upper, pvir_upper,
+    return phase_error_bound(column, probs, c_upper, pvir_upper,
                              eps_u).tolist()
+
+
+def per_tag_bounds(stats: ObservedStatistics, probs: ProtocolProbs,
+                   c_upper: CoefficientSet, pvir_upper: Tuple[float, float],
+                   eps_u: float) -> List[float]:
+    """e_{ph,w}^U for every tag: entries 1.. of the count column.
+
+    Each tag's bound is, bit for bit, the one its own scalar counts give.
+    """
+    return _column_bounds(stats, probs, c_upper, pvir_upper, eps_u)[1:]
 
 
 def secret_fraction_check(e_per_tag: Sequence[float], q_w: Sequence[float],
@@ -264,11 +279,18 @@ def bound_inputs_from_source(spec: SourceSpec, protocol: str) -> BoundInputs:
 
 def evaluate_with_inputs(stats: ObservedStatistics, probs: ProtocolProbs,
                          inputs: BoundInputs, f: float) -> KeyRateReport:
-    """e_ph^U -> key rate from precomputed ``bound_inputs_from_source``."""
+    """e_ph^U -> key rate from precomputed ``bound_inputs_from_source``.
+
+    With tags, one ``phase_error_bound`` call over the count column gives
+    e_ph^U of the run total (entry 0, the bound of the tags' summed counts
+    that ``from_tags`` estimates) and every tag's e_{ph,w}^U.
+    """
     c_upper, pvir, eps = inputs
-    e_ph = phase_error_bound(stats, probs, c_upper, pvir, eps)
-    per_tag = (per_tag_bounds(stats, probs, c_upper, pvir, eps)
-               if stats.per_tag else None)
+    if stats.per_tag:
+        e_ph, *per_tag = _column_bounds(stats, probs, c_upper, pvir, eps)
+    else:
+        e_ph = phase_error_bound(stats, probs, c_upper, pvir, eps)
+        per_tag = None
     return key_rate(stats.y_z, e_ph, stats.e_bit, f, e_ph_u_per_tag=per_tag)
 
 

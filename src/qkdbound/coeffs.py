@@ -257,9 +257,21 @@ def coeffs_three_state(th0z: float, th1z: float, th0x: float) -> CoefficientSet:
 # ---------------------------------------------------------------------------
 # Worst-case upper bounds over phase ranges.
 
-def _corner_max(fn, r0z: Tuple[float, float], r1z: Tuple[float, float],
+#: (row, end) indices of the 8 corners of a phase box, one column each
+_CORNERS = (np.arange(3)[:, None],
+            np.array(list(itertools.product((0, 1), repeat=3))).T)
+
+
+def _corner_max(formula, r0z: Tuple[float, float], r1z: Tuple[float, float],
                 rx: Tuple[float, float]) -> float:
-    return max(fn(a, b, c) for a, b, c in itertools.product(r0z, r1z, rx))
+    """The largest value of a closed form over the 8 corners of a box.
+
+    One array call of the form at all corners, each the value the scalar
+    form gives there. A corner within SINGULAR_TOL of a pole raises
+    SingularSystem, naming the smallest |denominator| over all 8.
+    """
+    a, b, c = np.array((r0z, r1z, rx))[_CORNERS]
+    return float(_checked(*_at(formula, a, b, c)).max())
 
 
 #: grid points per axis of the first grid; each refinement takes n -> 2n - 1
@@ -536,12 +548,12 @@ def _grid_maxima(formulas, r0z, r1z, rx):
 def _alpha0_corners(r0z, r1z, r0x):
     """In-sector corner rule of row 0, the same for both variants."""
     return (c0_0z(r0z[0], r1z[0], r0x[1]), c0_1z(r0z[1], r1z[1], r0x[0]),
-            _corner_max(c0_0x, r0z, r1z, r0x))
+            _corner_max(_c0_0x, r0z, r1z, r0x))
 
 
 def _bb84_alpha1_corners(r0z, r1z, r1x):
     return (c1_0z(r0z[1], r1z[1], r1x[0]), c1_1z(r0z[0], r1z[0], r1x[1]),
-            _corner_max(c1_x, r0z, r1z, r1x))
+            _corner_max(_c1_x, r0z, r1z, r1x))
 
 
 def _three_state_alpha1_corners(r0z, r1z, r0x):

@@ -28,16 +28,39 @@ CLAMP_TOL = 1e-9
 
 def native(x):
     """``x`` as a Python float when it is 0-d, otherwise as an array."""
-    return float(x) if np.ndim(x) == 0 else x
+    return x if getattr(x, "ndim", 0) else float(x)
+
+
+def within(value, lo: float, hi: float) -> bool:
+    """Whether every entry of ``value`` lies in [lo, hi]; NaN does not.
+
+    One min and one max reduction; NaN propagates through both and fails
+    the test. Each starts from its own bound, which leaves the test
+    unchanged and admits an empty array.
+    """
+    return bool(np.minimum.reduce(value, axis=None, initial=lo) >= lo
+                and np.maximum.reduce(value, axis=None, initial=hi) <= hi)
+
+
+def _clamp(v):
+    """``np.clip(v, 0.0, 1.0)`` bit for bit, without its Python wrapper.
+
+    ``maximum`` returns its second argument on a tie, as ``clip`` keeps
+    ``v``, so -0.0 stays -0.0 (``np.maximum(v, 0.0)`` would give 0.0).
+    """
+    return np.minimum(1.0, np.maximum(0.0, v))
 
 
 def as_unit(value):
-    """Clamp ``value`` into [0, 1], refusing excess beyond ``CLAMP_TOL``."""
+    """Clamp ``value`` into [0, 1], refusing excess beyond ``CLAMP_TOL``.
+
+    One path for floats and arrays of any shape: a range test by
+    ``within`` and the clamp of ``np.clip(v, 0.0, 1.0)``, bit for bit.
+    """
     v = np.asarray(value, dtype=float)
-    # negated in-range test, so NaN is rejected too
-    if not (np.all(v >= -CLAMP_TOL) and np.all(v <= 1.0 + CLAMP_TOL)):
+    if not within(v, -CLAMP_TOL, 1.0 + CLAMP_TOL):
         raise ValueError(f"{value!r} lies outside [0, 1] beyond {CLAMP_TOL}")
-    return native(np.clip(v, 0.0, 1.0))
+    return native(_clamp(v))
 
 
 def g_pm(y, z, sign: int = +1):
@@ -51,13 +74,12 @@ def g_pm(y, z, sign: int = +1):
 
 def G_plus(y, z):
     """Upper sandwich: g+(y, z) when y < z^2, otherwise 1."""
-    return native(np.clip(np.where(y < z * z, g_pm(y, z, +1), 1.0), 0.0, 1.0))
+    return native(_clamp(np.where(y < z * z, g_pm(y, z, +1), 1.0)))
 
 
 def G_minus(y, z):
     """Lower sandwich: g-(y, z) when y > 1 - z^2, otherwise 0."""
-    return native(np.clip(np.where(y > 1.0 - z * z, g_pm(y, z, -1), 0.0),
-                          0.0, 1.0))
+    return native(_clamp(np.where(y > 1.0 - z * z, g_pm(y, z, -1), 0.0)))
 
 
 def binary_entropy(x):

@@ -6,10 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from qkdbound import coeffs
+from qkdbound.cli import EXIT_COMPUTE, main
 from qkdbound.coeffs import (
+    SINGULAR_TOL,
     CoefficientSet,
     SectorViolation,
     SingularSystem,
+    c0_0x,
+    c1_x,
     coeff_bounds_bb84,
     coeff_bounds_three_state,
     coeffs_bb84,
@@ -20,6 +25,8 @@ from qkdbound.coeffs import (
 )
 from qkdbound.source import (
     ANALYTIC_SECTORS,
+    BB84,
+    PROTOCOLS,
     PhaseRanges,
     SETTINGS_BB84,
     SETTINGS_THREE_STATE,
@@ -213,3 +220,70 @@ class TestCoefficientBounds:
                 results[(z1, z0)] = phase_error_bound(
                     stats, probs, cs, pvir, spec.effective_epsilon())
         assert results[("0X", "1X")] <= min(results.values()) + 1e-9
+
+
+def generator_corner_max(fn, r0z, r1z, rx):
+    """The scalar generator ``max`` over the 8 corners, as the reference."""
+    return max(fn(a, b, c) for a, b, c in itertools.product(r0z, r1z, rx))
+
+
+#: the 8-corner entries of each protocol's coefficient bounds in the sectors,
+#: as (alpha, the scalar closed form of its X-reference coefficient)
+CORNER_ENTRIES = {"bb84": ((1, c1_x), (0, c0_0x)),
+                  "three_state": ((0, c0_0x),)}
+
+#: a box with a c_{0,0X} pole at one corner (theta_0X = theta_0Z = 0.1) and
+#: none at the corners the single-corner rules read
+POLE_BOX = PhaseRanges(
+    lo={"0Z": -0.1, "1Z": math.pi - 0.1, "0X": 0.1 + 1e-15,
+        "1X": 1.5 * math.pi - 0.1},
+    hi={"0Z": 0.1, "1Z": math.pi + 0.1, "0X": 0.3, "1X": 1.5 * math.pi + 0.1})
+
+
+class TestCornerMaxima:
+    def test_equal_generator_max_in_sectors(self):
+        rng = np.random.default_rng(20261018)
+        for proto in PROTOCOLS:
+            bounds_of = (coeff_bounds_bb84 if proto is BB84
+                         else coeff_bounds_three_state)
+            checked = 0
+            while checked < 200:
+                spec = SourceSpec(delta=rng.uniform(-0.35, 0.35),
+                                  Delta=rng.uniform(0.0, 0.1))
+                r = PhaseRanges.from_source(spec, settings=proto.settings)
+                if not r.in_analytic_sectors():
+                    continue
+                got = bounds_of(r, method="analytic")
+                box = {j: (r.lo[j], r.hi[j]) for j in proto.settings}
+                for alpha, fn in CORNER_ENTRIES[proto.name]:
+                    x = proto.x_ref[alpha]
+                    want = generator_corner_max(fn, box["0Z"], box["1Z"],
+                                                box[x])
+                    assert got.c[alpha][x].hex() == float(want).hex()
+                checked += 1
+
+    def test_pole_corner_raises_with_smallest_denominator(self):
+        box = [(POLE_BOX.lo[j], POLE_BOX.hi[j]) for j in ("0Z", "1Z", "0X")]
+        with pytest.raises(SingularSystem):
+            generator_corner_max(c0_0x, *box)
+        gaps = [abs(coeffs._at(coeffs._c0_0x, *corner)[1])
+                for corner in itertools.product(*box)]
+        assert min(gaps) < SINGULAR_TOL
+        with pytest.raises(SingularSystem,
+                           match=f"denominator {min(gaps):.3e} below"):
+            coeffs._corner_max(coeffs._c0_0x, *box)
+
+    def test_pole_corner_is_a_compute_error(self, monkeypatch, tmp_path,
+                                            capsys):
+        # route a sweep source onto the pole box through the corner rules
+        monkeypatch.setattr(PhaseRanges, "in_analytic_sectors",
+                            lambda self: True)
+        monkeypatch.setattr(PhaseRanges, "from_source", classmethod(
+            lambda cls, spec, settings=SETTINGS_BB84: PhaseRanges(
+                lo={j: POLE_BOX.lo[j] for j in settings},
+                hi={j: POLE_BOX.hi[j] for j in settings})))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--protocol", "bb84", "--loss-end", "10",
+                     "--out", str(out)]) == EXIT_COMPUTE
+        assert not out.exists()
+        assert "below tolerance" in capsys.readouterr().err

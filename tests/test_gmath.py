@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qkdbound.gmath import G_minus, G_plus, as_unit, binary_entropy, g_pm
+from qkdbound.gmath import (
+    CLAMP_TOL,
+    G_minus,
+    G_plus,
+    as_unit,
+    binary_entropy,
+    g_pm,
+    native,
+)
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 
@@ -114,3 +122,80 @@ class TestAsUnit:
             as_unit(math.nan)
         with pytest.raises(ValueError):
             as_unit(np.array([0.5, math.nan]))
+
+
+def clip_as_unit(value):
+    """The np.all / np.clip implementation of ``as_unit``, as the reference."""
+    v = np.asarray(value, dtype=float)
+    if not (np.all(v >= -CLAMP_TOL) and np.all(v <= 1.0 + CLAMP_TOL)):
+        raise ValueError(f"{value!r} lies outside [0, 1] beyond {CLAMP_TOL}")
+    return native(np.clip(v, 0.0, 1.0))
+
+
+def same_bits(got, want):
+    """Equal type, shape, values and sign bits (so -0.0 differs from 0.0)."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def same_as_clip(value):
+    """``as_unit`` gives the reference's result bit for bit, or its error."""
+    try:
+        want = clip_as_unit(value)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            as_unit(value)
+        assert str(got.value) == str(exc)
+    else:
+        same_bits(as_unit(value), want)
+
+
+#: the last doubles accepted and the first refused at each end
+EDGES = [-CLAMP_TOL, np.nextafter(-CLAMP_TOL, -1.0),
+         1.0 + CLAMP_TOL, np.nextafter(1.0 + CLAMP_TOL, 2.0)]
+#: values in and around the clamping bands at both ends of [0, 1]
+near_ends = st.one_of(
+    st.floats(-2 * CLAMP_TOL, 2 * CLAMP_TOL),
+    st.floats(1.0 - 2 * CLAMP_TOL, 1.0 + 2 * CLAMP_TOL),
+    st.sampled_from([-0.0, 0.0, 1.0] + EDGES),
+    unit)
+
+
+class TestAsUnitAgainstClip:
+    @given(near_ends)
+    def test_scalars(self, x):
+        for value in (x, np.float64(x), np.array(x)):
+            same_as_clip(value)
+        if -CLAMP_TOL <= x <= 1.0 + CLAMP_TOL:
+            assert type(as_unit(np.array(x))) is float  # 0-d gives a float
+
+    @given(st.lists(near_ends, min_size=1, max_size=60),
+           st.sampled_from([(-1,), (-1, 2), (2, -1, 3)]))
+    def test_arrays(self, xs, shape):
+        values = np.array(xs * 6).reshape(shape)  # 6 fits every shape
+        same_as_clip(values)
+        # a strided view takes the same path
+        same_as_clip(values[..., ::2])
+
+    def test_edges(self):
+        assert as_unit(EDGES[0]) == 0.0 and as_unit(EDGES[2]) == 1.0
+        for refused in EDGES[1::2]:
+            with pytest.raises(ValueError):
+                as_unit(refused)
+
+    def test_negative_zero_kept(self):
+        same_bits(as_unit(-0.0), -0.0)
+        zeros = np.full((3, 4, 5), -0.0)
+        same_as_clip(zeros)
+        assert np.signbit(as_unit(zeros)).all()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -2e-9,
+                                     1.0 + 2e-9])
+    def test_rejections_match(self, bad):
+        for value in (bad, np.float64(bad), np.array(bad),
+                      np.array([0.5, bad]), np.array([[bad], [0.5]])):
+            with pytest.raises(ValueError):
+                as_unit(value)
+            same_as_clip(value)

@@ -1,9 +1,10 @@
-"""The tag column of ``per_tag_bounds`` against a loop over the tags.
+"""The count column of ``evaluate_with_inputs`` against scalar bounds.
 
-``per_tag_bounds`` bounds every tag in one array pass. Each entry must be,
-bit for bit, what that tag's own counts give through ``from_counts`` and
-``phase_error_bound``, including q estimates clamped at 1, counts beyond
-2^53 and a tag with an empty sifted key.
+One array pass bounds the run total (entry 0) and every tag. Each entry
+must be, bit for bit, what its own counts give through ``from_counts`` and
+``phase_error_bound``: the total's what the summed counts of ``from_tags``
+give, each tag's what a loop over the tags gives, including q estimates
+clamped at 1, counts beyond 2^53 and a tag with an empty sifted key.
 """
 
 import contextlib
@@ -18,6 +19,8 @@ from qkdbound.bounds import (
     ObservedStatistics,
     TagCounts,
     bound_inputs_from_source,
+    evaluate_with_inputs,
+    key_rate,
     per_tag_bounds,
     phase_error_bound,
 )
@@ -96,6 +99,32 @@ def test_one_empty_tag_raises(run, data):
         tag_loop(tags, probs, c_upper, pvir, eps)
     with pytest.raises(EmptySiftedKey):
         per_tag_bounds(stats, probs, c_upper, pvir, eps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=tagged_runs(), data=st.data())
+def test_total_entry_equals_scalar_path(run, data):
+    proto, probs, tags = run
+    c_upper, pvir, eps = bound_inputs = inputs(proto, data)
+    stats = ObservedStatistics.from_tags(sum(t.n_w for t in tags), tags,
+                                         probs)
+    want = key_rate(stats.y_z,
+                    phase_error_bound(stats, probs, c_upper, pvir, eps),
+                    stats.e_bit, 1.16,
+                    e_ph_u_per_tag=tag_loop(tags, probs, c_upper, pvir, eps))
+    got = evaluate_with_inputs(stats, probs, bound_inputs, 1.16)
+    for field in ("y_z", "e_bit", "e_ph_u", "rate"):
+        assert getattr(got, field).hex() == getattr(want, field).hex()
+    assert [e.hex() for e in got.e_ph_u_per_tag] == \
+        [e.hex() for e in want.e_ph_u_per_tag]
+
+    dead = data.draw(st.integers(0, len(tags) - 1), label="dead tag")
+    tags[dead] = TagCounts(w=dead, n_w=tags[dead].n_w, n_x=tags[dead].n_x,
+                           n_det_z=0, n_err_z=0)
+    stats = ObservedStatistics.from_tags(sum(t.n_w for t in tags), tags,
+                                         probs)
+    with pytest.raises(EmptySiftedKey):
+        evaluate_with_inputs(stats, probs, bound_inputs, 1.16)
 
 
 def test_scaled_document_reports_the_same(tmp_path):
