@@ -7,7 +7,10 @@ Subcommands:
 
 Configuration precedence is command line > config file (JSON) > defaults;
 defaults follow the standard benchmark parameters (delta=0.063, Delta=0.03,
-p_d=1e-8, f=1.16). Exit codes: 0 success, 2 configuration error, 3 I/O error,
+p_d=1e-8, f=1.16). Both JSON inputs, config file and counts document, are
+read by ``_load_json``; the counts document's sections are the constructor
+fields of the records they hold. Exit codes: 0 success, 2 configuration
+error (malformed or too deeply nested JSON included), 3 I/O error,
 4 computation error.
 """
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -132,27 +136,32 @@ def _int_list(text: str) -> List[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
-def _load_config_file(path: Optional[str]) -> Dict:
-    if path is None:
-        return {}
+def _load_json(path: str, what: str, error: type):
+    """The JSON value in the file at ``path``, the one reader of both inputs.
+
+    An unreadable file is an IoError (exit 3); a file that is not JSON, or
+    nests too deep for the parser, is ``error``, a ConfigError (exit 2).
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise IoError(f"cannot read config file {path}: {exc}") from exc
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path}: top level must be an object")
-    unknown = set(data) - {fld.name for fld in _FIELDS}
-    if unknown:
-        raise ConfigError(f"config file {path}: unknown fields {sorted(unknown)}")
-    return data
+        raise error(f"{what} {path} line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise error(f"{what} {path}: nested too deeply") from exc
 
 
 def _resolve(args: argparse.Namespace) -> Dict:
     """Merge CLI flags over config-file values over defaults; check each."""
-    cfg = _load_config_file(getattr(args, "config", None))
+    path = getattr(args, "config", None)
+    cfg = {} if path is None else _load_json(path, "config file", ConfigError)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {path}: top level must be an object")
+    unknown = set(cfg) - {fld.name for fld in _FIELDS}
+    if unknown:
+        raise ConfigError(f"config file {path}: unknown fields {sorted(unknown)}")
     file_fields = set(cfg)
     for fld in _FIELDS:
         value = getattr(args, fld.name, None)
@@ -323,12 +332,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-#: a counts document's source fields, each the SourceSpec attribute of the
-#: same name, with its JSON kind
-_SOURCE_FIELDS = {"delta": float, "Delta": float, "epsilon_u": float,
-                  "correlation_length": int}
-#: a tag block's scalar fields, each the TagCounts attribute of the same name
-_TAG_COUNTS = ("w", "n_w", "n_det_z", "n_err_z")
+def _fields(record) -> Dict:
+    """A record's constructor fields by name: one counts document section."""
+    return {fld.name: getattr(record, fld.name)
+            for fld in dataclasses.fields(record) if fld.init}
 
 
 def _counts_document(cfg: Dict, protocol: str, spec: SourceSpec,
@@ -343,15 +350,11 @@ def _counts_document(cfg: Dict, protocol: str, spec: SourceSpec,
         "n": stats.n,
         "seed": cfg["seed"],
         "l_c": cfg["lc"][0],
-        "probs": {"p_za": probs.p_za, "p_zb": probs.p_zb, "p_j": probs.p_j},
-        "source": {key: getattr(spec, key) for key in _SOURCE_FIELDS},
-        "channel": {"loss_db": ch.loss_db, "p_d": ch.p_d,
-                    "theta_mis": ch.theta_mis, "f": ch.f},
-        "per_tag": [
-            dict({key: getattr(t, key) for key in _TAG_COUNTS},
-                 n_x={j: list(t.n_x[j]) for j in t.n_x})
-            for t in stats.per_tag
-        ],
+        "probs": _fields(probs),
+        "source": _fields(spec),
+        "channel": _fields(ch),
+        # JSON writes each n_x pair, a tuple, as a list
+        "per_tag": [_fields(t) for t in stats.per_tag],
     }
 
 
@@ -380,28 +383,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # bound
 
-def _require(section, key):
-    """``section[key]`` of a JSON object or array, or SchemaError."""
-    if isinstance(section, (dict, list)):
-        try:
-            return section[key]
-        except (KeyError, IndexError, TypeError):
-            pass
-    raise SchemaError(f"counts document missing field {key!r}")
-
-
-def _number(section, key) -> float:
-    value = _require(section, key)
-    if not (_is_kind(float, value) and math.isfinite(value)):
-        raise SchemaError(f"field {key!r} = {value!r} is not a finite number")
-    return value
-
-
-def _count(section, key) -> int:
-    value = _require(section, key)
-    if not _is_kind(int, value):
-        raise SchemaError(f"field {key!r} = {value!r} is not an integer count")
-    return value
+def _read(section, key, kind: type = object):
+    """``section[key]`` of a JSON document, or SchemaError; the value must be
+    a finite number (float), an integer count (int) or any JSON value."""
+    try:
+        value = section[key]
+    except (KeyError, IndexError, TypeError):
+        raise SchemaError(f"counts document missing field {key!r}") from None
+    if kind is object or (_is_kind(kind, value) and
+                          (kind is int or math.isfinite(value))):
+        return value
+    raise SchemaError(f"field {key!r} = {value!r} is not " + {
+        float: "a finite number", int: "an integer count"}[kind])
 
 
 def _settings_map(value, proto: Protocol, what: str) -> Dict:
@@ -413,11 +406,13 @@ def _settings_map(value, proto: Protocol, what: str) -> Dict:
 
 def _tag_counts(t, proto: Protocol) -> TagCounts:
     n_x = {}
-    for j, pair in _settings_map(_require(t, "n_x"), proto, "n_x").items():
+    for j, pair in _settings_map(_read(t, "n_x"), proto, "n_x").items():
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"n_x[{j!r}] = {pair!r} is not a pair of counts")
-        n_x[j] = (_count(pair, 0), _count(pair, 1))
-    return TagCounts(n_x=n_x, **{key: _count(t, key) for key in _TAG_COUNTS})
+        n_x[j] = (_read(pair, 0, int), _read(pair, 1, int))
+    return TagCounts(w=_read(t, "w", int), n_w=_read(t, "n_w", int), n_x=n_x,
+                     n_det_z=_read(t, "n_det_z", int),
+                     n_err_z=_read(t, "n_err_z", int))
 
 
 def _check_counts(n: int, l_c: int, per_tag: List[TagCounts]) -> None:
@@ -446,40 +441,38 @@ def _check_counts(n: int, l_c: int, per_tag: List[TagCounts]) -> None:
 
 
 def load_counts(path: str) -> Tuple[Dict, ObservedStatistics, ProtocolProbs]:
-    """Parse and validate a counts document; rebuild the statistics."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read counts file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path} line {exc.lineno}: {exc.msg}") from exc
-    if _require(doc, "schema") != COUNTS_SCHEMA:
+    """Read and check a counts document (by ``_load_json``, as a config file
+    is); rebuild the statistics. Counts stay Python ints of any size."""
+    doc = _load_json(path, "counts file", SchemaError)
+    if _read(doc, "schema") != COUNTS_SCHEMA:
         raise SchemaError(f"unsupported schema {doc['schema']!r}")
-    proto = Protocol.named(_require(doc, "protocol"))
-    p = _require(doc, "probs")
-    p_j = _settings_map(_require(p, "p_j"), proto, "probs.p_j")
-    probs = ProtocolProbs(p_za=_number(p, "p_za"), p_zb=_number(p, "p_zb"),
-                          p_j={j: _number(p_j, j) for j in p_j})
-    tags = _require(doc, "per_tag")
+    proto = Protocol.named(_read(doc, "protocol"))
+    p = _read(doc, "probs")
+    p_j = _settings_map(_read(p, "p_j"), proto, "probs.p_j")
+    probs = ProtocolProbs(p_za=_read(p, "p_za", float),
+                          p_zb=_read(p, "p_zb", float),
+                          p_j={j: _read(p_j, j, float) for j in p_j})
+    tags = _read(doc, "per_tag")
     if not isinstance(tags, list):
         raise SchemaError("per_tag must be a list of tag blocks")
     per_tag = [_tag_counts(t, proto) for t in tags]
-    n = _count(doc, "n")
-    _check_counts(n, _count(doc, "l_c"), per_tag)
+    n = _read(doc, "n", int)
+    _check_counts(n, _read(doc, "l_c", int), per_tag)
     return doc, ObservedStatistics.from_tags(n, per_tag, probs), probs
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
     doc, stats, probs = load_counts(args.counts)
-    src = _require(doc, "source")
-    spec = SourceSpec(**{key: (_number if kind is float else _count)(src, key)
-                         for key, kind in _SOURCE_FIELDS.items()})
+    src = _read(doc, "source")
+    spec = SourceSpec(delta=_read(src, "delta", float),
+                      Delta=_read(src, "Delta", float),
+                      epsilon_u=_read(src, "epsilon_u", float),
+                      correlation_length=_read(src, "correlation_length", int))
     if spec.correlation_length != doc["l_c"]:  # it sets epsilon_eff
         raise SchemaError(f"l_c = {doc['l_c']} differs from source."
                           f"correlation_length = {spec.correlation_length}")
     protocol = doc["protocol"]
-    f = _number(_require(doc, "channel"), "f")
+    f = _read(_read(doc, "channel"), "f", float)
     report = evaluate_point(stats, probs, spec, protocol, f)
     lines = [
         f"protocol: {protocol}",

@@ -567,13 +567,17 @@ def _three_state_alpha1_corners(r0z, r1z, r0x):
 def _coeff_bounds(proto: Protocol, ranges: PhaseRanges, method: str,
                   alpha1_corners) -> CoefficientSet:
     """Shared body of both coeff_bounds_* entry points."""
-    if method != "grid" and not ranges.in_analytic_sectors():
-        if method == "analytic":
-            raise SectorViolation("phase ranges outside analytic-bound sectors")
-        method = "grid"
+    if method not in ("auto", "analytic"):
+        raise ValueError(f"unknown coefficient method {method!r}")
+    in_sectors = ranges.in_analytic_sectors()
+    if method == "analytic" and not in_sectors:
+        raise SectorViolation("phase ranges outside analytic-bound sectors")
     r = {j: (ranges.lo[j], ranges.hi[j]) for j in proto.settings}
     rows = {}
-    if method == "grid":
+    if in_sectors:
+        for alpha, corners in ((1, alpha1_corners), (0, _alpha0_corners)):
+            rows[alpha] = corners(r["0Z"], r["1Z"], r[proto.x_ref[alpha]])
+    else:
         # rows with the same X reference share one grid (three-state: 0X)
         for x in dict.fromkeys(proto.x_ref[alpha] for alpha in (1, 0)):
             alphas = [alpha for alpha in (1, 0) if proto.x_ref[alpha] == x]
@@ -582,26 +586,25 @@ def _coeff_bounds(proto: Protocol, ranges: PhaseRanges, method: str,
                 r["0Z"], r["1Z"], r[x])
             for i, alpha in enumerate(alphas):
                 rows[alpha] = maxima[3 * i:3 * i + 3]
-    else:
-        for alpha, corners in ((1, alpha1_corners), (0, _alpha0_corners)):
-            rows[alpha] = corners(r["0Z"], r["1Z"], r[proto.x_ref[alpha]])
     return _coefficient_set(proto, rows)
 
 
 def coeff_bounds_bb84(ranges: PhaseRanges, method: str = "auto") -> CoefficientSet:
     """Upper bounds on every bb84 coefficient over the phase ranges.
 
-    Inside the analytic sectors the corner rules are used (four single-corner
-    evaluations, two 8-corner maxima). Outside, ``method="auto"`` falls back
-    to dense grid maximisation of the exact closed forms, evaluated only on
-    the grid blocks that may hold a maximum or a pole;
-    ``method="analytic"`` raises SectorViolation instead.
+    The phase ranges alone choose the rule. Inside the analytic sectors the
+    corner rules are used (four single-corner evaluations, two 8-corner
+    maxima). Outside them, ``method="auto"`` (the default) maximises the
+    exact closed forms on a dense grid, evaluated only on the grid blocks
+    that may hold a maximum or a pole; ``method="analytic"`` raises
+    SectorViolation instead.
     """
     return _coeff_bounds(BB84, ranges, method, _bb84_alpha1_corners)
 
 
 def coeff_bounds_three_state(ranges: PhaseRanges,
                              method: str = "auto") -> CoefficientSet:
-    """Upper bounds on every three-state coefficient over the phase ranges."""
+    """Upper bounds on every three-state coefficient over the phase ranges,
+    by the rules and ``method`` values of ``coeff_bounds_bb84``."""
     return _coeff_bounds(THREE_STATE, ranges, method,
                          _three_state_alpha1_corners)

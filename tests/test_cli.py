@@ -14,7 +14,12 @@ import pytest
 import qkdbound
 from qkdbound import cli
 
-from qkdbound.bounds import bound_inputs_from_source, evaluate_point
+from qkdbound.bounds import (
+    ObservedStatistics,
+    TagCounts,
+    bound_inputs_from_source,
+    evaluate_point,
+)
 from qkdbound.cli import (
     EXIT_COMPUTE,
     EXIT_CONFIG,
@@ -362,6 +367,36 @@ class TestSimulateAndBound:
         assert message in captured.err
         assert "rate:" not in captured.out
 
+    def test_counts_beyond_int64(self, tmp_path, capsys):
+        # summed in int64, these counts would wrap
+        path = self._simulate(tmp_path)
+        doc = json.loads(path.read_text())
+        scale = 10 ** 25
+        doc["n"] *= scale
+        for t in doc["per_tag"]:
+            for key in ("n_w", "n_det_z", "n_err_z"):
+                t[key] *= scale
+            t["n_x"] = {j: [c * scale for c in pair]
+                        for j, pair in t["n_x"].items()}
+        path.write_text(json.dumps(doc))
+        assert run_cli(["bound", str(path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        per_tag = [TagCounts(**dict(t, n_x={j: tuple(pair) for j, pair
+                                            in t["n_x"].items()}))
+                   for t in doc["per_tag"]]
+        probs = ProtocolProbs(**doc["probs"])
+        report = evaluate_point(
+            ObservedStatistics.from_tags(doc["n"], per_tag, probs), probs,
+            SourceSpec(**doc["source"]), doc["protocol"], doc["channel"]["f"])
+        assert f"e_ph_u: {report.e_ph_u:.8e}" in lines
+        assert [ln for ln in lines if ln.startswith("e_ph_u[tag")] == [
+            f"e_ph_u[tag {w}]: {e:.8e}"
+            for w, e in enumerate(report.e_ph_u_per_tag)]
+        doc["n"] += 1
+        path.write_text(json.dumps(doc))
+        assert run_cli(["bound", str(path)]) == EXIT_CONFIG
+        assert "do not sum to n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--delta", "--cap-delta", "--epsilon-u",
                                       "--f"])
     def test_simulate_nan_parameter_is_config_error(self, tmp_path, flag):
@@ -417,6 +452,22 @@ class TestSimulateAndBound:
         captured = capsys.readouterr()
         assert "unknown protocol" in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": [1, 2', "[" * 100_000 + "]" * 100_000], ids=["truncated", "deep"])
+@pytest.mark.parametrize("command", ["bound", "sweep", "simulate"])
+def test_malformed_json_input_is_config_error(tmp_path, capsys, command, text):
+    # the deep file used to end in a RecursionError traceback (exit 1)
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = ([command, str(path)] if command == "bound"
+            else [command, "--config", str(path)])
+    assert run_cli(argv + ["--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["BB84", "bb-84"])

@@ -184,6 +184,14 @@ class TestCoefficientBounds:
         with pytest.raises(SectorViolation):
             coeff_bounds_bb84(r, method="analytic")
 
+    @pytest.mark.parametrize("bounds_of", [coeff_bounds_bb84,
+                                           coeff_bounds_three_state])
+    def test_unknown_method_raises(self, bounds_of):
+        # the ranges select the grid; "grid" is no method
+        r = PhaseRanges.from_source(SourceSpec())
+        with pytest.raises(ValueError, match="unknown coefficient method"):
+            bounds_of(r, method="grid")
+
     def test_grid_fallback_out_of_sector(self):
         wide = 0.6  # exceeds the pi/6 sector half-width around 0Z
         spec = SourceSpec(delta=0.0, Delta=wide)
