@@ -14,8 +14,10 @@ and the key rate is R = max(0, Y_Z * [1 - h(e_ph^U) - f * h(e_bit)]).
 The same assembly serves exact conditional probabilities (asymptotic mode)
 and empirical counts (finite mode); no finite-size deviation terms are added,
 finite mode exists to exercise estimator convergence. Asymptotic statistics
-may be arrays over a loss axis (``simulator.ChannelColumn``): the bound and
-the rate are then evaluated elementwise, in one pass per source.
+may be arrays over a loss axis (``simulator.ChannelColumn``), and epsilon_u
+a column of shape (k, 1) that broadcasts against it: the bound and the rate
+are then (k x losses) arrays, evaluated elementwise in one pass per
+(protocol, delta, Delta) over the epsilon_eff x loss grid.
 """
 
 from __future__ import annotations
@@ -169,7 +171,8 @@ def phase_error_bound(stats: ObservedStatistics, probs: ProtocolProbs,
 
     ``pvir_upper`` is (pbar_1X^U, pbar_0X^U), the normalised virtual-state
     probability bounds. Sound for any channel when ``c_upper`` and
-    ``pvir_upper`` upper-bound the true decomposition.
+    ``pvir_upper`` upper-bound the true decomposition. An ``eps_u`` column
+    of shape (k, 1) gives k rows, each bit for bit its scalar call.
     """
     if np.any(stats.y_z <= 0.0) or np.any(stats.n_det_z == 0):
         raise EmptySiftedKey("no detected Z-basis rounds")
@@ -180,7 +183,7 @@ def phase_error_bound(stats: ObservedStatistics, probs: ProtocolProbs,
                 f"statistics lack setting {j} required by the {c_upper.protocol} "
                 f"coefficient set")
     eps_u = as_unit(eps_u)
-    z = math.sqrt(1.0 - eps_u)
+    z = np.sqrt(1.0 - eps_u)
     pbar_1x, pbar_0x = pvir_upper
     # phase error: virtual bit alpha with Bob's X outcome gamma = 1 - alpha
     q0 = {j: stats.q[j][0] for j in settings}

@@ -17,10 +17,8 @@ error (malformed or too deeply nested JSON included), 3 I/O error,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
 import itertools
 import json
 import math
@@ -31,9 +29,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    BoundInputs,
     EmptySiftedKey,
-    KeyRateReport,
     ObservedStatistics,
     TagCounts,
     bound_inputs_from_source,
@@ -239,44 +235,62 @@ def _sci(x: float) -> str:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _source_inputs(specs: List[SourceSpec],
-                   protocol: str) -> List[BoundInputs]:
-    """``bound_inputs_from_source`` of every source, each part computed once.
+def _sweep_rows(protocol: str, losses: Sequence[float],
+                sources: Sequence[Tuple], values) -> str:
+    """One protocol's CSV rows in loss-major order, as ``csv.writer`` writes
+    them: each cell as ``str``, then (Y_Z, e_bit, e_ph_u, rate) as ``{:.8e}``,
+    each row ended by "\r\n". ``values[k]`` holds those four values of
+    source k at every loss; each source's cells are formatted once."""
+    cells = [",".join(map(str, source)) for source in sources]
+    return "".join([f"{protocol},{loss},{c},{y:.8e},{e:.8e},{p:.8e},{r:.8e}\r\n"
+                    for loss, at_loss in zip(losses, zip(*values))
+                    for c, (y, e, p, r) in zip(cells, at_loss)])
 
-    c^U and pbar_vir depend on (protocol, delta, Delta) only, and
-    epsilon_eff on (epsilon_u, l_c) only; none depends on the loss.
+
+def _sweep_values(cfg: Dict, protocol: str, specs: List[SourceSpec],
+                  column: ChannelColumn, first_seed: int) -> List:
+    """Per source, (Y_Z, e_bit, e_ph_u, rate) at every loss of ``column``.
+
+    The statistics depend on delta only, c^U and pbar_vir on (protocol,
+    delta, Delta) only. So asymptotic mode makes one ``simulate_asymptotic``
+    call per delta and one bound pass per (delta, Delta), with the sources'
+    epsilon_eff as a column against the loss axis. Finite mode makes one
+    seeded run per (source k, loss i), with seed first_seed + i * sources + k.
     """
-    coeffs, eps_eff = {}, {}
-    for spec in specs:
-        key = (spec.delta, spec.Delta)
-        if key not in coeffs:
-            coeffs[key] = bound_inputs_from_source(spec, protocol)[:2]
-        key = (spec.epsilon_u, spec.correlation_length)
-        if key not in eps_eff:
-            eps_eff[key] = spec.effective_epsilon()
-    return [coeffs[spec.delta, spec.Delta]
-            + (eps_eff[spec.epsilon_u, spec.correlation_length],)
-            for spec in specs]
-
-
-def _report_values(report: KeyRateReport) -> List[List[float]]:
-    """(Y_Z, e_bit, e_ph_u, rate) of a report, one row per loss."""
-    return np.column_stack([report.y_z, report.e_bit, report.e_ph_u,
-                            report.rate]).tolist()
-
-
-def _finite_column(cfg: Dict, protocol: str, probs: ProtocolProbs,
-                   spec: SourceSpec, inputs: BoundInputs,
-                   column: ChannelColumn,
-                   seeds: List[int]) -> List[List[float]]:
-    """Finite-mode rows down a loss column, one seeded run per loss."""
-    points = []
-    for ch, seed in zip(column.channels, seeds):
-        run = RunConfig(n=cfg["n"], seed=seed, l_c=spec.correlation_length,
-                        protocol=protocol, probs=probs)
-        points += _report_values(evaluate_with_inputs(
-            simulate_finite(run, spec, ch), probs, inputs, cfg["f"]))
-    return points
+    groups: Dict[Tuple[float, float], List[int]] = {}
+    for k, spec in enumerate(specs):
+        groups.setdefault((spec.delta, spec.Delta), []).append(k)
+    probs = ProtocolProbs.uniform(Protocol.named(protocol).settings)
+    values: List = [None] * len(specs)
+    stats = {}
+    for (delta, _), ks in groups.items():
+        inputs = bound_inputs_from_source(specs[ks[0]], protocol)[:2]
+        if cfg["mode"] == "finite":
+            for k in ks:
+                spec = specs[k]
+                own = inputs + (spec.effective_epsilon(),)
+                values[k] = []
+                for i, ch in enumerate(column.channels):
+                    run = RunConfig(n=cfg["n"],
+                                    seed=first_seed + i * len(specs) + k,
+                                    l_c=spec.correlation_length,
+                                    protocol=protocol, probs=probs)
+                    r = evaluate_with_inputs(simulate_finite(run, spec, ch),
+                                             probs, own, cfg["f"])
+                    values[k].append((r.y_z, r.e_bit, r.e_ph_u, r.rate))
+            continue
+        if delta not in stats:
+            stats[delta] = simulate_asymptotic(specs[ks[0]], probs, column,
+                                               protocol=protocol)
+        # e_ph_u and R come out as arrays of sources x losses
+        eps = np.array([[specs[k].effective_epsilon()] for k in ks])
+        report = evaluate_with_inputs(stats[delta], probs, inputs + (eps,),
+                                      cfg["f"])
+        y_z, e_bit = report.y_z.tolist(), report.e_bit.tolist()
+        for k, e_ph, rate in zip(ks, report.e_ph_u.tolist(),
+                                 report.rate.tolist()):
+            values[k] = zip(y_z, e_bit, e_ph, rate)
+    return values
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -290,42 +304,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     specs = [SourceSpec(delta=delta, Delta=cap, epsilon_u=eps,
                         correlation_length=lc)
              for eps, delta, cap, lc in sources]
-    rows = []
-    for protocol in protocols:
-        probs = ProtocolProbs.uniform(Protocol.named(protocol).settings)
-        first_row = len(rows)
-        # per source, (Y_Z, e_bit, e_ph_u, rate) down the whole loss column
-        values = []
-        for k, (spec, inputs) in enumerate(
-                zip(specs, _source_inputs(specs, protocol))):
-            if cfg["mode"] == "asymptotic":
-                stats = simulate_asymptotic(spec, probs, column,
-                                            protocol=protocol)
-                values.append(_report_values(
-                    evaluate_with_inputs(stats, probs, inputs, cfg["f"])))
-            else:
-                # a finite row's seed is the base seed plus its CSV row index
-                seeds = [cfg["seed"] + first_row + i * len(specs) + k
-                         for i in range(len(losses))]
-                values.append(_finite_column(cfg, protocol, probs, spec,
-                                             inputs, column, seeds))
-        # rows in loss-major order
-        for i, loss in enumerate(losses):
-            for source, v in zip(sources, values):
-                rows.append((protocol, loss) + source + tuple(v[i]))
-    out = io.StringIO()
-    out.write(f"# qkdbound {__version__} sweep\n")
-    out.write(f"# channel_model: {CHANNEL_MODEL_ID}\n")
-    out.write(f"# mode: {cfg['mode']}\n")
+    out = [f"# qkdbound {__version__} sweep\n",
+           f"# channel_model: {CHANNEL_MODEL_ID}\n",
+           f"# mode: {cfg['mode']}\n"]
     if cfg["mode"] == "finite":
-        out.write(f"# n: {cfg['n']} base_seed: {cfg['seed']} rng: {RNG_ID}\n")
-    out.write(f"# pd: {cfg['pd']!r} f: {cfg['f']!r}\n")
-    writer = csv.writer(out)
-    writer.writerow(["protocol", "loss_db", "epsilon_u", "delta", "Delta",
-                     "l_c", "Y_Z", "e_bit", "e_ph_u", "rate"])
-    for row in rows:
-        writer.writerow(list(row[:6]) + [_sci(v) for v in row[6:]])
-    _emit(args.out, out.getvalue())
+        out.append(f"# n: {cfg['n']} base_seed: {cfg['seed']} rng: {RNG_ID}\n")
+    out += [f"# pd: {cfg['pd']!r} f: {cfg['f']!r}\n",
+            "protocol,loss_db,epsilon_u,delta,Delta,l_c,"
+            "Y_Z,e_bit,e_ph_u,rate\r\n"]
+    for n, protocol in enumerate(protocols):
+        # a finite row's seed is the base seed plus its CSV row index
+        first_seed = cfg["seed"] + n * len(losses) * len(specs)
+        values = _sweep_values(cfg, protocol, specs, column, first_seed)
+        out.append(_sweep_rows(protocol, losses, sources, values))
+    _emit(args.out, "".join(out))
     return EXIT_OK
 
 

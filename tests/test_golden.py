@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from qkdbound import bounds
+from qkdbound import bounds, cli
 from qkdbound.cli import EXIT_OK, main
 
 README_SWEEP = ["sweep", "--protocol", "both", "--loss-start", "0",
@@ -119,6 +119,27 @@ def test_sweep_bounds_coefficients_once_per_source(tmp_path, monkeypatch,
     assert main(argv + ["--out", str(tmp_path / "sweep.csv")]) == EXIT_OK
     assert len(count) == calls
 
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (README_SWEEP, {"simulate_asymptotic": 2, "phase_error_bound": 2}),
+    (MULTI_SOURCE_SWEEP, {"simulate_asymptotic": 4, "phase_error_bound": 8}),
+], ids=["readme_sweep", "multi_source_sweep"])
+def test_sweep_passes_once_per_delta_and_cap_delta(tmp_path, monkeypatch,
+                                                   argv, calls):
+    # per protocol, the statistics depend on delta only and the bound pass
+    # covers all epsilon_eff of one (delta, Delta) at once
+    count = dict.fromkeys(calls, 0)
+    for module, name in ((cli, "simulate_asymptotic"),
+                         (bounds, "phase_error_bound")):
+        def counted(*args, _original=getattr(module, name), _name=name,
+                    **kwargs):
+            count[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert main(argv + ["--out", str(tmp_path / "sweep.csv")]) == EXIT_OK
+    assert count == calls
 
 #: argparse rejections, each of which exits 2 before any command runs:
 #: name -> (argv, sha256 of the usage line and message)
