@@ -188,8 +188,8 @@ def phase_error_bound(stats: ObservedStatistics, probs: ProtocolProbs,
     # phase error: virtual bit alpha with Bob's X outcome gamma = 1 - alpha
     q0 = {j: stats.q[j][0] for j in settings}
     q1 = {j: stats.q[j][1] for j in settings}
-    y_outer = (pbar_1x * _inner_detection_bound(q0, c_upper.row(1), z)
-               + pbar_0x * _inner_detection_bound(q1, c_upper.row(0), z))
+    y_outer = (pbar_1x * _inner_detection_bound(q0, c_upper.c[1], z)
+               + pbar_0x * _inner_detection_bound(q1, c_upper.c[0], z))
     y_outer = np.minimum(1.0, np.maximum(0.0, y_outer))
     return native(np.minimum(1.0, G_plus(y_outer, z) / stats.y_z))
 

@@ -4,20 +4,21 @@ Every state involved lies in the XZ plane, so a (possibly unnormalised)
 real 2x2 density operator is fully described by the affine triple
 (trace, Bloch-x, Bloch-z). Writing the virtual state as a real linear
 combination of the reference states is then a 3x3 linear system per
-virtual state. This module provides:
+virtual state. Row alpha decomposes virtual state alpha over 0Z, 1Z and
+its X reference (``source.Protocol.x_ref``) and gives every other setting
+the coefficient 0; the protocol variants differ in nothing else. This module
+provides:
 
   * a generic solver (used as an independent oracle),
-  * the analytic closed forms, one triple (0Z, 1Z, X reference) per virtual
-    bit alpha; both protocol variants share them and differ only in the X
-    reference and zeroed setting of each row (``source.Protocol``),
-  * worst-case coefficient upper bounds over phase ranges: the analytic
-    corner rules inside their validity sectors (only the alpha = 1 rule
-    differs between the variants) and dense grid maximisation outside them.
-    The grid is cut into blocks; every form is enclosed over every block
-    (exact sin/cos ranges of the affine phase terms, and a mean-value form
-    of the quotient, widened for float rounding), and only the blocks that
-    may hold the maximum or a pole are evaluated, which gives the full
-    grid's values bit for bit.
+  * the analytic closed forms of each row at the phases of (0Z, 1Z, X
+    reference),
+  * worst-case coefficient upper bounds over phase ranges: inside the
+    validity sectors a corner rule per (row, X reference), and dense grid
+    maximisation outside them. The grid is cut into blocks; every form is
+    enclosed over every block (exact sin/cos ranges of the affine phase
+    terms, and a mean-value form of the quotient, widened for float
+    rounding), and only the blocks that may hold the maximum or a pole are
+    evaluated, which gives the full grid's values bit for bit.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ SINGULAR_TOL = 1e-12
 
 class SingularSystem(ValueError):
     """The reference states are affinely dependent (degenerate source)."""
-
-
-class SectorViolation(ValueError):
-    """Phase ranges leave the validity sectors of the analytic corner rules."""
 
 
 def state_triple(theta: float) -> np.ndarray:
@@ -77,15 +74,12 @@ def virtual_triple(th0z: float, th1z: float, alpha: int) -> np.ndarray:
 class CoefficientSet:
     """Real decomposition coefficients c[alpha][setting], one row per virtual state.
 
-    ``protocol`` names an entry of the protocol table, which fixes the
-    settings of each row and the one each row zeroes.
+    ``protocol`` names an entry of the protocol table, whose settings each
+    row lists; only 0Z, 1Z and the row's X reference can be nonzero.
     """
 
     protocol: str
     c: Dict[int, Dict[str, float]]
-
-    def row(self, alpha: int) -> Dict[str, float]:
-        return self.c[alpha]
 
     def settings(self) -> Tuple[str, ...]:
         return Protocol.named(self.protocol).settings
@@ -200,37 +194,26 @@ def _checked(num, den):
     return num / den
 
 
-def c1_0z(th0z, th1z, thx):
-    return _checked(*_at(_c1_0z, th0z, th1z, thx))
+def _public(formula):
+    """The closed form ``formula``, checked for poles, named without its
+    leading underscore."""
+    def closed_form(th0z, th1z, thx):
+        return _checked(*_at(formula, th0z, th1z, thx))
+    closed_form.__name__ = closed_form.__qualname__ = formula.__name__[1:]
+    return closed_form
 
 
-def c1_1z(th0z, th1z, thx):
-    return _checked(*_at(_c1_1z, th0z, th1z, thx))
-
-
-def c1_x(th0z, th1z, thx):
-    return _checked(*_at(_c1_x, th0z, th1z, thx))
-
-
-def c0_0z(th0z, th1z, th0x):
-    return _checked(*_at(_c0_0z, th0z, th1z, th0x))
-
-
-def c0_1z(th0z, th1z, th0x):
-    return _checked(*_at(_c0_1z, th0z, th1z, th0x))
-
-
-def c0_0x(th0z, th1z, th0x):
-    return _checked(*_at(_c0_0x, th0z, th1z, th0x))
+c1_0z, c1_1z, c1_x = map(_public, _FORMULAS[1])
+c0_0z, c0_1z, c0_0x = map(_public, _FORMULAS[0])
 
 
 def _coefficient_set(proto: Protocol, rows: Dict[int, Sequence[float]]):
-    """Spread each row's (0Z, 1Z, X reference) values over the settings."""
+    """Spread each row's (0Z, 1Z, X reference) values over the settings,
+    with 0 for every other setting."""
     c = {}
     for alpha, values in rows.items():
         named = dict(zip(("0Z", "1Z", proto.x_ref[alpha]), values))
-        c[alpha] = {j: 0.0 if j == proto.zeroed[alpha] else named[j]
-                    for j in proto.settings}
+        c[alpha] = {j: named.get(j, 0.0) for j in proto.settings}
     return CoefficientSet(protocol=proto.name, c=c)
 
 
@@ -245,7 +228,7 @@ def _closed_form(proto: Protocol, phases: Sequence[float]) -> CoefficientSet:
 
 
 def coeffs_bb84(th0z: float, th1z: float, th0x: float, th1x: float) -> CoefficientSet:
-    """Closed-form coefficients for exact phases, bb84 zeroing convention."""
+    """Closed-form coefficients for exact phases, bb84 variant."""
     return _closed_form(BB84, (th0z, th1z, th0x, th1x))
 
 
@@ -545,38 +528,42 @@ def _grid_maxima(formulas, r0z, r1z, rx):
     return maxima
 
 
-def _alpha0_corners(r0z, r1z, r0x):
-    """In-sector corner rule of row 0, the same for both variants."""
-    return (c0_0z(r0z[0], r1z[0], r0x[1]), c0_1z(r0z[1], r1z[1], r0x[0]),
-            _corner_max(_c0_0x, r0z, r1z, r0x))
-
-
-def _bb84_alpha1_corners(r0z, r1z, r1x):
-    return (c1_0z(r0z[1], r1z[1], r1x[0]), c1_1z(r0z[0], r1z[0], r1x[1]),
-            _corner_max(_c1_x, r0z, r1z, r1x))
-
-
-def _three_state_alpha1_corners(r0z, r1z, r0x):
+#: the in-sector corner rule of each row, keyed by (alpha, X reference):
+#: the row's (0Z, 1Z, X reference) bounds over the ranges r0z, r1z and rx
+_CORNER_RULES = {
+    (0, "0X"): lambda r0z, r1z, rx: (
+        c0_0z(r0z[0], r1z[0], rx[1]), c0_1z(r0z[1], r1z[1], rx[0]),
+        _corner_max(_c0_0x, r0z, r1z, rx)),
+    (1, "1X"): lambda r0z, r1z, rx: (
+        c1_0z(r0z[1], r1z[1], rx[0]), c1_1z(r0z[0], r1z[0], rx[1]),
+        _corner_max(_c1_x, r0z, r1z, rx)),
     # the 0X maximiser of c_{1,0X} is interior when the Z midpoint falls
     # inside the 0X range, otherwise the nearest endpoint
-    mid = (r0z[0] + r1z[1]) / 2.0
-    return (c1_0z(r0z[1], r1z[0], r0x[0]), c1_1z(r0z[1], r1z[0], r0x[1]),
-            c1_x(r0z[0], r1z[1], min(max(mid, r0x[0]), r0x[1])))
+    (1, "0X"): lambda r0z, r1z, rx: (
+        c1_0z(r0z[1], r1z[0], rx[0]), c1_1z(r0z[1], r1z[0], rx[1]),
+        c1_x(r0z[0], r1z[1], min(max((r0z[0] + r1z[1]) / 2.0, rx[0]), rx[1]))),
+}
 
 
-def _coeff_bounds(proto: Protocol, ranges: PhaseRanges, method: str,
-                  alpha1_corners) -> CoefficientSet:
-    """Shared body of both coeff_bounds_* entry points."""
-    if method not in ("auto", "analytic"):
-        raise ValueError(f"unknown coefficient method {method!r}")
-    in_sectors = ranges.in_analytic_sectors()
-    if method == "analytic" and not in_sectors:
-        raise SectorViolation("phase ranges outside analytic-bound sectors")
-    r = {j: (ranges.lo[j], ranges.hi[j]) for j in proto.settings}
+def _coeff_bounds(proto: Protocol, ranges: PhaseRanges) -> CoefficientSet:
+    """Upper bounds on every coefficient of ``proto`` over the phase ranges.
+
+    The ranges of the settings the rows use (0Z, 1Z and the X references)
+    alone choose the rule: the corner rules of ``_CORNER_RULES`` when they
+    all sit inside their analytic sectors, otherwise the exact closed forms
+    maximised on a dense grid, evaluated only on the grid blocks that may
+    hold a maximum or a pole. Every bound is a Python float.
+    """
+    used = dict.fromkeys(("0Z", "1Z") + proto.x_ref)
+    own = PhaseRanges(lo={j: ranges.lo[j] for j in used},
+                      hi={j: ranges.hi[j] for j in used})
+    r = {j: (own.lo[j], own.hi[j]) for j in used}
     rows = {}
-    if in_sectors:
-        for alpha, corners in ((1, alpha1_corners), (0, _alpha0_corners)):
-            rows[alpha] = corners(r["0Z"], r["1Z"], r[proto.x_ref[alpha]])
+    if own.in_analytic_sectors():
+        for alpha in (1, 0):
+            x = proto.x_ref[alpha]
+            rows[alpha] = [float(v) for v in
+                           _CORNER_RULES[alpha, x](r["0Z"], r["1Z"], r[x])]
     else:
         # rows with the same X reference share one grid (three-state: 0X)
         for x in dict.fromkeys(proto.x_ref[alpha] for alpha in (1, 0)):
@@ -589,22 +576,11 @@ def _coeff_bounds(proto: Protocol, ranges: PhaseRanges, method: str,
     return _coefficient_set(proto, rows)
 
 
-def coeff_bounds_bb84(ranges: PhaseRanges, method: str = "auto") -> CoefficientSet:
-    """Upper bounds on every bb84 coefficient over the phase ranges.
-
-    The phase ranges alone choose the rule. Inside the analytic sectors the
-    corner rules are used (four single-corner evaluations, two 8-corner
-    maxima). Outside them, ``method="auto"`` (the default) maximises the
-    exact closed forms on a dense grid, evaluated only on the grid blocks
-    that may hold a maximum or a pole; ``method="analytic"`` raises
-    SectorViolation instead.
-    """
-    return _coeff_bounds(BB84, ranges, method, _bb84_alpha1_corners)
+def coeff_bounds_bb84(ranges: PhaseRanges) -> CoefficientSet:
+    """Upper bounds on every bb84 coefficient over the phase ranges."""
+    return _coeff_bounds(BB84, ranges)
 
 
-def coeff_bounds_three_state(ranges: PhaseRanges,
-                             method: str = "auto") -> CoefficientSet:
-    """Upper bounds on every three-state coefficient over the phase ranges,
-    by the rules and ``method`` values of ``coeff_bounds_bb84``."""
-    return _coeff_bounds(THREE_STATE, ranges, method,
-                         _three_state_alpha1_corners)
+def coeff_bounds_three_state(ranges: PhaseRanges) -> CoefficientSet:
+    """Upper bounds on every three-state coefficient over the phase ranges."""
+    return _coeff_bounds(THREE_STATE, ranges)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -28,15 +28,15 @@ class Protocol:
     """One protocol variant of the shared virtual-state decomposition.
 
     ``settings`` lists the emitted states in canonical order. Indexed by the
-    virtual bit alpha, ``x_ref`` names the X setting whose closed form enters
-    row alpha, and ``zeroed`` the setting whose coefficient that row fixes
-    at 0 (None when every setting is used).
+    virtual bit alpha, ``x_ref`` names the X reference of row alpha: the row
+    decomposes its virtual state over 0Z, 1Z and that setting, and gives
+    every other setting the coefficient 0. It is the one fact in which the
+    variants differ.
     """
 
     name: str
     settings: Tuple[str, ...]
     x_ref: Tuple[str, str]
-    zeroed: Tuple[Optional[str], Optional[str]]
 
     @classmethod
     def named(cls, name: str) -> "Protocol":
@@ -48,12 +48,10 @@ class Protocol:
                                    f"of {[p.name for p in PROTOCOLS]}")
 
 
-#: The protocol table. The four-state variant zeroes the X setting that the
-#: other row uses; the three-state variant has no 1X emission at all.
-BB84 = Protocol("bb84", ("0Z", "1Z", "0X", "1X"),
-                x_ref=("0X", "1X"), zeroed=("1X", "0X"))
-THREE_STATE = Protocol("three_state", ("0Z", "1Z", "0X"),
-                       x_ref=("0X", "0X"), zeroed=(None, None))
+#: The protocol table. Each bb84 row takes the X state of its own bit as
+#: reference; the three-state variant has no 1X emission, so both rows take 0X.
+BB84 = Protocol("bb84", ("0Z", "1Z", "0X", "1X"), x_ref=("0X", "1X"))
+THREE_STATE = Protocol("three_state", ("0Z", "1Z", "0X"), x_ref=("0X", "0X"))
 PROTOCOLS = (BB84, THREE_STATE)
 SETTINGS_BB84, SETTINGS_THREE_STATE = BB84.settings, THREE_STATE.settings
 
@@ -108,9 +106,13 @@ class PhaseRanges:
     hi: Dict[str, float]
 
     def __post_init__(self):
+        if self.lo.keys() != self.hi.keys():
+            raise ValueError(f"lo and hi name different settings: "
+                             f"{sorted(self.lo)} and {sorted(self.hi)}")
         for j in self.lo:
-            if self.lo[j] > self.hi[j]:
-                raise ValueError(f"empty phase range for setting {j}")
+            if not -math.inf < self.lo[j] <= self.hi[j] < math.inf:  # NaN too
+                raise ValueError(f"phase range of setting {j} must be finite"
+                                 f" and nonempty: [{self.lo[j]}, {self.hi[j]}]")
 
     def in_analytic_sectors(self) -> bool:
         """True when every interval sits inside its analytic-bound sector."""

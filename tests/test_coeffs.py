@@ -11,7 +11,6 @@ from qkdbound.cli import EXIT_COMPUTE, main
 from qkdbound.coeffs import (
     SINGULAR_TOL,
     CoefficientSet,
-    SectorViolation,
     SingularSystem,
     c0_0x,
     c1_x,
@@ -27,7 +26,9 @@ from qkdbound.source import (
     ANALYTIC_SECTORS,
     BB84,
     PROTOCOLS,
+    THREE_STATE,
     PhaseRanges,
+    Protocol,
     SETTINGS_BB84,
     SETTINGS_THREE_STATE,
     SourceSpec,
@@ -38,6 +39,12 @@ IDEAL = {"0Z": 0.0, "1Z": math.pi, "0X": math.pi / 2, "1X": 3 * math.pi / 2}
 
 def random_sector_phases(rng):
     return {j: rng.uniform(*ANALYTIC_SECTORS[j]) for j in SETTINGS_BB84}
+
+
+def hex_rows(c):
+    """Coefficient rows with every value as its exact hex string."""
+    return {alpha: {j: v.hex() for j, v in row.items()}
+            for alpha, row in c.items()}
 
 
 class TestSolveGeneric:
@@ -172,25 +179,10 @@ class TestCoefficientBounds:
         mid = (r.lo["0Z"] + r.hi["1Z"]) / 2.0
         assert r.lo["0X"] <= mid <= r.hi["0X"]
         from qkdbound.coeffs import c1_x
-        b = coeff_bounds_three_state(r, method="analytic")
+        assert r.in_analytic_sectors()
+        b = coeff_bounds_three_state(r)
         assert b.c[1]["0X"] == pytest.approx(
             c1_x(r.lo["0Z"], r.hi["1Z"], mid), abs=1e-15)
-
-    def test_sector_violation_strict_mode(self):
-        r = PhaseRanges(lo={"0Z": -1.0, "1Z": math.pi, "0X": math.pi / 2,
-                            "1X": 3 * math.pi / 2},
-                        hi={"0Z": 1.0, "1Z": math.pi, "0X": math.pi / 2,
-                            "1X": 3 * math.pi / 2})
-        with pytest.raises(SectorViolation):
-            coeff_bounds_bb84(r, method="analytic")
-
-    @pytest.mark.parametrize("bounds_of", [coeff_bounds_bb84,
-                                           coeff_bounds_three_state])
-    def test_unknown_method_raises(self, bounds_of):
-        # the ranges select the grid; "grid" is no method
-        r = PhaseRanges.from_source(SourceSpec())
-        with pytest.raises(ValueError, match="unknown coefficient method"):
-            bounds_of(r, method="grid")
 
     def test_grid_fallback_out_of_sector(self):
         wide = 0.6  # exceeds the pi/6 sector half-width around 0Z
@@ -204,6 +196,55 @@ class TestCoefficientBounds:
             cs_c1 = coeffs_bb84(t0, t1, IDEAL["0X"], x1).c[1]
             for j in SETTINGS_BB84:
                 assert cs_c1[j] <= b.c[1][j] + 1e-9
+
+    def test_rule_reads_only_the_settings_the_rows_use(self, monkeypatch):
+        # 1X lies past its sector, which three-state never emits: its 0Z, 1Z
+        # and 0X ranges take the corner rules, never the grid
+        spec = SourceSpec(delta=0.4, Delta=0.03)
+        four = PhaseRanges.from_source(spec)
+        three = PhaseRanges.from_source(spec, settings=SETTINGS_THREE_STATE)
+        assert not four.in_analytic_sectors() and three.in_analytic_sectors()
+
+        def no_grid(*args):
+            raise AssertionError("grid run on in-sector ranges")
+
+        monkeypatch.setattr(coeffs, "_grid_maxima", no_grid)
+        got, want = (coeff_bounds_three_state(r) for r in (four, three))
+        assert hex_rows(got.c) == hex_rows(want.c)
+
+    @pytest.mark.parametrize("delta", [0.063, 0.6], ids=["in", "out"])
+    @pytest.mark.parametrize("proto", PROTOCOLS, ids=lambda p: p.name)
+    def test_every_bound_is_a_python_float(self, proto, delta):
+        ranges = PhaseRanges.from_source(SourceSpec(delta=delta, Delta=0.03),
+                                         settings=proto.settings)
+        assert ranges.in_analytic_sectors() == (delta < 0.1)
+        b = {"bb84": coeff_bounds_bb84,
+             "three_state": coeff_bounds_three_state}[proto.name](ranges)
+        assert [type(v) for row in b.c.values() for v in row.values()] \
+            == [float] * 2 * len(proto.settings)
+
+    @pytest.mark.parametrize("delta", [0.063, 0.4, 0.6],
+                             ids=["in", "1X_out", "out"])
+    def test_x_reference_alone_sets_the_rule(self, delta):
+        # bb84 settings with three-state's X references give three-state's
+        # bounds (0 for 1X) and, on bb84 statistics, its e_ph^U exactly
+        from qkdbound.bounds import phase_error_bound
+        from qkdbound.simulator import ChannelParams, simulate_asymptotic
+        from qkdbound.source import ProtocolProbs, virtual_prob_bounds
+
+        spec = SourceSpec(delta=delta, Delta=0.03, epsilon_u=1e-4)
+        ranges = PhaseRanges.from_source(spec)
+        proto = Protocol("bb84", BB84.settings, x_ref=("0X", "0X"))
+        got = coeffs._coeff_bounds(proto, ranges)
+        want = coeff_bounds_three_state(ranges)
+        assert hex_rows(got.c) == hex_rows(
+            {alpha: dict(row, **{"1X": 0.0}) for alpha, row in want.c.items()})
+        probs = ProtocolProbs.uniform(SETTINGS_BB84)
+        stats = simulate_asymptotic(spec, probs, ChannelParams(loss_db=10.0))
+        pvir = virtual_prob_bounds(ranges)
+        eps = spec.effective_epsilon()
+        assert (phase_error_bound(stats, probs, got, pvir, eps)
+                == phase_error_bound(stats, probs, want, pvir, eps))
 
     def test_zeroing_convention_gives_tightest_bound(self):
         """Regression: among all zeroing choices at the benchmark nominal
@@ -261,7 +302,7 @@ class TestCornerMaxima:
                 r = PhaseRanges.from_source(spec, settings=proto.settings)
                 if not r.in_analytic_sectors():
                     continue
-                got = bounds_of(r, method="analytic")
+                got = bounds_of(r)
                 box = {j: (r.lo[j], r.hi[j]) for j in proto.settings}
                 for alpha, fn in CORNER_ENTRIES[proto.name]:
                     x = proto.x_ref[alpha]

@@ -40,13 +40,10 @@ class TestProtocolTable:
 
     @pytest.mark.parametrize("proto", PROTOCOLS, ids=lambda p: p.name)
     def test_rows_use_three_settings(self, proto):
-        # each row keeps both Z settings and its X reference, zeroes at most
-        # one other setting and leaves none unassigned
+        # each row keeps both Z settings and its X reference
         for alpha in (0, 1):
             kept = {"0Z", "1Z", proto.x_ref[alpha]}
             assert kept <= set(proto.settings)
-            assert proto.zeroed[alpha] not in kept
-            assert set(proto.settings) - kept <= {proto.zeroed[alpha]}
 
     def test_setting_constants_alias_the_table(self):
         assert SETTINGS_BB84 == ("0Z", "1Z", "0X", "1X") == BB84.settings
@@ -134,6 +131,20 @@ class TestPhaseRanges:
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             PhaseRanges(lo={"0Z": 0.1}, hi={"0Z": 0.0})
+
+    @pytest.mark.parametrize("lo, hi", [
+        ({"0Z": math.nan}, {"0Z": 0.0}),
+        ({"0Z": 0.0}, {"0Z": math.nan}),
+        ({"0Z": -math.inf}, {"0Z": 0.0}),
+        ({"0Z": 0.0}, {"0Z": math.inf}),
+        ({"0Z": 0.0, "0X": 1.5}, {"0Z": 0.0}),
+        ({"0Z": 0.0}, {"0Z": 0.0, "0X": 1.5}),
+    ], ids=["nan_lo", "nan_hi", "inf_lo", "inf_hi", "extra_lo", "extra_hi"])
+    def test_rejects_nonfinite_ends_and_unpaired_settings(self, lo, hi):
+        # a NaN end passes every ordering test: a NaN 0X end would read as
+        # in-sector, a NaN 0Z end give virtual probabilities (nan, nan)
+        with pytest.raises(ValueError):
+            PhaseRanges(lo=lo, hi=hi)
 
     def test_sector_check(self):
         r = PhaseRanges(lo={"0Z": -1.0}, hi={"0Z": 1.0})
