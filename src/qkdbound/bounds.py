@@ -23,7 +23,7 @@ are then (k x losses) arrays, evaluated elementwise in one pass per
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,7 +72,8 @@ class ObservedStatistics:
     column of ``evaluate_with_inputs`` and ``per_tag_bounds`` every field
     but ``per_tag`` is an array: entry 0 is the run total, entry w + 1 tag
     w. All q estimates are checked and clamped by one ``as_unit`` call over
-    the stacked (q_0, q_1) pairs.
+    the stacked (q_0, q_1) pairs. Only ``from_tags`` sets ``per_tag``, so a
+    tagged run's totals are always the sums of its tags.
     """
 
     q: Dict[str, Tuple[float, float]]
@@ -80,7 +81,7 @@ class ObservedStatistics:
     e_bit: float
     n: Optional[int] = None
     n_det_z: Optional[int] = None
-    per_tag: Optional[List[TagCounts]] = None
+    per_tag: Optional[List[TagCounts]] = field(default=None, init=False)
 
     def __post_init__(self):
         pairs = as_unit(list(self.q.values()))
@@ -89,18 +90,10 @@ class ObservedStatistics:
         as_unit(self.e_bit)
         if not within(self.y_z, 0.0, 1.0 + 1e-9):
             raise ValueError(f"y_z = {self.y_z} is not a probability")
-        if self.per_tag is not None:
-            if self.n is not None and sum(t.n_w for t in self.per_tag) != self.n:
-                raise ValueError("per-tag round counts do not partition N")
-            if (self.n_det_z is not None
-                    and sum(t.n_det_z for t in self.per_tag) != self.n_det_z):
-                raise ValueError("per-tag sifted counts do not sum to the total")
 
     @classmethod
     def from_counts(cls, n, n_x: Dict[str, Tuple], n_det_z, n_err_z,
-                    probs: ProtocolProbs,
-                    per_tag: Optional[List[TagCounts]] = None
-                    ) -> "ObservedStatistics":
+                    probs: ProtocolProbs) -> "ObservedStatistics":
         """Build clamped conditional estimates from raw counts.
 
         q[j][gamma] = N_{j,gammaX} / (N * p_j * p_XB); finite-sample noise can
@@ -124,19 +117,23 @@ class ObservedStatistics:
         # 0 (which raises for int counts), and report 0
         det = n_det_z + (n_det_z == 0)
         e_bit = native(np.where(n_det_z, n_err_z / det, 0.0))
-        return cls(q=q, y_z=y_z, e_bit=e_bit, n=n, n_det_z=n_det_z,
-                   per_tag=per_tag)
+        return cls(q=q, y_z=y_z, e_bit=e_bit, n=n, n_det_z=n_det_z)
 
     @classmethod
     def from_tags(cls, n: int, per_tag: List[TagCounts],
                   probs: ProtocolProbs) -> "ObservedStatistics":
-        """Statistics of a tagged run's summed counts, keeping the tags."""
+        """Statistics of a tagged run, keeping the tags. The totals are the
+        tags' exact sums; this is the one check that the n_w partition n."""
+        if sum(t.n_w for t in per_tag) != n:
+            raise ValueError(f"tag sizes n_w do not sum to n = {n}")
         n_x = {j: (sum(t.n_x[j][0] for t in per_tag),
                    sum(t.n_x[j][1] for t in per_tag)) for j in per_tag[0].n_x}
-        return cls.from_counts(n=n, n_x=n_x,
-                               n_det_z=sum(t.n_det_z for t in per_tag),
-                               n_err_z=sum(t.n_err_z for t in per_tag),
-                               probs=probs, per_tag=per_tag)
+        stats = cls.from_counts(n=n, n_x=n_x,
+                                n_det_z=sum(t.n_det_z for t in per_tag),
+                                n_err_z=sum(t.n_err_z for t in per_tag),
+                                probs=probs)
+        object.__setattr__(stats, "per_tag", per_tag)
+        return stats
 
 
 @dataclass(frozen=True)

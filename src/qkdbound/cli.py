@@ -377,13 +377,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _read(section, key, kind: type = object):
     """``section[key]`` of a JSON document, or SchemaError; the value must be
-    a finite number (float), an integer count (int) or any JSON value."""
+    a finite number (float), an integer count (int) or any JSON value. A
+    number of either kind must be one a float holds."""
     try:
         value = section[key]
     except (KeyError, IndexError, TypeError):
         raise SchemaError(f"counts document missing field {key!r}") from None
     if kind is object or (_is_kind(kind, value) and
-                          (kind is int or math.isfinite(value))):
+                          abs(value) <= sys.float_info.max):
         return value
     raise SchemaError(f"field {key!r} = {value!r} is not " + {
         float: "a finite number", int: "an integer count"}[kind])
@@ -396,45 +397,38 @@ def _settings_map(value, proto: Protocol, what: str) -> Dict:
     return value
 
 
-def _tag_counts(t, proto: Protocol) -> TagCounts:
+def _tag_counts(w: int, block, proto: Protocol) -> TagCounts:
+    """Tag block ``w`` of a counts document, refused unless some run's tag
+    w could count it."""
     n_x = {}
-    for j, pair in _settings_map(_read(t, "n_x"), proto, "n_x").items():
+    for j, pair in _settings_map(_read(block, "n_x"), proto, "n_x").items():
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"n_x[{j!r}] = {pair!r} is not a pair of counts")
         n_x[j] = (_read(pair, 0, int), _read(pair, 1, int))
-    return TagCounts(w=_read(t, "w", int), n_w=_read(t, "n_w", int), n_x=n_x,
-                     n_det_z=_read(t, "n_det_z", int),
-                     n_err_z=_read(t, "n_err_z", int))
-
-
-def _check_counts(n: int, l_c: int, per_tag: List[TagCounts]) -> None:
-    """Refuse counts no run of n rounds with l_c + 1 tags can produce."""
-    if not per_tag:
-        raise SchemaError("counts document has no tag blocks")
-    if len(per_tag) != l_c + 1:
-        raise SchemaError(f"l_c = {l_c} needs {l_c + 1} tag blocks, "
-                          f"found {len(per_tag)}")
-    for w, t in enumerate(per_tag):
-        if t.w != w:
-            raise SchemaError(f"tag block {w} has w = {t.w}")
-        x = [v for pair in t.n_x.values() for v in pair]
-        if min(x + [t.n_w, t.n_det_z, t.n_err_z]) < 0:
-            raise SchemaError(f"tag {t.w}: negative count")
-        if t.n_w == 0:
-            raise SchemaError(f"tag {t.w}: no rounds (n_w = 0)")
-        if t.n_err_z > t.n_det_z:
-            raise SchemaError(f"tag {t.w}: n_err_z = {t.n_err_z} exceeds "
-                              f"n_det_z = {t.n_det_z}")
-        if sum(x) + t.n_det_z > t.n_w:
-            raise SchemaError(f"tag {t.w}: X-basis and sifted counts exceed "
-                              f"n_w = {t.n_w}")
-    if sum(t.n_w for t in per_tag) != n:
-        raise SchemaError(f"tag sizes n_w do not sum to n = {n}")
+    t = TagCounts(w=_read(block, "w", int), n_w=_read(block, "n_w", int),
+                  n_x=n_x, n_det_z=_read(block, "n_det_z", int),
+                  n_err_z=_read(block, "n_err_z", int))
+    if t.w != w:
+        raise SchemaError(f"tag block {w} has w = {t.w}")
+    x = [v for pair in n_x.values() for v in pair]
+    if min(x + [t.n_w, t.n_det_z, t.n_err_z]) < 0:
+        raise SchemaError(f"tag {w}: negative count")
+    if t.n_w == 0:
+        raise SchemaError(f"tag {w}: no rounds (n_w = 0)")
+    if t.n_err_z > t.n_det_z:
+        raise SchemaError(f"tag {w}: n_err_z = {t.n_err_z} exceeds "
+                          f"n_det_z = {t.n_det_z}")
+    if sum(x) + t.n_det_z > t.n_w:
+        raise SchemaError(f"tag {w}: X-basis and sifted counts exceed "
+                          f"n_w = {t.n_w}")
+    return t
 
 
 def load_counts(path: str) -> Tuple[Dict, ObservedStatistics, ProtocolProbs]:
     """Read and check a counts document (by ``_load_json``, as a config file
-    is); rebuild the statistics. Counts stay Python ints of any size."""
+    is); rebuild the statistics. Each tag block is checked as it is read;
+    ``ObservedStatistics.from_tags`` checks that the tag sizes sum to n.
+    Counts stay Python ints of any size a float holds."""
     doc = _load_json(path, "counts file", SchemaError)
     if _read(doc, "schema") != COUNTS_SCHEMA:
         raise SchemaError(f"unsupported schema {doc['schema']!r}")
@@ -447,9 +441,13 @@ def load_counts(path: str) -> Tuple[Dict, ObservedStatistics, ProtocolProbs]:
     tags = _read(doc, "per_tag")
     if not isinstance(tags, list):
         raise SchemaError("per_tag must be a list of tag blocks")
-    per_tag = [_tag_counts(t, proto) for t in tags]
-    n = _read(doc, "n", int)
-    _check_counts(n, _read(doc, "l_c", int), per_tag)
+    per_tag = [_tag_counts(w, t, proto) for w, t in enumerate(tags)]
+    n, l_c = _read(doc, "n", int), _read(doc, "l_c", int)
+    if not per_tag:
+        raise SchemaError("counts document has no tag blocks")
+    if len(per_tag) != l_c + 1:
+        raise SchemaError(f"l_c = {l_c} needs {l_c + 1} tag blocks, "
+                          f"found {len(per_tag)}")
     return doc, ObservedStatistics.from_tags(n, per_tag, probs), probs
 
 

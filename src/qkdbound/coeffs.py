@@ -32,7 +32,8 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .gmath import trig_range
-from .source import BB84, THREE_STATE, PhaseRanges, Protocol
+from .source import (BB84, THREE_STATE, InconsistentProtocol, PhaseRanges,
+                     Protocol)
 
 #: Denominators / determinants smaller than this are treated as singular.
 SINGULAR_TOL = 1e-12
@@ -555,6 +556,10 @@ def _coeff_bounds(proto: Protocol, ranges: PhaseRanges) -> CoefficientSet:
     hold a maximum or a pole. Every bound is a Python float.
     """
     used = dict.fromkeys(("0Z", "1Z") + proto.x_ref)
+    missing = [j for j in used if j not in ranges.lo]
+    if missing:
+        raise InconsistentProtocol(f"phase ranges lack settings {missing} "
+                                   f"that the {proto.name} rows use")
     own = PhaseRanges(lo={j: ranges.lo[j] for j in used},
                       hi={j: ranges.hi[j] for j in used})
     r = {j: (own.lo[j], own.hi[j]) for j in used}

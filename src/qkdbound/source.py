@@ -109,6 +109,10 @@ class PhaseRanges:
         if self.lo.keys() != self.hi.keys():
             raise ValueError(f"lo and hi name different settings: "
                              f"{sorted(self.lo)} and {sorted(self.hi)}")
+        unknown = self.lo.keys() - ANALYTIC_SECTORS.keys()
+        if unknown:
+            raise InconsistentProtocol(f"unknown settings {sorted(unknown)}; "
+                                       f"expected {list(ANALYTIC_SECTORS)}")
         for j in self.lo:
             if not -math.inf < self.lo[j] <= self.hi[j] < math.inf:  # NaN too
                 raise ValueError(f"phase range of setting {j} must be finite"

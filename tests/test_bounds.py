@@ -1,5 +1,6 @@
 """Tests for the phase-error bound assembly and key-rate formula."""
 
+import dataclasses
 import math
 
 import pytest
@@ -94,16 +95,38 @@ class TestObservedStatistics:
                           n_err_z=w) for w in range(3)]
         probs = ProtocolProbs(p_za=0.5, p_zb=0.5, p_j={"0Z": 0.5, "1Z": 0.5})
         stats = ObservedStatistics.from_tags(1500, tags, probs)
-        assert stats == ObservedStatistics.from_counts(
-            n=1500, n_x={"0Z": (3, 6)}, n_det_z=33, n_err_z=3, probs=probs,
-            per_tag=tags)
+        assert stats.per_tag == tags
+        # replace() rebuilds from the constructor fields, without the tags
+        assert dataclasses.replace(stats) == ObservedStatistics.from_counts(
+            n=1500, n_x={"0Z": (3, 6)}, n_det_z=33, n_err_z=3, probs=probs)
 
     def test_partition_validated(self):
         tags = [TagCounts(w=0, n_w=10, n_x={"0Z": (0, 0)}, n_det_z=1,
                           n_err_z=0)]
+        probs = ProtocolProbs(p_za=0.5, p_zb=0.5, p_j={"0Z": 0.5, "1Z": 0.5})
         with pytest.raises(ValueError):
-            ObservedStatistics(q={"0Z": (0.0, 0.0)}, y_z=0.5, e_bit=0.0,
-                               n=99, per_tag=tags)
+            ObservedStatistics.from_tags(99, tags, probs)
+
+    @pytest.mark.parametrize("build", [
+        lambda tags: ObservedStatistics(q={"0Z": (0.0, 0.0)}, y_z=0.5,
+                                        e_bit=0.0, n=10, per_tag=tags),
+        lambda tags: ObservedStatistics.from_counts(
+            n=10, n_x={"0Z": (0, 0)}, n_det_z=1, n_err_z=0, probs=PROBS,
+            per_tag=tags),
+    ], ids=["constructor", "from_counts"])
+    def test_tags_enter_only_through_from_tags(self, build):
+        tags = [TagCounts(w=0, n_w=10, n_x={"0Z": (0, 0)}, n_det_z=1,
+                          n_err_z=0)]
+        with pytest.raises(TypeError):
+            build(tags)
+
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_from_tags_refuses_other_n_as_bound_reports_it(self, off):
+        tags = [TagCounts(w=w, n_w=500, n_x={"0Z": (1, 2)}, n_det_z=10,
+                          n_err_z=1) for w in range(2)]
+        with pytest.raises(ValueError) as exc:
+            ObservedStatistics.from_tags(1000 + off, tags, PROBS)
+        assert str(exc.value) == f"tag sizes n_w do not sum to n = {1000 + off}"
 
 
 class TestPerTag:
@@ -113,19 +136,14 @@ class TestPerTag:
 
     def test_single_tag_equals_aggregate(self):
         tags = [self._tag(0, 1_000_000, 500, 125_000, 100)]
-        stats = ObservedStatistics.from_counts(
-            n=1_000_000, n_x=tags[0].n_x, n_det_z=125_000, n_err_z=100,
-            probs=PROBS, per_tag=tags)
+        stats = ObservedStatistics.from_tags(1_000_000, tags, PROBS)
         agg = phase_error_bound(stats, PROBS, IDEAL_C, (0.5, 0.5), 1e-4)
         per = per_tag_bounds(stats, PROBS, IDEAL_C, (0.5, 0.5), 1e-4)
         assert per == [pytest.approx(agg, abs=1e-15)]
 
     def test_identical_tags_give_equal_bounds(self):
         tags = [self._tag(w, 500_000, 250, 62_500, 50) for w in range(2)]
-        totals = {j: (500, 500) for j in SETTINGS_BB84}
-        stats = ObservedStatistics.from_counts(
-            n=1_000_000, n_x=totals, n_det_z=125_000, n_err_z=100,
-            probs=PROBS, per_tag=tags)
+        stats = ObservedStatistics.from_tags(1_000_000, tags, PROBS)
         per = per_tag_bounds(stats, PROBS, IDEAL_C, (0.5, 0.5), 1e-4)
         assert per[0] == pytest.approx(per[1], abs=1e-15)
 

@@ -397,6 +397,25 @@ class TestSimulateAndBound:
         assert run_cli(["bound", str(path)]) == EXIT_CONFIG
         assert "do not sum to n" in capsys.readouterr().err
 
+    def test_counts_beyond_float_range(self, tmp_path, capsys):
+        # used to end in "int too large to convert to float" (exit 4)
+        path = tmp_path / "counts.json"
+        assert run_cli(["simulate", "--n", "100000", "--lc", "9",
+                        "--out", str(path)]) == EXIT_OK
+        doc = json.loads(path.read_text())
+        scale = 10 ** 400
+        doc["n"] *= scale
+        for t in doc["per_tag"]:
+            for key in ("n_w", "n_det_z", "n_err_z"):
+                t[key] *= scale
+            t["n_x"] = {j: [c * scale for c in pair]
+                        for j, pair in t["n_x"].items()}
+        path.write_text(json.dumps(doc))
+        assert run_cli(["bound", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "is not an integer count" in captured.err
+        assert "rate:" not in captured.out
+
     @pytest.mark.parametrize("flag", ["--delta", "--cap-delta", "--epsilon-u",
                                       "--f"])
     def test_simulate_nan_parameter_is_config_error(self, tmp_path, flag):

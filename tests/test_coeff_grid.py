@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qkdbound.coeffs import (
     SINGULAR_TOL,
@@ -114,8 +114,17 @@ def reference_bounds(proto, ranges):
     return out
 
 
+def takes_grid(proto, ranges):
+    """Whether ``coeff_bounds_*`` take the grid: only the ranges of the
+    settings the rows use, 0Z, 1Z and the X references, decide."""
+    used = ("0Z", "1Z") + proto.x_ref
+    return not PhaseRanges(lo={j: ranges.lo[j] for j in used},
+                           hi={j: ranges.hi[j] for j in used}
+                           ).in_analytic_sectors()
+
+
 def assert_grid_matches_reference(proto, ranges):
-    assert not ranges.in_analytic_sectors()
+    assert takes_grid(proto, ranges)
     expected = reference_bounds(proto, ranges)
     got = BOUNDS[proto.name](ranges)
     for (alpha, j), value in expected.items():
@@ -128,8 +137,11 @@ def assert_grid_matches_reference(proto, ranges):
 @given(proto=st.sampled_from(PROTOCOLS), delta=st.floats(0.35, 0.9),
        cap_delta=st.floats(0.0, 0.08))
 def test_out_of_sector_bounds_equal_reference(proto, delta, cap_delta):
-    # delta >= 0.35 puts 1X = 3/2 (pi + delta) past its sector, at any Delta
+    # delta >= 0.35 puts 1X = 3/2 (pi + delta) past its sector, at any Delta;
+    # three-state emits no 1X, and takes the grid only once 1Z = pi + delta
+    # leaves its sector (delta + Delta > pi/6)
     ranges = PhaseRanges.from_source(SourceSpec(delta=delta, Delta=cap_delta))
+    assume(takes_grid(proto, ranges))
     assert_grid_matches_reference(proto, ranges)
 
 
@@ -204,10 +216,14 @@ def test_seeded_boxes_equal_reference_in_both_protocols():
                 memo[fn, triple] = exc
         return memo[fn, triple]
 
+    compared = {proto.name: 0 for proto in PROTOCOLS}
     for ranges in _seeded_boxes():
-        assert not ranges.in_analytic_sectors()
         r = {j: (ranges.lo[j], ranges.hi[j]) for j in BB84.settings}
+        assert takes_grid(BB84, ranges)
         for proto in PROTOCOLS:
+            if not takes_grid(proto, ranges):
+                continue  # the corner rules, which the reference is not
+            compared[proto.name] += 1
             expected = {}
             for alpha in (1, 0):
                 x = proto.x_ref[alpha]
@@ -224,6 +240,8 @@ def test_seeded_boxes_equal_reference_in_both_protocols():
             got = BOUNDS[proto.name](ranges)
             for (alpha, j), value in expected.items():
                 assert got.c[alpha][j].hex() == value.hex(), (ranges, alpha, j)
+    # six boxes put three-state's 0Z, 1Z and 0X inside their sectors
+    assert compared == {"bb84": 30, "three_state": 24}
 
 
 def test_pole_in_blocks_the_values_rule_out_raises_in_both():

@@ -212,6 +212,15 @@ class TestCoefficientBounds:
         got, want = (coeff_bounds_three_state(r) for r in (four, three))
         assert hex_rows(got.c) == hex_rows(want.c)
 
+    @pytest.mark.parametrize("bounds, lacking", [
+        (coeff_bounds_bb84, "1X"), (coeff_bounds_three_state, "0X")])
+    def test_ranges_lacking_a_used_setting_are_refused(self, bounds, lacking):
+        r = PhaseRanges.from_source(SourceSpec(delta=0.063, Delta=0.03))
+        lo = {j: v for j, v in r.lo.items() if j != lacking}
+        hi = {j: v for j, v in r.hi.items() if j != lacking}
+        with pytest.raises(ValueError, match=f"lack settings .'{lacking}'."):
+            bounds(PhaseRanges(lo=lo, hi=hi))
+
     @pytest.mark.parametrize("delta", [0.063, 0.6], ids=["in", "out"])
     @pytest.mark.parametrize("proto", PROTOCOLS, ids=lambda p: p.name)
     def test_every_bound_is_a_python_float(self, proto, delta):

@@ -146,6 +146,11 @@ class TestPhaseRanges:
         with pytest.raises(ValueError):
             PhaseRanges(lo=lo, hi=hi)
 
+    def test_rejects_settings_without_a_sector(self):
+        # used to pass, then fail in in_analytic_sectors with KeyError: '2X'
+        with pytest.raises(ValueError, match="unknown settings"):
+            PhaseRanges(lo={"2X": 0.0}, hi={"2X": 0.0})
+
     def test_sector_check(self):
         r = PhaseRanges(lo={"0Z": -1.0}, hi={"0Z": 1.0})
         assert not r.in_analytic_sectors()
