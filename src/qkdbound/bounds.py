@@ -148,15 +148,16 @@ class KeyRateReport:
     e_ph_u_per_tag: Optional[List[float]] = None
 
 
-def _inner_detection_bound(q_gamma: Dict[str, float], coeffs: Dict[str, float],
-                           z: float) -> float:
-    """One virtual detection probability bounded through the sandwich."""
+def _inner_detection_bound(q: Dict[str, Tuple[float, float]], gamma: int,
+                           row: Dict[str, float], z: float) -> float:
+    """One virtual detection probability, of Bob's X outcome ``gamma``,
+    bounded through the sandwich over the coefficients ``row``."""
     total = 0.0
-    for j, c in coeffs.items():
+    for j, c in row.items():
         if c > 0.0:
-            total += c * G_plus(q_gamma[j], z)
+            total += c * G_plus(q[j][gamma], z)
         elif c < 0.0:
-            total += c * G_minus(q_gamma[j], z)
+            total += c * G_minus(q[j][gamma], z)
     return total
 
 
@@ -173,8 +174,7 @@ def phase_error_bound(stats: ObservedStatistics, probs: ProtocolProbs,
     """
     if np.any(stats.y_z <= 0.0) or np.any(stats.n_det_z == 0):
         raise EmptySiftedKey("no detected Z-basis rounds")
-    settings = c_upper.settings()
-    for j in settings:
+    for j in c_upper.c[1]:
         if j not in stats.q:
             raise InconsistentProtocol(
                 f"statistics lack setting {j} required by the {c_upper.protocol} "
@@ -183,10 +183,8 @@ def phase_error_bound(stats: ObservedStatistics, probs: ProtocolProbs,
     z = np.sqrt(1.0 - eps_u)
     pbar_1x, pbar_0x = pvir_upper
     # phase error: virtual bit alpha with Bob's X outcome gamma = 1 - alpha
-    q0 = {j: stats.q[j][0] for j in settings}
-    q1 = {j: stats.q[j][1] for j in settings}
-    y_outer = (pbar_1x * _inner_detection_bound(q0, c_upper.c[1], z)
-               + pbar_0x * _inner_detection_bound(q1, c_upper.c[0], z))
+    y_outer = (pbar_1x * _inner_detection_bound(stats.q, 0, c_upper.c[1], z)
+               + pbar_0x * _inner_detection_bound(stats.q, 1, c_upper.c[0], z))
     y_outer = np.minimum(1.0, np.maximum(0.0, y_outer))
     return native(np.minimum(1.0, G_plus(y_outer, z) / stats.y_z))
 

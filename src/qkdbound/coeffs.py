@@ -11,7 +11,8 @@ provides:
 
   * a generic solver (used as an independent oracle),
   * the analytic closed forms of each row at the phases of (0Z, 1Z, X
-    reference),
+    reference), over the sin/cos terms of one table (``_TERMS``); ``_at``
+    is the one evaluator of a closed form at phase values,
   * worst-case coefficient upper bounds over phase ranges: inside the
     validity sectors a corner rule per (row, X reference), and dense grid
     maximisation outside them. The grid is cut into blocks; every form is
@@ -82,9 +83,6 @@ class CoefficientSet:
     protocol: str
     c: Dict[int, Dict[str, float]]
 
-    def settings(self) -> Tuple[str, ...]:
-        return Protocol.named(self.protocol).settings
-
 
 def solve_generic(target: np.ndarray, ref_phases: Dict[str, float],
                   zeroed: Optional[str] = None) -> Dict[str, float]:
@@ -119,31 +117,29 @@ def solve_generic(target: np.ndarray, ref_phases: Dict[str, float],
 # three-state).
 
 #: the trig terms of the closed forms at phases (a, b, c) = (theta_0Z,
-#: theta_1Z, theta of the row's X reference)
+#: theta_1Z, theta of the row's X reference), each as (function, argument)
 _TERMS = {
-    "sin_ac": lambda a, b, c: np.sin(a / 2 - c / 2),
-    "sin_bc": lambda a, b, c: np.sin(b / 2 - c / 2),
-    "sin_bac": lambda a, b, c: np.sin(b / 2 - a + c / 2),
-    "sin_abc": lambda a, b, c: np.sin(a / 2 - b + c / 2),
-    "cos_ab": lambda a, b, c: np.cos(a - b),
-    "cos_ac": lambda a, b, c: np.cos(a - c),
-    "cos_bc": lambda a, b, c: np.cos(b - c),
-    "cos_mid": lambda a, b, c: np.cos(a / 2 + b / 2 - c),
-    "cos_half": lambda a, b, c: np.cos(a / 2 - b / 2),
+    "sin_ac": (np.sin, lambda a, b, c: a / 2 - c / 2),
+    "sin_bc": (np.sin, lambda a, b, c: b / 2 - c / 2),
+    "sin_bac": (np.sin, lambda a, b, c: b / 2 - a + c / 2),
+    "sin_abc": (np.sin, lambda a, b, c: a / 2 - b + c / 2),
+    "cos_ab": (np.cos, lambda a, b, c: a - b),
+    "cos_ac": (np.cos, lambda a, b, c: a - c),
+    "cos_bc": (np.cos, lambda a, b, c: b - c),
+    "cos_mid": (np.cos, lambda a, b, c: a / 2 + b / 2 - c),
+    "cos_half": (np.cos, lambda a, b, c: a / 2 - b / 2),
 }
-#: each term of _TERMS as (function, weights of theta_0Z, theta_1Z and the X
-#: reference phase in its argument)
-_ARGS = {
-    "sin_ac": (np.sin, (0.5, 0.0, -0.5)),
-    "sin_bc": (np.sin, (0.0, 0.5, -0.5)),
-    "sin_bac": (np.sin, (-1.0, 0.5, 0.5)),
-    "sin_abc": (np.sin, (0.5, -1.0, 0.5)),
-    "cos_ab": (np.cos, (1.0, -1.0, 0.0)),
-    "cos_ac": (np.cos, (1.0, 0.0, -1.0)),
-    "cos_bc": (np.cos, (0.0, 1.0, -1.0)),
-    "cos_mid": (np.cos, (0.5, 0.5, -1.0)),
-    "cos_half": (np.cos, (0.5, -0.5, 0.0)),
-}
+#: the weights of theta_0Z, theta_1Z and the X reference phase in each
+#: term's argument, read off at the unit phases: exact, as every argument
+#: is linear and every weight 0, +-1/2 or +-1
+_WEIGHTS = {name: tuple(float(arg(*unit)) for unit in np.eye(3))
+            for name, (_, arg) in _TERMS.items()}
+
+
+def _term(name, a, b, c):
+    """The term ``name`` of _TERMS at phases (a, b, c)."""
+    fn, arg = _TERMS[name]
+    return fn(arg(a, b, c))
 
 
 def _c1_0z(sin_ac, sin_bc, sin_bac):
@@ -181,7 +177,7 @@ _TERMS_OF = {formula: tuple(inspect.signature(formula).parameters)
 
 def _at(formula, a, b, c):
     """(numerator, denominator) of a closed form at phases (a, b, c)."""
-    return formula(*(_TERMS[name](a, b, c) for name in _TERMS_OF[formula]))
+    return formula(*(_term(name, a, b, c) for name in _TERMS_OF[formula]))
 
 
 def _check_pole(gap) -> None:
@@ -337,7 +333,7 @@ def _enclose_term(name, boxes, mags):
     it holds every computed value of the term in the block as well as every
     exact one.
     """
-    fn, weights = _ARGS[name]
+    fn, weights = _TERMS[name][0], _WEIGHTS[name]
     lo = hi = 0.0
     for w, (b_lo, b_hi) in zip(weights, boxes):
         if w:
@@ -381,7 +377,6 @@ def _bound_forms(formulas, boxes, mags):
     centres = [(lo + hi) / 2 for lo, hi in boxes]
     radii = [np.maximum(hi - mid, mid - lo) * (1 + 4 * _EPS)
              for (lo, hi), mid in zip(boxes, centres)]
-    at_centre = {name: _TERMS[name](*centres) for name in names}
     point_err = (_TERM_WEIGHT * (4 * _EPS * (2 * max(mags) + 1.0) + _TRIG_ERR)
                  + _SUM_ERR)
     out = []
@@ -403,7 +398,7 @@ def _bound_forms(formulas, boxes, mags):
             rounding = 8 * _EPS * (np.maximum(-num.dlo[d], num.dhi[d])
                                    + np.maximum(-drag[0], drag[1]))
             slope = slope + (np.maximum(-lo, hi) + rounding / gap) * r
-        c_num, c_den = formula(*(at_centre[name] for name in _TERMS_OF[formula]))
+        c_num, c_den = _at(formula, *centres)
         centre = c_num / c_den
         mean_value = centre + 2 * margin + slope
         mean_value = mean_value + 8 * _EPS * (np.abs(centre) + 2 * margin + slope)
@@ -420,8 +415,7 @@ def _scan_level(formulas, r0z, r1z, rx, n: int, with_start: bool):
     most ``_SLAB_BLOCKS`` blocks. A form is then evaluated pointwise only on
     the blocks whose upper bound reaches the largest value found on the
     block with the highest bound, and on those whose denominator bound lies
-    below SINGULAR_TOL, with the terms of a block computed once for all
-    forms that visit it. The maxima are then those of the full grid, and
+    below SINGULAR_TOL. The maxima are then those of the full grid, and
     so is the smallest |denominator| wherever it lies below SINGULAR_TOL.
     Returns, per form, a list of [gap, max] with one entry per grid size.
     With ``with_start`` the entry of the ``_GRID_START``-point grid comes
@@ -455,20 +449,12 @@ def _scan_level(formulas, r0z, r1z, rx, n: int, with_start: bool):
 
     def visit(wanted):
         """Evaluate each form on the blocks ``wanted[k]`` it has not seen."""
-        visitors = {}
         for k, blocks in enumerate(wanted):
             for b in set(blocks.tolist()) - seen[k]:
-                visitors.setdefault(b, []).append(k)
                 seen[k].add(b)
-        for b, ks in visitors.items():
-            phases = [g[e[i]:e[i + 1]].reshape(to) for g, e, i, to
-                      in zip(grids, edges, np.unravel_index(b, shape), bcast)]
-            names = dict.fromkeys(name for k in ks
-                                  for name in _TERMS_OF[formulas[k]])
-            terms = {name: _TERMS[name](*phases) for name in names}
-            for k in ks:
-                formula = formulas[k]
-                num, den = formula(*(terms[name] for name in _TERMS_OF[formula]))
+                phases = [g[e[i]:e[i + 1]].reshape(to) for g, e, i, to in
+                          zip(grids, edges, np.unravel_index(b, shape), bcast)]
+                num, den = _at(formulas[k], *phases)
                 size, value = np.abs(den), num / den
                 for view, acc in zip(views, found[k]):
                     # np.minimum keeps a NaN, so it fails the pole test
@@ -563,21 +549,20 @@ def _coeff_bounds(proto: Protocol, ranges: PhaseRanges) -> CoefficientSet:
     own = PhaseRanges(lo={j: ranges.lo[j] for j in used},
                       hi={j: ranges.hi[j] for j in used})
     r = {j: (own.lo[j], own.hi[j]) for j in used}
+    in_sector = own.in_analytic_sectors()
     rows = {}
-    if own.in_analytic_sectors():
-        for alpha in (1, 0):
-            x = proto.x_ref[alpha]
-            rows[alpha] = [float(v) for v in
-                           _CORNER_RULES[alpha, x](r["0Z"], r["1Z"], r[x])]
-    else:
-        # rows with the same X reference share one grid (three-state: 0X)
-        for x in dict.fromkeys(proto.x_ref[alpha] for alpha in (1, 0)):
-            alphas = [alpha for alpha in (1, 0) if proto.x_ref[alpha] == x]
-            maxima = _grid_maxima(
-                [formula for alpha in alphas for formula in _FORMULAS[alpha]],
-                r["0Z"], r["1Z"], r[x])
-            for i, alpha in enumerate(alphas):
-                rows[alpha] = maxima[3 * i:3 * i + 3]
+    # rows with the same X reference share one grid (three-state: 0X)
+    for x in dict.fromkeys(proto.x_ref[alpha] for alpha in (1, 0)):
+        alphas = [alpha for alpha in (1, 0) if proto.x_ref[alpha] == x]
+        box = r["0Z"], r["1Z"], r[x]
+        if in_sector:
+            values = [v for alpha in alphas
+                      for v in _CORNER_RULES[alpha, x](*box)]
+        else:
+            values = _grid_maxima([formula for alpha in alphas
+                                   for formula in _FORMULAS[alpha]], *box)
+        for i, alpha in enumerate(alphas):
+            rows[alpha] = [float(v) for v in values[3 * i:3 * i + 3]]
     return _coefficient_set(proto, rows)
 
 

@@ -111,6 +111,8 @@ class RunConfig:
 
     def __post_init__(self):
         Protocol.named(self.protocol)
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed} must be nonnegative")
         if self.l_c < 0:
             raise ValueError("correlation length must be nonnegative")
         if self.n < self.l_c + 1:

@@ -445,6 +445,17 @@ class TestSimulateAndBound:
                 "simulate") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--seed", "-1"],
+        ["sweep", "--mode", "finite", "--seed", "-3", "--n", "1000",
+         "--loss-end", "0"]], ids=["simulate", "sweep"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, args):
+        # used to print numpy's "expected non-negative integer"
+        out = tmp_path / "out"
+        assert run_cli(args + ["--out", str(out)]) == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate_rejects_both_protocols(self):
         assert run_cli(["simulate", "--protocol", "both"]) == EXIT_CONFIG
 

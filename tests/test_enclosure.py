@@ -72,9 +72,9 @@ def _mags(box):
 @given(box=boxes(), seed=st.integers(0, 2 ** 32 - 1))
 def test_term_ranges_hold_every_computed_value(box, seed):
     a, b, c = _points(box, np.random.default_rng(seed))
-    for name, term in coeffs._TERMS.items():
+    for name in coeffs._TERMS:
         enc = coeffs._enclose_term(name, box, _mags(box))
-        values = term(a, b, c)
+        values = coeffs._term(name, a, b, c)
         assert enc.lo <= values.min() and values.max() <= enc.hi, name
 
 
@@ -108,6 +108,20 @@ def test_mean_value_form_is_second_order():
         assert upper - (num / den).max() < 1e-5, formula.__name__
 
 
+@pytest.mark.parametrize("name", sorted(coeffs._TERMS))
+def test_term_arguments_are_their_weights(name):
+    # the enclosures read each argument's weights off the unit phases; that
+    # is exact only for a linear argument with no offset and weights that
+    # are sums of halves
+    _, arg = coeffs._TERMS[name]
+    weights = coeffs._WEIGHTS[name]
+    assert arg(0.0, 0.0, 0.0) == 0.0
+    assert set(weights) <= {0.0, 0.5, -0.5, 1.0, -1.0}
+    phases = np.random.default_rng(11).uniform(-1e3, 1e3, (3, 200))
+    assert np.array_equal(arg(*phases),
+                          sum(w * theta for w, theta in zip(weights, phases)))
+
+
 @contextlib.contextmanager
 def _iv_bits(bits):
     """mpmath interval arithmetic at ``bits`` of precision."""
@@ -119,11 +133,11 @@ def _iv_bits(bits):
 
 
 @settings(max_examples=60, deadline=None)
-@given(box=boxes(), name=st.sampled_from(sorted(coeffs._ARGS)))
+@given(box=boxes(), name=st.sampled_from(sorted(coeffs._TERMS)))
 def test_term_ranges_against_mpmath_intervals(box, name):
     # the range of the exact term over the box, in 80-bit interval
     # arithmetic, lies inside the enclosure and close to its ends
-    fn, weights = coeffs._ARGS[name]
+    fn, weights = coeffs._TERMS[name][0], coeffs._WEIGHTS[name]
     with _iv_bits(80):
         arg = sum(w * iv.mpf([lo, hi]) for w, (lo, hi) in zip(weights, box))
         exact = (iv.sin if fn is np.sin else iv.cos)(arg)
