@@ -391,9 +391,8 @@ def _read(section, key, kind: type = object):
 
 
 def _settings_map(value, proto: Protocol, what: str) -> Dict:
-    if not isinstance(value, dict) or set(value) != set(proto.settings):
-        raise SchemaError(f"{what} must have one entry per {proto.name} "
-                          f"setting {list(proto.settings)}")
+    # a value that is not a JSON object names no setting
+    proto.require(value if isinstance(value, dict) else (), what)
     return value
 
 

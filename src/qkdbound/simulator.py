@@ -35,6 +35,9 @@ CHANNEL_MODEL_ID = "single-photon-routing-darkcounts-v1"
 #: Largest run the multinomial sampler accepts: its counts are int64.
 MAX_ROUNDS = int(np.iinfo(np.int64).max)
 
+#: Most tags a finite run may have: it keeps one record per tag.
+MAX_TAGS = 10 ** 4
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -110,11 +113,14 @@ class RunConfig:
     probs: ProtocolProbs
 
     def __post_init__(self):
-        Protocol.named(self.protocol)
+        Protocol.named(self.protocol).require(self.probs.p_j, "probs.p_j")
         if self.seed < 0:
             raise ValueError(f"seed = {self.seed} must be nonnegative")
         if self.l_c < 0:
             raise ValueError("correlation length must be nonnegative")
+        if self.l_c + 1 > MAX_TAGS:
+            raise ValueError(f"l_c = {self.l_c} needs {self.l_c + 1} tags; "
+                             f"a finite run holds at most {MAX_TAGS}")
         if self.n < self.l_c + 1:
             raise ValueError("need at least l_c + 1 rounds")
         if self.n > MAX_ROUNDS:
@@ -206,8 +212,10 @@ def simulate_finite(cfg: RunConfig, spec: SourceSpec,
     tags hold one extra round. Rounds are i.i.d. (source flaws do not
     perturb the data), hence each tag's counts are exactly
     Multinomial(n_w, p) over the (setting, basis, outcome) cells: one draw
-    per tag costs O(cells), independent of N. Deterministic for a fixed
-    (seed, config) pair. Returned statistics include per-tag counts.
+    per tag costs O(cells), independent of N, so a run costs
+    O((l_c + 1) * cells) in time and memory (``RunConfig`` caps the tags at
+    ``MAX_TAGS``). Deterministic for a fixed (seed, config) pair. Returned
+    statistics include per-tag counts.
     """
     settings = cfg.settings()
     n_tags = cfg.l_c + 1

@@ -47,6 +47,14 @@ class Protocol:
         raise InconsistentProtocol(f"unknown protocol {name!r}; expected one "
                                    f"of {[p.name for p in PROTOCOLS]}")
 
+    def require(self, names, what: str) -> None:
+        """InconsistentProtocol unless ``names`` (a settings map's keys) are
+        exactly this protocol's settings; ``what`` names the map."""
+        if set(names) != set(self.settings):
+            raise InconsistentProtocol(
+                f"{what} must have one entry per {self.name} setting "
+                f"{list(self.settings)}, got {list(names)}")
+
 
 #: The protocol table. Each bb84 row takes the X state of its own bit as
 #: reference; the three-state variant has no 1X emission, so both rows take 0X.
@@ -74,28 +82,6 @@ def epsilon_effective(eps_prime: float, l_c: int) -> float:
         raise ValueError("correlation length must be nonnegative")
     eps_prime = as_unit(eps_prime)
     return 1.0 - (1.0 - eps_prime) ** (l_c + 1)
-
-
-def tha_epsilon_bound(nu_max: float) -> float:
-    """Side-channel weight bound from the Trojan-horse output intensity nu_max.
-
-    The mean photon number of the back-reflected light upper-bounds the
-    deviation weight directly (worst case: single-photon back-reflection),
-    capped at 1 since the weight is probability-like.
-    """
-    if nu_max < 0:
-        raise ValueError("nu_max must be nonnegative")
-    return min(nu_max, 1.0)
-
-
-def combine_side_channels(eps_mode: float, eps_tha: float) -> float:
-    """Total deviation weight of independent mode-dependence and THA channels.
-
-    1 - (1 - eps_mode)(1 - eps_tha): the qubit component survives both.
-    """
-    eps_mode = as_unit(eps_mode)
-    eps_tha = as_unit(eps_tha)
-    return 1.0 - (1.0 - eps_mode) * (1.0 - eps_tha)
 
 
 @dataclass(frozen=True)
@@ -156,9 +142,13 @@ class SourceSpec:
         as_unit(self.epsilon_u)
         if self.correlation_length < 0:
             raise ValueError("correlation length must be nonnegative")
-        if not (math.isfinite(self.delta) and 0.0 <= self.Delta < math.inf):
-            raise ValueError(f"need a finite delta and a finite nonnegative "
-                             f"Delta, got {self.delta!r} and {self.Delta!r}")
+        # kappa = 1 + delta/pi in [0, 2] reaches every 1Z phase; beyond it,
+        # phases of size ~1e14 lose whole fractions of a radian to rounding
+        if not abs(self.delta) <= math.pi:  # NaN too
+            raise ValueError(f"delta = {self.delta!r} must lie in [-pi, pi]")
+        if not 0.0 <= self.Delta < math.inf:
+            raise ValueError(f"Delta = {self.Delta!r} must be finite and "
+                             f"nonnegative")
 
     @property
     def kappa(self) -> float:
@@ -186,11 +176,9 @@ class ProtocolProbs:
     p_za: float
     p_zb: float
     p_j: Dict[str, float]
-    p_xa: float = field(init=False)
     p_xb: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "p_xa", 1.0 - self.p_za)
         object.__setattr__(self, "p_xb", 1.0 - self.p_zb)
         # the count estimates divide by p_zb, p_xb and every p_j
         if not (0.0 <= self.p_za <= 1.0 and 0.0 < self.p_zb < 1.0
@@ -205,10 +193,10 @@ class ProtocolProbs:
             raise ValueError("the two Z-basis settings must be equiprobable")
 
     @classmethod
-    def uniform(cls, settings: Tuple[str, ...] = SETTINGS_BB84,
-                p_za: float = 0.5, p_zb: float = 0.5) -> "ProtocolProbs":
+    def uniform(cls,
+                settings: Tuple[str, ...] = SETTINGS_BB84) -> "ProtocolProbs":
         n = len(settings)
-        return cls(p_za=p_za, p_zb=p_zb, p_j={j: 1.0 / n for j in settings})
+        return cls(p_za=0.5, p_zb=0.5, p_j={j: 1.0 / n for j in settings})
 
 
 def exact_virtual_prob(th0z: float, th1z: float, alpha: int) -> float:

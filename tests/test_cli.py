@@ -299,6 +299,26 @@ class TestSimulateAndBound:
         assert run_cli(["simulate", "--n", str(10 ** 20)]) == EXIT_CONFIG
         assert "int64" in capsys.readouterr().err
 
+    def test_simulate_rejects_tags_beyond_limit(self, tmp_path, capsys):
+        # one record per tag: l_c = 199,999 used to take 724 MB
+        out = tmp_path / "counts.json"
+        assert run_cli(["simulate", "--n", "20000", "--lc", "10000",
+                        "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "l_c = 10000" in captured.err
+        assert "at most 10000" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", [["sweep", "--delta", "4"],
+                                         ["simulate", "--delta", "-4"]])
+    def test_delta_beyond_pi_is_refused(self, tmp_path, capsys, command):
+        # a delta of ~1e14 used to print an e_ph_u below the true rate
+        out = tmp_path / "out"
+        assert run_cli(command + ["--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "delta" in captured.err
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["per_tag"][0]["n_x"].__setitem__("0X", [-50, 10 ** 9]),
          "negative count"),
@@ -326,6 +346,9 @@ class TestSimulateAndBound:
         (lambda d: d["source"].pop("delta"), "missing field 'delta'"),
         (lambda d: d["source"].__setitem__("Delta", "0.03"),
          "'Delta' = '0.03' is not a finite number"),
+        # used to print an e_ph_u below the true rate at |delta| ~ 1e14
+        (lambda d: d["source"].__setitem__("delta", 3.5),
+         "delta = 3.5 must lie in [-pi, pi]"),
         (lambda d: d["channel"].pop("f"), "missing field 'f'"),
         (lambda d: d["channel"].__setitem__("f", "1.16"),
          "'f' = '1.16' is not a finite number"),
@@ -353,6 +376,7 @@ class TestSimulateAndBound:
             "setting_outside_protocol", "three_state_with_1x",
             "p_j_settings", "non_integer_count", "per_tag_not_list",
             "missing_source_field", "non_numeric_source_field",
+            "delta_beyond_pi",
             "missing_f", "non_numeric_f", "l_c_vs_correlation_length",
             "empty_tag", "p_zb_one", "p_zb_zero", "p_j_zero",
             "int_beyond_float", "w_not_position", "negative_w"])

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from qkdbound.bounds import TagCounts, bound_inputs_from_source, phase_error_bound
 from qkdbound.simulator import (
     MAX_ROUNDS,
+    MAX_TAGS,
     ChannelParams,
     RunConfig,
     _cell_probs,
@@ -19,6 +20,7 @@ from qkdbound.simulator import (
     true_virtual_error_rate,
 )
 from qkdbound.source import (
+    InconsistentProtocol,
     ProtocolProbs,
     SETTINGS_BB84,
     SETTINGS_THREE_STATE,
@@ -303,6 +305,30 @@ class TestMultinomialExactness:
         with pytest.raises(ValueError):
             RunConfig(n=MAX_ROUNDS + 1, seed=0, l_c=0, protocol="bb84",
                       probs=PROBS)
+
+    def test_tag_count_is_capped(self):
+        # one record per tag: l_c = 199,999 used to take 724 MB
+        assert MAX_TAGS == 10 ** 4
+        RunConfig(n=10 ** 6, seed=0, l_c=MAX_TAGS - 1, protocol="bb84",
+                  probs=PROBS)
+        for l_c in (MAX_TAGS, 10 ** 9):
+            with pytest.raises(ValueError, match=f"l_c = {l_c}.*{MAX_TAGS}"):
+                RunConfig(n=10 ** 12, seed=0, l_c=l_c, protocol="bb84",
+                          probs=PROBS)
+
+    @pytest.mark.parametrize("protocol, settings", [
+        ("bb84", SETTINGS_BB84), ("three_state", SETTINGS_THREE_STATE)])
+    def test_probs_must_name_the_protocol_settings(self, protocol, settings):
+        RunConfig(n=10, seed=0, l_c=0, protocol=protocol,
+                  probs=ProtocolProbs.uniform(settings))
+        # bb84 probs gave a three-state run R = 0.265 at 5 dB, not 0.198
+        foreign = (SETTINGS_THREE_STATE if settings == SETTINGS_BB84
+                   else SETTINGS_BB84)
+        with pytest.raises(InconsistentProtocol) as err:
+            RunConfig(n=10, seed=0, l_c=0, protocol=protocol,
+                      probs=ProtocolProbs.uniform(foreign))
+        assert str(list(settings)) in str(err.value)
+        assert str(list(foreign)) in str(err.value)
 
 
 class TestTrueVirtualErrorRate:

@@ -17,10 +17,8 @@ from qkdbound.source import (
     SETTINGS_BB84,
     SETTINGS_THREE_STATE,
     SourceSpec,
-    combine_side_channels,
     epsilon_effective,
     exact_virtual_prob,
-    tha_epsilon_bound,
     virtual_prob_bounds,
 )
 
@@ -44,6 +42,20 @@ class TestProtocolTable:
         for alpha in (0, 1):
             kept = {"0Z", "1Z", proto.x_ref[alpha]}
             assert kept <= set(proto.settings)
+
+    @pytest.mark.parametrize("proto", PROTOCOLS, ids=lambda p: p.name)
+    def test_require_accepts_exactly_the_settings(self, proto):
+        proto.require(proto.settings, "p_j")
+        proto.require(dict.fromkeys(reversed(proto.settings), 0.5), "p_j")
+        other = BB84 if proto is THREE_STATE else THREE_STATE
+        for names in (other.settings, proto.settings[:2], (),
+                      proto.settings + ("2X",)):
+            with pytest.raises(InconsistentProtocol) as err:
+                proto.require(names, "p_j")
+            # the message names both the protocol's settings and the given ones
+            assert (f"p_j must have one entry per {proto.name} setting "
+                    f"{list(proto.settings)}, got {list(names)}"
+                    == str(err.value))
 
     def test_setting_constants_alias_the_table(self):
         assert SETTINGS_BB84 == ("0Z", "1Z", "0X", "1X") == BB84.settings
@@ -76,18 +88,6 @@ class TestEpsilonCalculus:
         lo, hi = sorted((e1, e2))
         assert epsilon_effective(hi, lc) >= epsilon_effective(lo, lc) - 1e-15
 
-    def test_tha_bound(self):
-        assert tha_epsilon_bound(0.0) == 0.0
-        assert tha_epsilon_bound(1e-3) == 1e-3
-        assert tha_epsilon_bound(2.5) == 1.0
-        with pytest.raises(ValueError):
-            tha_epsilon_bound(-0.1)
-
-    def test_combine_side_channels(self):
-        assert combine_side_channels(0.0, 0.3) == pytest.approx(0.3)
-        assert combine_side_channels(0.1, 0.2) == pytest.approx(0.28)
-        assert combine_side_channels(1.0, 0.5) == 1.0
-
 
 class TestSourceSpec:
     def test_kappa_and_nominal_phases(self):
@@ -110,6 +110,16 @@ class TestSourceSpec:
             SourceSpec(correlation_length=-1)
         with pytest.raises(ValueError):
             SourceSpec(Delta=-0.1)
+
+    def test_delta_outside_pi_is_refused(self):
+        # kappa in [0, 2] reaches every 1Z phase; a delta of ~1e14 used to
+        # give an "upper bound" below the true phase-error rate
+        for delta in (-math.pi, math.pi):
+            SourceSpec(delta=delta)
+        for delta in (math.nextafter(math.pi, 4), -math.nextafter(math.pi, 4),
+                      4.0, 286606761694824.44, math.inf, math.nan):
+            with pytest.raises(ValueError, match="delta"):
+                SourceSpec(delta=delta)
 
     @pytest.mark.parametrize("field", ["delta", "Delta", "epsilon_u"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -160,7 +170,6 @@ class TestProtocolProbs:
     def test_uniform(self):
         p = ProtocolProbs.uniform(SETTINGS_BB84)
         assert sum(p.p_j.values()) == pytest.approx(1.0)
-        assert p.p_xa == pytest.approx(0.5)
         assert p.p_xb == pytest.approx(0.5)
 
     def test_rejects_unbalanced_z_settings(self):
