@@ -144,7 +144,6 @@ class KeyRateReport:
     e_bit: float
     e_ph_u: float
     rate: float
-    f: float
     e_ph_u_per_tag: Optional[List[float]] = None
 
 
@@ -253,7 +252,7 @@ def key_rate(y_z: float, e_ph_u: float, e_bit: float, f: float,
     h_bit = binary_entropy(np.minimum(as_unit(e_bit), 0.5))
     r = y_z * (1.0 - h_ph - f * h_bit)
     return KeyRateReport(y_z=y_z, e_bit=e_bit, e_ph_u=e_ph_u,
-                         rate=native(np.maximum(0.0, r)), f=f,
+                         rate=native(np.maximum(0.0, r)),
                          e_ph_u_per_tag=e_ph_u_per_tag)
 
 

@@ -47,7 +47,9 @@ from .simulator import (
 )
 from .source import PROTOCOLS, Protocol, ProtocolProbs, SourceSpec
 
-COUNTS_SCHEMA = "qkdbound-counts/1"
+COUNTS_SCHEMA = "qkdbound-counts/2"
+#: Schemas ``bound`` reads: /1 only adds two fields that it never read
+READ_SCHEMAS = ("qkdbound-counts/1", COUNTS_SCHEMA)
 RNG_ID = "numpy-default-rng-pcg64-multinomial-v2"
 
 EXIT_OK = 0
@@ -429,13 +431,12 @@ def load_counts(path: str) -> Tuple[Dict, ObservedStatistics, ProtocolProbs]:
     ``ObservedStatistics.from_tags`` checks that the tag sizes sum to n.
     Counts stay Python ints of any size a float holds."""
     doc = _load_json(path, "counts file", SchemaError)
-    if _read(doc, "schema") != COUNTS_SCHEMA:
+    if _read(doc, "schema") not in READ_SCHEMAS:
         raise SchemaError(f"unsupported schema {doc['schema']!r}")
     proto = Protocol.named(_read(doc, "protocol"))
     p = _read(doc, "probs")
     p_j = _settings_map(_read(p, "p_j"), proto, "probs.p_j")
-    probs = ProtocolProbs(p_za=_read(p, "p_za", float),
-                          p_zb=_read(p, "p_zb", float),
+    probs = ProtocolProbs(p_zb=_read(p, "p_zb", float),
                           p_j={j: _read(p_j, j, float) for j in p_j})
     tags = _read(doc, "per_tag")
     if not isinstance(tags, list):

@@ -41,11 +41,10 @@ MAX_TAGS = 10 ** 4
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Honest-channel parameters (system loss, dark counts, misalignment)."""
+    """Channel parameters: system loss, dark counts and error-correction f."""
 
     loss_db: float
     p_d: float = 1e-8
-    theta_mis: float = 0.0
     f: float = 1.16
 
     def __post_init__(self):
@@ -64,7 +63,8 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class ChannelColumn:
-    """Channels that differ only in loss: the loss axis of a sweep.
+    """Channels that share p_d and f and differ only in loss: the loss axis
+    of a sweep.
 
     It stands in for ``ChannelParams`` wherever the channel enters
     (``detection_probs``, ``simulate_asymptotic``), and every probability
@@ -79,7 +79,7 @@ class ChannelColumn:
     def __post_init__(self):
         if not self.channels:
             raise ValueError("a channel column needs at least one loss")
-        if len({(c.p_d, c.theta_mis, c.f) for c in self.channels}) != 1:
+        if len({(c.p_d, c.f) for c in self.channels}) != 1:
             raise ValueError("the channels of a column may differ only in "
                              "loss")
 
@@ -96,10 +96,6 @@ class ChannelColumn:
     @property
     def p_d(self) -> float:
         return self.channels[0].p_d
-
-    @property
-    def theta_mis(self) -> float:
-        return self.channels[0].theta_mis
 
 
 @dataclass(frozen=True)
@@ -138,15 +134,14 @@ def detection_probs(theta_j: float, basis: str,
     Floats for a ``ChannelParams``, arrays over the losses for a
     ``ChannelColumn``.
 
-    Born probabilities of the XZ-plane state cos(theta'/2)|0> + sin(theta'/2)|1>
-    are (1 +- cos theta')/2 in Z and (1 +- sin theta')/2 in X, with
-    theta' = theta_j + theta_mis.
+    Born probabilities of the XZ-plane state
+    cos(theta_j/2)|0> + sin(theta_j/2)|1> are (1 +- cos theta_j)/2 in Z and
+    (1 +- sin theta_j)/2 in X.
     """
-    theta = theta_j + ch.theta_mis
     if basis == "Z":
-        q0 = (1.0 + math.cos(theta)) / 2.0
+        q0 = (1.0 + math.cos(theta_j)) / 2.0
     elif basis == "X":
-        q0 = (1.0 + math.sin(theta)) / 2.0
+        q0 = (1.0 + math.sin(theta_j)) / 2.0
     else:
         raise ValueError(f"unknown basis {basis!r}")
     q1 = 1.0 - q0

@@ -11,6 +11,7 @@ correlations) is collapsed into the single weight epsilon_u in [0, 1].
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -142,6 +143,10 @@ class SourceSpec:
         as_unit(self.epsilon_u)
         if self.correlation_length < 0:
             raise ValueError("correlation length must be nonnegative")
+        # epsilon_effective raises to the power l_c + 1, which must be a float
+        if self.correlation_length > sys.float_info.max:
+            raise ValueError(f"correlation_length = {self.correlation_length}"
+                             f" exceeds the float range")
         # kappa = 1 + delta/pi in [0, 2] reaches every 1Z phase; beyond it,
         # phases of size ~1e14 lose whole fractions of a radian to rounding
         if not abs(self.delta) <= math.pi:  # NaN too
@@ -173,7 +178,6 @@ class SourceSpec:
 class ProtocolProbs:
     """Setting and basis probabilities of one protocol run."""
 
-    p_za: float
     p_zb: float
     p_j: Dict[str, float]
     p_xb: float = field(init=False)
@@ -181,11 +185,10 @@ class ProtocolProbs:
     def __post_init__(self):
         object.__setattr__(self, "p_xb", 1.0 - self.p_zb)
         # the count estimates divide by p_zb, p_xb and every p_j
-        if not (0.0 <= self.p_za <= 1.0 and 0.0 < self.p_zb < 1.0
+        if not (0.0 < self.p_zb < 1.0
                 and all(p > 0.0 for p in self.p_j.values())):
-            raise ValueError(f"need p_za in [0, 1], p_zb in (0, 1) and every "
-                             f"p_j > 0; got {self.p_za!r}, {self.p_zb!r}, "
-                             f"{self.p_j}")
+            raise ValueError(f"need p_zb in (0, 1) and every p_j > 0; "
+                             f"got {self.p_zb!r}, {self.p_j}")
         total = sum(self.p_j.values())
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"setting probabilities sum to {total}, expected 1")
@@ -196,7 +199,7 @@ class ProtocolProbs:
     def uniform(cls,
                 settings: Tuple[str, ...] = SETTINGS_BB84) -> "ProtocolProbs":
         n = len(settings)
-        return cls(p_za=0.5, p_zb=0.5, p_j={j: 1.0 / n for j in settings})
+        return cls(p_zb=0.5, p_j={j: 1.0 / n for j in settings})
 
 
 def exact_virtual_prob(th0z: float, th1z: float, alpha: int) -> float:

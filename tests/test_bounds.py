@@ -93,7 +93,7 @@ class TestObservedStatistics:
     def test_from_tags_sums_the_tags(self):
         tags = [TagCounts(w=w, n_w=500, n_x={"0Z": (w, 2 * w)}, n_det_z=10 + w,
                           n_err_z=w) for w in range(3)]
-        probs = ProtocolProbs(p_za=0.5, p_zb=0.5, p_j={"0Z": 0.5, "1Z": 0.5})
+        probs = ProtocolProbs(p_zb=0.5, p_j={"0Z": 0.5, "1Z": 0.5})
         stats = ObservedStatistics.from_tags(1500, tags, probs)
         assert stats.per_tag == tags
         # replace() rebuilds from the constructor fields, without the tags
@@ -103,7 +103,7 @@ class TestObservedStatistics:
     def test_partition_validated(self):
         tags = [TagCounts(w=0, n_w=10, n_x={"0Z": (0, 0)}, n_det_z=1,
                           n_err_z=0)]
-        probs = ProtocolProbs(p_za=0.5, p_zb=0.5, p_j={"0Z": 0.5, "1Z": 0.5})
+        probs = ProtocolProbs(p_zb=0.5, p_j={"0Z": 0.5, "1Z": 0.5})
         with pytest.raises(ValueError):
             ObservedStatistics.from_tags(99, tags, probs)
 

@@ -227,6 +227,32 @@ class TestSweep:
         assert not out.exists()
         assert f"config error: {field} = " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["asymptotic", "finite"])
+    @pytest.mark.parametrize("via_config", [False, True],
+                             ids=["flag", "config"])
+    def test_correlation_length_beyond_float_range(self, tmp_path, capsys,
+                                                   mode, via_config):
+        # used to end in "int too large to convert to float" (exit 4)
+        args = ["sweep", "--loss-end", "0", "--mode", mode, "--n", "1000"]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"lc": [10 ** 400]}))
+            args += ["--config", str(cfg)]
+        else:
+            args += ["--lc", str(10 ** 400)]
+        out = tmp_path / "sweep.csv"
+        assert run_cli(args + ["--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "correlation_length" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_correlation_length_at_float_range_runs(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--loss-end", "0", "--lc", str(10 ** 308),
+                        "--out", str(out)]) == EXIT_OK
+        _, _, rows = read_csv(out)
+        assert len(rows) == 1 and rows[0][5] == str(10 ** 308)
+
     def test_empty_sifted_key_in_column_is_compute_error(self, tmp_path,
                                                          capsys):
         # at 400 dB without dark counts the last point detects nothing
@@ -256,9 +282,34 @@ class TestSimulateAndBound:
 
     def test_tag_blocks_partition_rounds(self, tmp_path):
         doc = json.loads(self._simulate(tmp_path).read_text())
-        assert doc["schema"] == "qkdbound-counts/1"
+        assert doc["schema"] == "qkdbound-counts/2"
         assert len(doc["per_tag"]) == 3
         assert sum(t["n_w"] for t in doc["per_tag"]) == doc["n"]
+
+    @pytest.mark.parametrize("protocol", ["bb84", "three-state"])
+    def test_schema_1_twin_replays_unchanged(self, tmp_path, protocol):
+        # /1 also carried probs.p_za and channel.theta_mis, which bound
+        # never read
+        new = tmp_path / "new.json"
+        assert run_cli(["simulate", "--protocol", protocol, "--n", "100000",
+                        "--lc", "2", "--out", str(new)]) == EXIT_OK
+        doc = json.loads(new.read_text())
+        assert doc["schema"] == "qkdbound-counts/2"
+        assert "p_za" not in doc["probs"]
+        assert "theta_mis" not in doc["channel"]
+        doc["schema"] = "qkdbound-counts/1"
+        doc["probs"]["p_za"] = 0.5
+        doc["channel"]["theta_mis"] = 0.0
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        assert load_counts(str(old))[1:] == load_counts(str(new))[1:]
+        reports = []
+        for path in (new, old):
+            report = tmp_path / (path.stem + ".txt")
+            assert run_cli(["bound", str(path), "--out", str(report)]) \
+                == EXIT_OK
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_replay_matches_in_process_pipeline(self, tmp_path):
         path = self._simulate(tmp_path)

@@ -65,10 +65,10 @@ def test_sweep_csv(tmp_path, argv, digest):
 
 @pytest.mark.parametrize("protocol, doc_digest, report_digest", [
     ("bb84",
-     "866800c1f08a31404a4ee8da39673625a8d8bd959ab8bd47317deabf125a30c1",
+     "18543a4d79a72359fb2a8c2ff754fd064f7a53e281edbf341e5a3def1358814b",
      "ad1b99d6d077f194ee95bda60a8c2d43389e406f884dd0289b90dbcc3ce0e2a4"),
     ("three-state",
-     "ffd3d2d360272834b26b17f904ee846ffe02aefbd5f2db1065011eee5c7c818f",
+     "f09a58587045bde9381861d93dec438d2e5b386460c8a02fa869dfe0f8e49ca1",
      "3ebb2aa9a7671b6401684651fd2951d629808b605e5c51bc64cb28ded4769dc1"),
 ], ids=["bb84", "three_state"])
 def test_counts_document_and_report(tmp_path, protocol, doc_digest,
@@ -86,10 +86,10 @@ SIMULATE_LC9 = ["simulate", "--loss-db", "15", "--n", "200000", "--seed",
 
 @pytest.mark.parametrize("protocol, doc_digest, report_digest", [
     ("bb84",
-     "b4cf061ef0c1f73e2962bc72dcd86bd182408537ec11658093f0e03ca73977f5",
+     "2e790a4e325736b929e8052c4a28fc422c31452a622e8ca4b6ade879649e81aa",
      "cf987cc29d9c187b808d987fa2f9a76ae46f5aff223a6a4cb586e5a74c8416ef"),
     ("three-state",
-     "50d5af0512090026ef24bc2970376304ba833f0fca16deb1bb08e506457514bd",
+     "79b79081d75903ff22a69bc256297d1128feb992cfc9030965a106abf2e2eb58",
      "0d7fa61bb06f1a72ad6d374ee413f24951b319889d4d05faa3fafcba26560a8c"),
 ], ids=["bb84", "three_state"])
 def test_lc9_counts_document_and_report(tmp_path, protocol, doc_digest,

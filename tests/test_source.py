@@ -121,6 +121,14 @@ class TestSourceSpec:
             with pytest.raises(ValueError, match="delta"):
                 SourceSpec(delta=delta)
 
+    def test_correlation_length_beyond_float_range_is_refused(self):
+        # (1 - eps)^(l_c + 1) used to raise "int too large to convert to
+        # float" (exit 4 at the CLI)
+        spec = SourceSpec(epsilon_u=1e-3, correlation_length=10 ** 308)
+        assert spec.effective_epsilon() == 1.0
+        with pytest.raises(ValueError, match="correlation_length"):
+            SourceSpec(correlation_length=10 ** 400)
+
     @pytest.mark.parametrize("field", ["delta", "Delta", "epsilon_u"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, field, value):
@@ -174,12 +182,12 @@ class TestProtocolProbs:
 
     def test_rejects_unbalanced_z_settings(self):
         with pytest.raises(ValueError):
-            ProtocolProbs(p_za=0.5, p_zb=0.5,
+            ProtocolProbs(p_zb=0.5,
                           p_j={"0Z": 0.4, "1Z": 0.3, "0X": 0.2, "1X": 0.1})
 
     def test_rejects_non_normalized(self):
         with pytest.raises(ValueError):
-            ProtocolProbs(p_za=0.5, p_zb=0.5, p_j={"0Z": 0.3, "1Z": 0.3})
+            ProtocolProbs(p_zb=0.5, p_j={"0Z": 0.3, "1Z": 0.3})
 
     @pytest.mark.parametrize("p_zb, p_j", [
         (1.0, {"0Z": 0.25, "1Z": 0.25, "0X": 0.25, "1X": 0.25}),
@@ -190,11 +198,11 @@ class TestProtocolProbs:
     def test_rejects_probabilities_the_estimates_divide_by(self, p_zb, p_j):
         # from_counts divides by p_j * p_xb and by p_zb
         with pytest.raises(ValueError):
-            ProtocolProbs(p_za=0.5, p_zb=p_zb, p_j=p_j)
+            ProtocolProbs(p_zb=p_zb, p_j=p_j)
 
     def test_rejects_nan_setting_probability(self):
         with pytest.raises(ValueError):
-            ProtocolProbs(p_za=0.5, p_zb=0.5,
+            ProtocolProbs(p_zb=0.5,
                           p_j={"0Z": 0.25, "1Z": 0.25, "0X": math.nan})
 
 
