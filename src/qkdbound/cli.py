@@ -45,7 +45,7 @@ from .simulator import (
     simulate_asymptotic,
     simulate_finite,
 )
-from .source import PROTOCOLS, Protocol, ProtocolProbs, SourceSpec
+from .source import BB84, PROTOCOLS, Protocol, ProtocolProbs, SourceSpec
 
 COUNTS_SCHEMA = "qkdbound-counts/2"
 #: Schemas ``bound`` reads: /1 only adds two fields that it never read
@@ -237,65 +237,85 @@ def _sci(x: float) -> str:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _sweep_rows(protocol: str, losses: Sequence[float],
-                sources: Sequence[Tuple], values) -> str:
-    """One protocol's CSV rows in loss-major order, as ``csv.writer`` writes
-    them: each cell as ``str``, then (Y_Z, e_bit, e_ph_u, rate) as ``{:.8e}``,
-    each row ended by "\r\n". ``values[k]`` holds those four values of
-    source k at every loss; each source's cells are formatted once."""
-    cells = [",".join(map(str, source)) for source in sources]
-    return "".join([f"{protocol},{loss},{c},{y:.8e},{e:.8e},{p:.8e},{r:.8e}\r\n"
-                    for loss, at_loss in zip(losses, zip(*values))
-                    for c, (y, e, p, r) in zip(cells, at_loss)])
+def _sweep_rows(protocols: Sequence[str], losses: Sequence[float],
+                sources: Sequence[Tuple], stats, values) -> str:
+    """All protocols' CSV rows, each protocol's loss-major, as ``csv.writer``
+    writes them: each cell as ``str``, then (Y_Z, e_bit, e_ph_u, rate) as
+    ``{:.8e}``, each row ended by "\r\n". ``stats[g]`` is a (Y_Z, e_bit)
+    pair of lists over the losses, ``values[n][k]`` (g, e_ph_u list, rate
+    list) of protocol n and source k. Each loss, source and (g, loss) cell
+    is formatted once."""
+    loss_cells = list(map(str, losses))
+    source_cells = [",".join(map(str, source)) for source in sources]
+    stat_cells = [[f"{y:.8e},{e:.8e}" for y, e in zip(*pair)]
+                  for pair in stats]
+    rows = []
+    for protocol, by_source in zip(protocols, values):
+        columns = [zip(stat_cells[g], e_ph, rate)
+                   for g, e_ph, rate in by_source]
+        rows += [f"{protocol},{loss},{c},{s},{p:.8e},{r:.8e}\r\n"
+                 for loss, at_loss in zip(loss_cells, zip(*columns))
+                 for c, (s, p, r) in zip(source_cells, at_loss)]
+    return "".join(rows)
 
 
-def _sweep_values(cfg: Dict, protocol: str, specs: List[SourceSpec],
-                  column: ChannelColumn, first_seed: int) -> List:
-    """Per source, (Y_Z, e_bit, e_ph_u, rate) at every loss of ``column``.
-
-    The statistics depend on delta only, c^U and pbar_vir on (protocol,
-    delta, Delta) only. So asymptotic mode makes one ``simulate_asymptotic``
-    call per delta and one bound pass per (delta, Delta), with the sources'
-    epsilon_eff as a column against the loss axis. Finite mode makes one
-    seeded run per (source k, loss i), with seed first_seed + i * sources + k.
+def _sweep_values(cfg: Dict, protocols: Sequence[str],
+                  specs: List[SourceSpec], column: ChannelColumn) -> Tuple:
+    """(stats, values) of every protocol and source, as ``_sweep_rows``
+    takes them. The statistics depend on delta only, c^U and pbar_vir on
+    (protocol, delta, Delta) only. So asymptotic mode makes one
+    ``simulate_asymptotic`` call per delta for all protocols, and one bound
+    pass per (protocol, delta, Delta), the sources' epsilon_eff a column
+    against the loss axis. Finite mode makes one seeded run per row, seeded
+    with ``--seed`` plus the row's index, (n * losses + i) * sources + k.
     """
-    groups: Dict[Tuple[float, float], List[int]] = {}
+    groups: Dict[float, Dict[float, List[int]]] = {}
     for k, spec in enumerate(specs):
-        groups.setdefault((spec.delta, spec.Delta), []).append(k)
-    probs = ProtocolProbs.uniform(Protocol.named(protocol).settings)
-    values: List = [None] * len(specs)
-    stats = {}
-    for (delta, _), ks in groups.items():
-        inputs = bound_inputs_from_source(specs[ks[0]], protocol)[:2]
-        if cfg["mode"] == "finite":
-            for k in ks:
-                spec = specs[k]
-                own = inputs + (spec.effective_epsilon(),)
-                values[k] = []
-                for i, ch in enumerate(column.channels):
-                    run = RunConfig(n=cfg["n"],
-                                    seed=first_seed + i * len(specs) + k,
-                                    l_c=spec.correlation_length,
-                                    protocol=protocol, probs=probs)
-                    r = evaluate_with_inputs(simulate_finite(run, spec, ch),
-                                             probs, own, cfg["f"])
-                    values[k].append((r.y_z, r.e_bit, r.e_ph_u, r.rate))
-            continue
-        if delta not in stats:
-            stats[delta] = simulate_asymptotic(specs[ks[0]], probs, column,
-                                               protocol=protocol)
-        # e_ph_u and R come out as arrays of sources x losses
-        eps = np.array([[specs[k].effective_epsilon()] for k in ks])
-        report = evaluate_with_inputs(stats[delta], probs, inputs + (eps,),
-                                      cfg["f"])
-        y_z, e_bit = report.y_z.tolist(), report.e_bit.tolist()
-        for k, e_ph, rate in zip(ks, report.e_ph_u.tolist(),
-                                 report.rate.tolist()):
-            values[k] = zip(y_z, e_bit, e_ph, rate)
-    return values
+        groups.setdefault(spec.delta, {}).setdefault(spec.Delta, []).append(k)
+    probs = [ProtocolProbs.uniform(Protocol.named(p).settings)
+             for p in protocols]
+    stats: List = []
+    values: List = [[None] * len(specs) for _ in protocols]
+    finite = cfg["mode"] == "finite"
+    for delta, by_cap in groups.items():
+        if not finite:
+            # every protocol's settings are among bb84's, and a setting's
+            # statistics come out the same whichever protocol asks for them
+            shared = simulate_asymptotic(SourceSpec(delta=delta),
+                                         ProtocolProbs.uniform(), column,
+                                         protocol=BB84.name)
+            stats.append((shared.y_z.tolist(), shared.e_bit.tolist()))
+        for ks in by_cap.values():
+            eps = [specs[k].effective_epsilon() for k in ks]
+            for n, protocol in enumerate(protocols):
+                inputs = bound_inputs_from_source(specs[ks[0]], protocol)[:2]
+                if not finite:
+                    # e_ph_u and R come out as arrays of sources x losses
+                    report = evaluate_with_inputs(
+                        shared, probs[n], inputs + (np.array(eps)[:, None],),
+                        cfg["f"])
+                    for k, e_ph, rate in zip(ks, report.e_ph_u.tolist(),
+                                             report.rate.tolist()):
+                        values[n][k] = (len(stats) - 1, e_ph, rate)
+                    continue
+                for k, e in zip(ks, eps):
+                    r = []
+                    for i, ch in enumerate(column.channels):
+                        row = (n * len(column.channels) + i) * len(specs) + k
+                        run = RunConfig(n=cfg["n"], seed=cfg["seed"] + row,
+                                        l_c=specs[k].correlation_length,
+                                        protocol=protocol, probs=probs[n])
+                        r.append(evaluate_with_inputs(
+                            simulate_finite(run, specs[k], ch), probs[n],
+                            inputs + (e,), cfg["f"]))
+                    stats.append(([x.y_z for x in r], [x.e_bit for x in r]))
+                    values[n][k] = (len(stats) - 1, [x.e_ph_u for x in r],
+                                    [x.rate for x in r])
+    return stats, values
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """The sweep CSV, from one ``_sweep_values`` pass for all protocols."""
     cfg = _resolve(args)
     protocols = _protocols(cfg)
     axes = [cfg[key] for key in ("epsilon_u", "delta", "cap_delta", "lc")]
@@ -313,12 +333,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         out.append(f"# n: {cfg['n']} base_seed: {cfg['seed']} rng: {RNG_ID}\n")
     out += [f"# pd: {cfg['pd']!r} f: {cfg['f']!r}\n",
             "protocol,loss_db,epsilon_u,delta,Delta,l_c,"
-            "Y_Z,e_bit,e_ph_u,rate\r\n"]
-    for n, protocol in enumerate(protocols):
-        # a finite row's seed is the base seed plus its CSV row index
-        first_seed = cfg["seed"] + n * len(losses) * len(specs)
-        values = _sweep_values(cfg, protocol, specs, column, first_seed)
-        out.append(_sweep_rows(protocol, losses, sources, values))
+            "Y_Z,e_bit,e_ph_u,rate\r\n",
+            _sweep_rows(protocols, losses, sources,
+                        *_sweep_values(cfg, protocols, specs, column))]
     _emit(args.out, "".join(out))
     return EXIT_OK
 

@@ -1,14 +1,16 @@
 """The grouped sweep equals the scalar pipeline per (source, loss), bit for bit.
 
-``sweep`` makes one ``simulate_asymptotic`` call per (protocol, delta) and
-one bound pass per (protocol, delta, Delta): the sources' epsilon_eff form a
-(k, 1) column that broadcasts against the loss axis. Every value must equal
-``simulate_asymptotic`` + ``evaluate_point`` run on that source and loss
-alone, also where G+ saturates (epsilon_u up to 0.9) and where the rate
-clamps to 0. The CSV rows are formatted by hand and must stay byte-equal to
+``sweep`` makes one ``simulate_asymptotic`` call per delta, shared by every
+protocol, and one bound pass per (protocol, delta, Delta): the sources'
+epsilon_eff form a (k, 1) column that broadcasts against the loss axis.
+Every value must equal ``simulate_asymptotic`` + ``evaluate_point`` run on
+that protocol, source and loss alone, also where G+ saturates (epsilon_u up
+to 0.9) and where the rate clamps to 0. The CSV rows are formatted by hand,
+each Y_Z and e_bit cell once per (delta, loss), and must stay byte-equal to
 what ``csv.writer``, the dialect the goldens were recorded with, writes.
 """
 
+import contextlib
 import csv
 import io
 
@@ -24,7 +26,8 @@ from qkdbound.bounds import (
 )
 from qkdbound.gmath import CLAMP_TOL
 from qkdbound.simulator import ChannelColumn, simulate_asymptotic
-from qkdbound.source import Protocol, ProtocolProbs, SourceSpec
+from qkdbound.source import BB84, PROTOCOLS as TABLE, Protocol, ProtocolProbs
+from qkdbound.source import SourceSpec
 
 F = 1.16
 
@@ -32,6 +35,9 @@ F = 1.16
 DARK_LOSS = 100.0
 
 PROTOCOLS = st.sampled_from(["bb84", "three_state"])
+#: the protocol lists a sweep runs: ``--protocol`` bb84, three-state or both
+PROTOCOL_LISTS = st.sampled_from([["bb84"], ["three_state"],
+                                  ["bb84", "three_state"]])
 EPSILONS = st.one_of(st.just(0.0), st.floats(1e-8, 1e-2), st.floats(0.01, 0.9))
 
 
@@ -52,41 +58,45 @@ def source_lists(draw):
         correlation_length=st.integers(0, 3)), min_size=2, max_size=6))
 
 
-def sweep_grid(protocol, specs, losses, p_d):
+def sweep_grid(protocols, specs, losses, p_d):
     """The grouped sweep's values, each checked against its scalar point."""
-    probs = ProtocolProbs.uniform(Protocol.named(protocol).settings)
     column = ChannelColumn.of_losses(losses, p_d=p_d, f=F)
-    values = cli._sweep_values({"mode": "asymptotic", "f": F}, protocol,
-                               specs, column, first_seed=0)
-    grid = [list(v) for v in values]
-    for spec, rows in zip(specs, grid):
-        assert len(rows) == len(losses)
-        for ch, row in zip(column.channels, rows):
-            point = simulate_asymptotic(spec, probs, ch, protocol=protocol)
-            r = evaluate_point(point, probs, spec, protocol, F)
-            assert bits(row) == bits([r.y_z, r.e_bit, r.e_ph_u, r.rate])
+    stats, values = cli._sweep_values({"mode": "asymptotic", "f": F},
+                                      protocols, specs, column)
+    grid = []
+    for protocol, by_source in zip(protocols, values):
+        probs = ProtocolProbs.uniform(Protocol.named(protocol).settings)
+        grid.append([])
+        for spec, (g, e_ph, rate) in zip(specs, by_source):
+            rows = list(zip(*stats[g], e_ph, rate))
+            assert len(rows) == len(losses)
+            for ch, row in zip(column.channels, rows):
+                point = simulate_asymptotic(spec, probs, ch, protocol=protocol)
+                r = evaluate_point(point, probs, spec, protocol, F)
+                assert bits(row) == bits([r.y_z, r.e_bit, r.e_ph_u, r.rate])
+            grid[-1].append(rows)
     return np.array(grid)
 
 
 @settings(max_examples=40, deadline=None)
-@given(protocol=PROTOCOLS, specs=source_lists(),
+@given(protocols=PROTOCOL_LISTS, specs=source_lists(),
        losses=st.lists(st.floats(0.0, 80.0), min_size=1, max_size=3),
        p_d=st.floats(1e-9, 1e-5))
-@example(protocol="three_state",
+@example(protocols=["bb84", "three_state"],
          specs=[SourceSpec(delta=0.063, Delta=0.03, epsilon_u=eps,
                            correlation_length=lc)
                 for eps, lc in ((0.0, 0), (1e-3, 2), (0.9, 0))]
          + [SourceSpec(delta=-0.1, Delta=0.0, epsilon_u=1e-3)],
          losses=[0.0, 30.0], p_d=1e-8)
-def test_grouped_sweep_equals_pointwise(protocol, specs, losses, p_d):
-    sweep_grid(protocol, specs, losses + [DARK_LOSS], p_d)
+def test_grouped_sweep_equals_pointwise(protocols, specs, losses, p_d):
+    sweep_grid(protocols, specs, losses + [DARK_LOSS], p_d)
 
 
 @pytest.mark.parametrize("protocol", ["bb84", "three_state"])
 def test_grouped_sweep_reaches_saturation_and_zero_rate(protocol):
     # the property test only covers those edges if the draws reach them
     specs = [SourceSpec(epsilon_u=eps) for eps in (0.0, 1e-3, 0.9)]
-    grid = sweep_grid(protocol, specs, [0.0, 10.0, DARK_LOSS], 1e-8)
+    grid = sweep_grid([protocol], specs, [0.0, 10.0, DARK_LOSS], 1e-8)[0]
     e_ph, rate = grid[..., 2], grid[..., 3]
     assert np.all(e_ph[2] == 1.0) and np.all(rate[2] == 0.0)
     assert np.all(rate[:2, :2] > 0.0) and np.all(rate[:, 2] == 0.0)
@@ -124,28 +134,98 @@ FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 
 @st.composite
 def sweep_cells(draw):
-    """(losses, sources, values): values[k][i] holds source k at loss i."""
+    """(protocols, losses, sources, stats, values) in ``cli._sweep_rows``'s
+    layout: stats[g] is a (Y_Z, e_bit) pair of lists over the losses and
+    values[n][k] = (g, e_ph_u list, rate list) of protocol n, source k."""
+    protocols = draw(st.lists(PROTOCOLS, min_size=1, max_size=2))
     losses = draw(st.lists(FLOATS, min_size=1, max_size=4))
+    column = st.lists(FLOATS, min_size=len(losses), max_size=len(losses))
     sources = draw(st.lists(st.tuples(FLOATS, FLOATS, FLOATS, st.integers()),
                             min_size=1, max_size=4))
-    values = [draw(st.lists(st.tuples(*[FLOATS] * 4), min_size=len(losses),
-                            max_size=len(losses))) for _ in sources]
-    return losses, sources, values
+    stats = draw(st.lists(st.tuples(column, column), min_size=1, max_size=3))
+    values = [[draw(st.tuples(st.integers(0, len(stats) - 1), column, column))
+               for _ in sources] for _ in protocols]
+    return protocols, losses, sources, stats, values
 
 
 @settings(max_examples=100, deadline=None)
-@given(protocol=PROTOCOLS, cells=sweep_cells())
-@example(protocol="bb84", cells=(
-    [0.0, -0.0, 5e-324],
+@given(cells=sweep_cells())
+@example(cells=(
+    ["bb84", "three_state"], [0.0, -0.0, 5e-324],
     [(1e-6, -0.063, 2.2250738585072014e-308, 0), (0.9, -1e300, 1e-320, 7)],
-    [[(5e-324, -1e300, 0.0, 1.0)] * 3, [(1e-310, -0.0, 0.5, 1e-9)] * 3]))
-def test_sweep_rows_match_csv_writer(protocol, cells):
-    losses, sources, values = cells
+    [([5e-324] * 3, [-1e300] * 3), ([1e-310] * 3, [-0.0] * 3)],
+    [[(0, [0.0] * 3, [1.0] * 3), (1, [0.5] * 3, [1e-9] * 3)],
+     [(1, [float("nan")] * 3, [-0.0] * 3), (1, [float("inf")] * 3,
+                                            [-float("inf")] * 3)]]))
+def test_sweep_rows_match_csv_writer(cells):
+    protocols, losses, sources, stats, values = cells
     out = io.StringIO()
     writer = csv.writer(out)
-    for i, loss in enumerate(losses):
-        for source, v in zip(sources, values):
-            writer.writerow([protocol, loss, *source]
-                            + [cli._sci(x) for x in v[i]])
-    assert cli._sweep_rows(protocol, losses, sources, values) \
+    for protocol, by_source in zip(protocols, values):
+        for i, loss in enumerate(losses):
+            for source, (g, e_ph, rate) in zip(sources, by_source):
+                y_z, e_bit = stats[g]
+                writer.writerow([protocol, loss, *source] + [
+                    cli._sci(x) for x in (y_z[i], e_bit[i], e_ph[i], rate[i])])
+    assert cli._sweep_rows(protocols, losses, sources, stats, values) \
         == out.getvalue()
+
+
+def test_every_protocol_settings_are_bb84_settings():
+    # the sweep computes one set of statistics per delta with bb84's
+    # settings and hands it to every protocol
+    for proto in TABLE:
+        assert set(proto.settings) <= set(BB84.settings)
+
+
+#: the line that ends a sweep CSV's header
+CSV_HEADER = "protocol,loss_db,epsilon_u,delta,Delta,l_c,Y_Z,e_bit,e_ph_u,rate\r\n"
+
+
+def sweep_csv(argv):
+    """The CSV ``cli.main`` writes to stdout for ``sweep`` + ``argv``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["sweep"] + argv) == cli.EXIT_OK
+    return out.getvalue()
+
+
+def number_list(draw, flag, values):
+    """``flag=v1[,v2]``, one argument even for a negative first value."""
+    drawn = draw(st.lists(values, min_size=1, max_size=2))
+    return f"{flag}={','.join(map(repr, drawn))}"
+
+
+@st.composite
+def sweep_argvs(draw):
+    """A small in-sector sweep's flags, its losses ending at DARK_LOSS.
+
+    A finite run's cost does not depend on --n; 10^12 rounds leave a
+    nonempty sifted key in every tag even at DARK_LOSS."""
+    step = draw(st.floats(20.0, 50.0))
+    argv = ["--loss-start", repr(DARK_LOSS - draw(st.integers(0, 2)) * step),
+            "--loss-end", repr(DARK_LOSS), "--loss-step", repr(step),
+            number_list(draw, "--delta", st.floats(-0.3, 0.3)),
+            number_list(draw, "--cap-delta", st.floats(0.0, 0.05)),
+            number_list(draw, "--epsilon-u", EPSILONS),
+            number_list(draw, "--lc", st.integers(0, 3)),
+            "--pd", repr(draw(st.floats(1e-9, 1e-5)))]
+    if draw(st.booleans()):
+        argv += ["--mode", "finite", "--n", str(10 ** 12),
+                 "--seed", str(draw(st.integers(0, 1000)))]
+    return argv
+
+
+@settings(max_examples=25, deadline=None)
+@given(argv=sweep_argvs())
+def test_both_protocols_equal_each_alone(argv):
+    # the statistics are shared across protocols: each protocol's rows must
+    # be those of its own run; a finite row's seed is --seed + its row index
+    both = sweep_csv(argv + ["--protocol", "both"])
+    bb84 = sweep_csv(argv + ["--protocol", "bb84"])
+    rows = bb84.split(CSV_HEADER)[1].count("\r\n")
+    if "finite" in argv:
+        seed = argv.index("--seed") + 1
+        argv = argv[:seed] + [str(int(argv[seed]) + rows)] + argv[seed + 1:]
+    three = sweep_csv(argv + ["--protocol", "three-state"])
+    assert both == bb84 + three.split(CSV_HEADER)[1]
