@@ -26,8 +26,13 @@ from qkdbound.bounds import (
 )
 from qkdbound.gmath import CLAMP_TOL
 from qkdbound.simulator import ChannelColumn, simulate_asymptotic
-from qkdbound.source import BB84, PROTOCOLS as TABLE, Protocol, ProtocolProbs
-from qkdbound.source import SourceSpec
+from qkdbound.source import (
+    BB84,
+    PROTOCOLS as TABLE,
+    Protocol,
+    ProtocolProbs,
+    SourceSpec,
+)
 
 F = 1.16
 
