@@ -50,7 +50,8 @@ class EmptySiftedKey(ValueError):
 
 @dataclass(frozen=True)
 class TagCounts:
-    """Raw per-tag counts of one finite run (tag w = round index mod l_c+1)."""
+    """Raw per-tag counts of one finite run (tag w = round index mod l_c+1),
+    refused unless some run's tag w could count them."""
 
     w: int
     n_w: int
@@ -58,6 +59,19 @@ class TagCounts:
     n_x: Dict[str, Tuple[int, int]]
     n_det_z: int
     n_err_z: int
+
+    def __post_init__(self):
+        w, x = self.w, [v for pair in self.n_x.values() for v in pair]
+        if min(x + [self.n_w, self.n_det_z, self.n_err_z]) < 0:
+            raise ValueError(f"tag {w}: negative count")
+        if self.n_w == 0:
+            raise ValueError(f"tag {w}: no rounds (n_w = 0)")
+        if self.n_err_z > self.n_det_z:
+            raise ValueError(f"tag {w}: n_err_z = {self.n_err_z} exceeds "
+                             f"n_det_z = {self.n_det_z}")
+        if sum(x) + self.n_det_z > self.n_w:
+            raise ValueError(f"tag {w}: X-basis and sifted counts exceed "
+                             f"n_w = {self.n_w}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +136,14 @@ class ObservedStatistics:
     @classmethod
     def from_tags(cls, n: int, per_tag: List[TagCounts],
                   probs: ProtocolProbs) -> "ObservedStatistics":
-        """Statistics of a tagged run, keeping the tags. The totals are the
-        tags' exact sums; this is the one check that the n_w partition n."""
+        """Statistics of a tagged run, keeping the tags; the totals are their
+        exact sums. The one check of a tag list: tag w at position w of a
+        nonempty list, and n_w that partition n."""
+        if not per_tag:
+            raise ValueError("a tagged run needs at least one tag block")
+        for w, t in enumerate(per_tag):
+            if t.w != w:
+                raise ValueError(f"tag block {w} has w = {t.w}")
         if sum(t.n_w for t in per_tag) != n:
             raise ValueError(f"tag sizes n_w do not sum to n = {n}")
         n_x = {j: (sum(t.n_x[j][0] for t in per_tag),

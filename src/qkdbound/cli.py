@@ -69,10 +69,6 @@ class IoError(OSError):
     """Input/output failure with a user-supplied path."""
 
 
-class SchemaError(ConfigError):
-    """Counts document does not match the expected schema."""
-
-
 # ---------------------------------------------------------------------------
 # Configuration plumbing.
 
@@ -134,11 +130,11 @@ def _int_list(text: str) -> List[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
-def _load_json(path: str, what: str, error: type):
+def _load_json(path: str, what: str):
     """The JSON value in the file at ``path``, the one reader of both inputs.
 
     An unreadable file is an IoError (exit 3); a file that is not JSON, or
-    nests too deep for the parser, is ``error``, a ConfigError (exit 2).
+    nests too deep for the parser, is a ConfigError (exit 2).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -146,15 +142,15 @@ def _load_json(path: str, what: str, error: type):
     except OSError as exc:
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise error(f"{what} {path} line {exc.lineno}: {exc.msg}") from exc
+        raise ConfigError(f"{what} {path} line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:
-        raise error(f"{what} {path}: nested too deeply") from exc
+        raise ConfigError(f"{what} {path}: nested too deeply") from exc
 
 
 def _resolve(args: argparse.Namespace) -> Dict:
     """Merge CLI flags over config-file values over defaults; check each."""
     path = getattr(args, "config", None)
-    cfg = {} if path is None else _load_json(path, "config file", ConfigError)
+    cfg = {} if path is None else _load_json(path, "config file")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path}: top level must be an object")
     unknown = set(cfg) - {fld.name for fld in _FIELDS}
@@ -395,17 +391,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # bound
 
 def _read(section, key, kind: type = object):
-    """``section[key]`` of a JSON document, or SchemaError; the value must be
-    a finite number (float), an integer count (int) or any JSON value. A
-    number of either kind must be one a float holds."""
+    """``section[key]`` of a counts document, or ConfigError; the value must
+    be a finite number (float), an integer count (int) or any JSON value, of
+    a JSON kind only: the records it goes into check what it means."""
     try:
         value = section[key]
     except (KeyError, IndexError, TypeError):
-        raise SchemaError(f"counts document missing field {key!r}") from None
+        raise ConfigError(f"counts document missing field {key!r}") from None
     if kind is object or (_is_kind(kind, value) and
                           abs(value) <= sys.float_info.max):
         return value
-    raise SchemaError(f"field {key!r} = {value!r} is not " + {
+    raise ConfigError(f"field {key!r} = {value!r} is not " + {
         float: "a finite number", int: "an integer count"}[kind])
 
 
@@ -415,41 +411,27 @@ def _settings_map(value, proto: Protocol, what: str) -> Dict:
     return value
 
 
-def _tag_counts(w: int, block, proto: Protocol) -> TagCounts:
-    """Tag block ``w`` of a counts document, refused unless some run's tag
-    w could count it."""
+def _tag_counts(block, proto: Protocol) -> TagCounts:
+    """One tag block of a counts document as a ``TagCounts``, which checks
+    its counts; here only their JSON kinds and settings are checked."""
     n_x = {}
     for j, pair in _settings_map(_read(block, "n_x"), proto, "n_x").items():
         if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"n_x[{j!r}] = {pair!r} is not a pair of counts")
+            raise ConfigError(f"n_x[{j!r}] = {pair!r} is not a pair of counts")
         n_x[j] = (_read(pair, 0, int), _read(pair, 1, int))
-    t = TagCounts(w=_read(block, "w", int), n_w=_read(block, "n_w", int),
-                  n_x=n_x, n_det_z=_read(block, "n_det_z", int),
-                  n_err_z=_read(block, "n_err_z", int))
-    if t.w != w:
-        raise SchemaError(f"tag block {w} has w = {t.w}")
-    x = [v for pair in n_x.values() for v in pair]
-    if min(x + [t.n_w, t.n_det_z, t.n_err_z]) < 0:
-        raise SchemaError(f"tag {w}: negative count")
-    if t.n_w == 0:
-        raise SchemaError(f"tag {w}: no rounds (n_w = 0)")
-    if t.n_err_z > t.n_det_z:
-        raise SchemaError(f"tag {w}: n_err_z = {t.n_err_z} exceeds "
-                          f"n_det_z = {t.n_det_z}")
-    if sum(x) + t.n_det_z > t.n_w:
-        raise SchemaError(f"tag {w}: X-basis and sifted counts exceed "
-                          f"n_w = {t.n_w}")
-    return t
+    return TagCounts(w=_read(block, "w", int), n_w=_read(block, "n_w", int),
+                     n_x=n_x, n_det_z=_read(block, "n_det_z", int),
+                     n_err_z=_read(block, "n_err_z", int))
 
 
 def load_counts(path: str) -> Tuple[Dict, ObservedStatistics, ProtocolProbs]:
-    """Read and check a counts document (by ``_load_json``, as a config file
-    is); rebuild the statistics. Each tag block is checked as it is read;
-    ``ObservedStatistics.from_tags`` checks that the tag sizes sum to n.
-    Counts stay Python ints of any size a float holds."""
-    doc = _load_json(path, "counts file", SchemaError)
+    """Read a counts document (by ``_load_json``, as a config file is) and
+    rebuild the statistics, checking only the document's rules: schema,
+    protocol and l_c + 1 tag blocks. ``TagCounts`` checks each tag's counts,
+    ``ObservedStatistics.from_tags`` the tag list."""
+    doc = _load_json(path, "counts file")
     if _read(doc, "schema") not in READ_SCHEMAS:
-        raise SchemaError(f"unsupported schema {doc['schema']!r}")
+        raise ConfigError(f"unsupported schema {doc['schema']!r}")
     proto = Protocol.named(_read(doc, "protocol"))
     p = _read(doc, "probs")
     p_j = _settings_map(_read(p, "p_j"), proto, "probs.p_j")
@@ -457,13 +439,11 @@ def load_counts(path: str) -> Tuple[Dict, ObservedStatistics, ProtocolProbs]:
                           p_j={j: _read(p_j, j, float) for j in p_j})
     tags = _read(doc, "per_tag")
     if not isinstance(tags, list):
-        raise SchemaError("per_tag must be a list of tag blocks")
-    per_tag = [_tag_counts(w, t, proto) for w, t in enumerate(tags)]
+        raise ConfigError("per_tag must be a list of tag blocks")
+    per_tag = [_tag_counts(t, proto) for t in tags]
     n, l_c = _read(doc, "n", int), _read(doc, "l_c", int)
-    if not per_tag:
-        raise SchemaError("counts document has no tag blocks")
     if len(per_tag) != l_c + 1:
-        raise SchemaError(f"l_c = {l_c} needs {l_c + 1} tag blocks, "
+        raise ConfigError(f"l_c = {l_c} needs {l_c + 1} tag blocks, "
                           f"found {len(per_tag)}")
     return doc, ObservedStatistics.from_tags(n, per_tag, probs), probs
 
@@ -476,7 +456,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
                       epsilon_u=_read(src, "epsilon_u", float),
                       correlation_length=_read(src, "correlation_length", int))
     if spec.correlation_length != doc["l_c"]:  # it sets epsilon_eff
-        raise SchemaError(f"l_c = {doc['l_c']} differs from source."
+        raise ConfigError(f"l_c = {doc['l_c']} differs from source."
                           f"correlation_length = {spec.correlation_length}")
     protocol = doc["protocol"]
     f = _read(_read(doc, "channel"), "f", float)

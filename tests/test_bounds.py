@@ -128,6 +128,47 @@ class TestObservedStatistics:
             ObservedStatistics.from_tags(1000 + off, tags, PROBS)
         assert str(exc.value) == f"tag sizes n_w do not sum to n = {1000 + off}"
 
+    # one impossible tag per rule; each used to be built, and bounded
+    @pytest.mark.parametrize("fields, message", [
+        (dict(n_x={"0Z": (-1, 2)}), "tag 3: negative count"),
+        (dict(n_err_z=-1), "tag 3: negative count"),
+        (dict(n_w=0, n_x={"0Z": (0, 0)}, n_det_z=0, n_err_z=0),
+         "tag 3: no rounds (n_w = 0)"),
+        (dict(n_err_z=11), "tag 3: n_err_z = 11 exceeds n_det_z = 10"),
+        (dict(n_x={"0Z": (400, 91)}),
+         "tag 3: X-basis and sifted counts exceed n_w = 500"),
+    ], ids=["negative_x", "negative_err", "no_rounds", "errors_above_sifted",
+            "x_plus_sifted_above_n_w"])
+    def test_tag_counts_refuse_an_impossible_tag(self, fields, message):
+        good = dict(w=3, n_w=500, n_x={"0Z": (400, 90)}, n_det_z=10,
+                    n_err_z=1)
+        TagCounts(**good)
+        with pytest.raises(ValueError) as exc:
+            TagCounts(**dict(good, **fields))
+        assert str(exc.value) == message
+
+    def test_from_tags_refuses_an_empty_list(self):
+        with pytest.raises(ValueError) as exc:
+            ObservedStatistics.from_tags(0, [], PROBS)
+        assert str(exc.value) == "a tagged run needs at least one tag block"
+
+    @pytest.mark.parametrize("order", [[1, 0], [0, 0], [0, 2]])
+    def test_from_tags_refuses_tags_out_of_order(self, order):
+        tags = [TagCounts(w=w, n_w=500, n_x={"0Z": (1, 2)}, n_det_z=10,
+                          n_err_z=1) for w in order]
+        position = next(i for i, w in enumerate(order) if i != w)
+        with pytest.raises(ValueError) as exc:
+            ObservedStatistics.from_tags(1000, tags, PROBS)
+        assert str(exc.value) == \
+            f"tag block {position} has w = {order[position]}"
+
+    def test_y_z_above_one_is_refused(self):
+        # from_counts clamps y_z, so only a direct build can pass one
+        ObservedStatistics(q={"0Z": (0.0, 0.0)}, y_z=1.0 + 1e-9, e_bit=0.0)
+        with pytest.raises(ValueError, match="is not a probability"):
+            ObservedStatistics(q={"0Z": (0.0, 0.0)}, y_z=1.0 + 2e-9,
+                               e_bit=0.0)
+
 
 class TestPerTag:
     def _tag(self, w, n_w, k0, n_det, n_err):
@@ -146,6 +187,14 @@ class TestPerTag:
         stats = ObservedStatistics.from_tags(1_000_000, tags, PROBS)
         per = per_tag_bounds(stats, PROBS, IDEAL_C, (0.5, 0.5), 1e-4)
         assert per[0] == pytest.approx(per[1], abs=1e-15)
+
+    def test_untagged_statistics_are_refused(self):
+        stats = ObservedStatistics.from_counts(
+            n=1_000_000, n_x={j: (500, 500) for j in SETTINGS_BB84},
+            n_det_z=125_000, n_err_z=100, probs=PROBS)
+        with pytest.raises(ValueError,
+                           match="statistics carry no per-tag counts"):
+            per_tag_bounds(stats, PROBS, IDEAL_C, (0.5, 0.5), 1e-4)
 
 
 class TestSecretFractionCheck:

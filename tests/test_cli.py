@@ -575,6 +575,53 @@ def test_malformed_json_input_is_config_error(tmp_path, capsys, command, text):
     assert not out.exists()
 
 
+def _empty_tag_list(tmp_path):
+    counts = tmp_path / "counts.json"
+    assert run_cli(["simulate", "--n", "1000", "--out", str(counts)]) \
+        == EXIT_OK
+    doc = dict(json.loads(counts.read_text()), per_tag=[], l_c=-1)
+    counts.write_text(json.dumps(doc))
+    return ["bound", str(counts)]
+
+
+def _list_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1]")
+    return ["sweep", "--config", str(cfg)]
+
+
+@pytest.mark.parametrize("argv, out_name, code, printed", [
+    (_list_config, "r.csv", EXIT_CONFIG,
+     "config error: config file {tmp}/cfg.json: top level must be an object"),
+    (["sweep", "--epsilon-u", ","], "r.csv", EXIT_CONFIG,
+     "config error: epsilon_u list must be nonempty"),
+    (["sweep", "--loss-start=-1e308", "--loss-end", "1e308",
+      "--loss-step", "1e300"], "r.csv", EXIT_CONFIG,
+     "config error: loss grid bounds must be finite"),
+    (["sweep", "--loss-start", "1e17", "--loss-end", "1.00000000000001e17",
+      "--loss-step", "1"], "r.csv", EXIT_CONFIG,
+     "config error: loss step 1.0 does not advance the loss at float "
+     "precision near 1e+17"),
+    (["sweep", "--loss-end", "0"], "missing/dir/r.csv", EXIT_IO,
+     "I/O error: cannot write {tmp}/missing/dir/r.csv"),
+    (_empty_tag_list, "report.txt", EXIT_CONFIG,
+     "config error: a tagged run needs at least one tag block"),
+], ids=["config_not_object", "empty_list_flag", "loss_span_not_finite",
+        "loss_step_stalls", "out_not_writable", "empty_tag_list"])
+def test_refusal_is_named_without_output(tmp_path, capsys, argv, out_name,
+                                         code, printed):
+    if callable(argv):
+        argv = argv(tmp_path)
+        capsys.readouterr()
+    out = tmp_path / out_name
+    assert run_cli(argv + ["--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(printed.format(tmp=tmp_path))
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("name", ["BB84", "bb-84"])
 def test_unknown_protocol_names_raise(name):
     spec = SourceSpec()

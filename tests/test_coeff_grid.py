@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qkdbound import coeffs
 from qkdbound.coeffs import (
     SINGULAR_TOL,
     SingularSystem,
@@ -257,3 +258,30 @@ def test_pole_in_blocks_the_values_rule_out_raises_in_both():
     with pytest.raises(SingularSystem) as got:
         coeff_bounds_bb84(ranges)
     assert str(got.value) == str(expected.value)
+
+
+def _outcome(bounds_of, ranges):
+    """A box's coefficient bounds as hex strings, or its pole's message."""
+    try:
+        c = bounds_of(ranges).c
+    except SingularSystem as exc:
+        return str(exc)
+    return {(alpha, j): v.hex() for alpha, row in c.items()
+            for j, v in row.items()}
+
+
+def test_slabs_of_few_blocks_give_the_same_bounds(monkeypatch):
+    # at the default slab size every grid up to 161 points is enclosed in
+    # one slab; five blocks cut it into slabs of one row of blocks, or of
+    # five when only theta_0Z spans a range, the last one then partial.
+    # The boxes: sources, random boxes, a 161-point grid and two poles
+    boxes = _seeded_boxes()
+    lo = {"0Z": -0.3821853071792574, "1Z": 3.28, "0X": 1.9, "1X": 5.901}
+    boxes.append(PhaseRanges(lo=lo, hi=dict(lo, **{"0Z": -0.382185307178599})))
+    runs = [(BOUNDS[proto.name], ranges)
+            for ranges in boxes[:28:6] + boxes[-3:]
+            for proto in PROTOCOLS if takes_grid(proto, ranges)]
+    want = [_outcome(*run) for run in runs]
+    monkeypatch.setattr(coeffs, "_SLAB_BLOCKS", 5)
+    assert [_outcome(*run) for run in runs] == want
+    assert any(isinstance(w, str) for w in want)

@@ -33,23 +33,32 @@ SCALE = 10 ** 25
 
 @st.composite
 def tagged_runs(draw, min_tags=1):
-    """(protocol, per-tag counts) of a run; a q estimate may exceed 1."""
+    """(protocol, per-tag counts) of a run some protocol could produce: the
+    X-basis and sifted counts of a tag never exceed its n_w. One X cell per
+    tag is drawn above its expected count, so its q estimate exceeds 1 and
+    clamps whenever the tag has the room."""
     proto = draw(st.sampled_from(PROTOCOLS), label="protocol")
     probs = ProtocolProbs.uniform(proto.settings)
     scale = draw(st.sampled_from([1, SCALE]), label="scale")
+    cells = [(j, gamma) for j in proto.settings for gamma in (0, 1)]
     tags = []
     for w in range(draw(st.integers(min_tags, 10), label="tags")):
         n_w = draw(st.integers(1, 10 ** 7))
-
-        def count(expected):
-            # up to 1.5 times the expected count, so q = count / expected
-            # clamps to 1 in a third of the draws
-            return int(draw(st.floats(0.0, 1.5)) * expected) * scale
-
-        n_x = {j: (count(n_w * probs.p_j[j] * probs.p_xb),
-                   count(n_w * probs.p_j[j] * probs.p_xb))
-               for j in proto.settings}
-        n_det_z = draw(st.integers(1, n_w)) * scale
+        hot = draw(st.sampled_from(cells), label="cell above expected")
+        # one round is kept back for the sifted key
+        room = n_w - 1
+        x = {}
+        for cell in [hot] + [c for c in cells if c != hot]:
+            expected = n_w * probs.p_j[cell[0]] * probs.p_xb
+            if cell == hot:
+                # up to 1.5 times the expected count, and above it
+                wanted = int(draw(st.floats(1.0, 1.5)) * expected) + 1
+            else:
+                wanted = int(draw(st.floats(0.0, 1.0)) * expected)
+            x[cell] = min(wanted, room)
+            room -= x[cell]
+        n_x = {j: (x[j, 0] * scale, x[j, 1] * scale) for j in proto.settings}
+        n_det_z = draw(st.integers(1, room + 1)) * scale
         n_err_z = draw(st.integers(0, n_det_z // scale)) * scale
         tags.append(TagCounts(w=w, n_w=n_w * scale, n_x=n_x,
                               n_det_z=n_det_z, n_err_z=n_err_z))
