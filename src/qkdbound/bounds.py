@@ -83,11 +83,10 @@ class ObservedStatistics:
     conditioned on both parties choosing Z, so the sifted-key size is
     N * p_ZA * p_ZB * y_z. ``n`` is None in asymptotic mode, where q, y_z
     and e_bit may also be arrays with one entry per loss. In the count
-    column of ``evaluate_with_inputs`` and ``per_tag_bounds`` every field
-    but ``per_tag`` is an array: entry 0 is the run total, entry w + 1 tag
-    w. All q estimates are checked and clamped by one ``as_unit`` call over
-    the stacked (q_0, q_1) pairs. Only ``from_tags`` sets ``per_tag``, so a
-    tagged run's totals are always the sums of its tags.
+    column of ``column_bounds`` every field but ``per_tag`` is an array:
+    entry 0 is the run total, entry w + 1 tag w. One ``as_unit`` call over
+    the stacked (q_0, q_1) pairs checks and clamps all q estimates. Only
+    ``from_tags`` sets ``per_tag``: a tagged run's totals are its tags' sums.
     """
 
     q: Dict[str, Tuple[float, float]]
@@ -114,8 +113,7 @@ class ObservedStatistics:
         push the ratio above 1, so it is clamped (upward bias is safe: the
         outer bound is nondecreasing in every q). The counts may be float
         arrays, one entry for the run total and one per tag (the count
-        column of ``evaluate_with_inputs``); the estimates are then arrays
-        too.
+        column of ``column_bounds``); the estimates are then arrays too.
         """
         q = {
             j: (
@@ -138,7 +136,7 @@ class ObservedStatistics:
                   probs: ProtocolProbs) -> "ObservedStatistics":
         """Statistics of a tagged run, keeping the tags; the totals are their
         exact sums. The one check of a tag list: tag w at position w of a
-        nonempty list, and n_w that partition n."""
+        nonempty list, n_w that partition n, n_x over the settings of p_j."""
         if not per_tag:
             raise ValueError("a tagged run needs at least one tag block")
         for w, t in enumerate(per_tag):
@@ -146,8 +144,12 @@ class ObservedStatistics:
                 raise ValueError(f"tag block {w} has w = {t.w}")
         if sum(t.n_w for t in per_tag) != n:
             raise ValueError(f"tag sizes n_w do not sum to n = {n}")
+        for t in per_tag:
+            if t.n_x.keys() != probs.p_j.keys():
+                raise InconsistentProtocol(f"tag {t.w}: n_x names "
+                                           f"{list(t.n_x)}, not probs.p_j's")
         n_x = {j: (sum(t.n_x[j][0] for t in per_tag),
-                   sum(t.n_x[j][1] for t in per_tag)) for j in per_tag[0].n_x}
+                   sum(t.n_x[j][1] for t in per_tag)) for j in probs.p_j}
         stats = cls.from_counts(n=n, n_x=n_x,
                                 n_det_z=sum(t.n_det_z for t in per_tag),
                                 n_err_z=sum(t.n_err_z for t in per_tag),
@@ -164,7 +166,6 @@ class KeyRateReport:
     e_bit: float
     e_ph_u: float
     rate: float
-    e_ph_u_per_tag: Optional[List[float]] = None
 
 
 def _inner_detection_bound(q: Dict[str, Tuple[float, float]], gamma: int,
@@ -208,10 +209,11 @@ def phase_error_bound(stats: ObservedStatistics, probs: ProtocolProbs,
     return native(np.minimum(1.0, G_plus(y_outer, z) / stats.y_z))
 
 
-def _column_bounds(stats: ObservedStatistics, probs: ProtocolProbs,
-                   c_upper: CoefficientSet, pvir_upper: Tuple[float, float],
-                   eps_u: float) -> List[float]:
-    """[e_ph^U of the run total] + [e_{ph,w}^U of every tag], in one pass.
+def column_bounds(stats: ObservedStatistics, probs: ProtocolProbs,
+                  c_upper: CoefficientSet, pvir_upper: Tuple[float, float],
+                  eps_u: float) -> List[float]:
+    """[e_ph^U of the run total] + [e_{ph,w}^U of every tag], in one pass;
+    ``EmptySiftedKey`` if any entry has an empty sifted key.
 
     Entry 0 sums the tags' counts exactly, as Python ints. The counts are
     stacked into float arrays (``np.array(..., dtype=float)`` rounds an int
@@ -237,11 +239,11 @@ def _column_bounds(stats: ObservedStatistics, probs: ProtocolProbs,
 def per_tag_bounds(stats: ObservedStatistics, probs: ProtocolProbs,
                    c_upper: CoefficientSet, pvir_upper: Tuple[float, float],
                    eps_u: float) -> List[float]:
-    """e_{ph,w}^U for every tag: entries 1.. of the count column.
+    """e_{ph,w}^U for every tag: entries 1.. of ``column_bounds``.
 
     Each tag's bound is, bit for bit, the one its own scalar counts give.
     """
-    return _column_bounds(stats, probs, c_upper, pvir_upper, eps_u)[1:]
+    return column_bounds(stats, probs, c_upper, pvir_upper, eps_u)[1:]
 
 
 def secret_fraction_check(e_per_tag: Sequence[float], q_w: Sequence[float],
@@ -260,8 +262,8 @@ def secret_fraction_check(e_per_tag: Sequence[float], q_w: Sequence[float],
     return (lhs, mid, rhs)
 
 
-def key_rate(y_z: float, e_ph_u: float, e_bit: float, f: float,
-             e_ph_u_per_tag: Optional[List[float]] = None) -> KeyRateReport:
+def key_rate(y_z: float, e_ph_u: float, e_bit: float,
+             f: float) -> KeyRateReport:
     """R = max(0, Y_Z * [1 - h(e_ph^U) - f * h(e_bit)])."""
     if not 1.0 <= f < math.inf:
         raise ValueError(f"error-correction efficiency f = {f!r} must be "
@@ -272,8 +274,7 @@ def key_rate(y_z: float, e_ph_u: float, e_bit: float, f: float,
     h_bit = binary_entropy(np.minimum(as_unit(e_bit), 0.5))
     r = y_z * (1.0 - h_ph - f * h_bit)
     return KeyRateReport(y_z=y_z, e_bit=e_bit, e_ph_u=e_ph_u,
-                         rate=native(np.maximum(0.0, r)),
-                         e_ph_u_per_tag=e_ph_u_per_tag)
+                         rate=native(np.maximum(0.0, r)))
 
 
 #: (c^U, (pbar_1X^U, pbar_0X^U), epsilon_eff), the source side of the bound
@@ -296,19 +297,10 @@ def bound_inputs_from_source(spec: SourceSpec, protocol: str) -> BoundInputs:
 
 def evaluate_with_inputs(stats: ObservedStatistics, probs: ProtocolProbs,
                          inputs: BoundInputs, f: float) -> KeyRateReport:
-    """e_ph^U -> key rate from precomputed ``bound_inputs_from_source``.
-
-    With tags, one ``phase_error_bound`` call over the count column gives
-    e_ph^U of the run total (entry 0, the bound of the tags' summed counts
-    that ``from_tags`` estimates) and every tag's e_{ph,w}^U.
-    """
-    c_upper, pvir, eps = inputs
-    if stats.per_tag:
-        e_ph, *per_tag = _column_bounds(stats, probs, c_upper, pvir, eps)
-    else:
-        e_ph = phase_error_bound(stats, probs, c_upper, pvir, eps)
-        per_tag = None
-    return key_rate(stats.y_z, e_ph, stats.e_bit, f, e_ph_u_per_tag=per_tag)
+    """e_ph^U -> key rate of the statistics' totals, from precomputed
+    ``bound_inputs_from_source``; ``column_bounds`` bounds a run's tags."""
+    e_ph = phase_error_bound(stats, probs, *inputs)
+    return key_rate(stats.y_z, e_ph, stats.e_bit, f)
 
 
 def evaluate_point(stats: ObservedStatistics, probs: ProtocolProbs,

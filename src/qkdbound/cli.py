@@ -33,8 +33,9 @@ from .bounds import (
     ObservedStatistics,
     TagCounts,
     bound_inputs_from_source,
-    evaluate_point,
+    column_bounds,
     evaluate_with_inputs,
+    key_rate,
 )
 from .coeffs import SingularSystem
 from .simulator import (
@@ -460,17 +461,17 @@ def cmd_bound(args: argparse.Namespace) -> int:
                           f"correlation_length = {spec.correlation_length}")
     protocol = doc["protocol"]
     f = _read(_read(doc, "channel"), "f", float)
-    report = evaluate_point(stats, probs, spec, protocol, f)
+    # one pass bounds the run total (entry 0) and every tag
+    e_ph, *per_tag = column_bounds(stats, probs,
+                                   *bound_inputs_from_source(spec, protocol))
+    report = key_rate(stats.y_z, e_ph, stats.e_bit, f)
     lines = [
         f"protocol: {protocol}",
         f"Y_Z:    {_sci(report.y_z)}",
         f"e_bit:  {_sci(report.e_bit)}",
         f"e_ph_u: {_sci(report.e_ph_u)}",
         f"rate:   {_sci(report.rate)}",
-    ]
-    if report.e_ph_u_per_tag is not None:
-        for w, e in enumerate(report.e_ph_u_per_tag):
-            lines.append(f"e_ph_u[tag {w}]: {_sci(e)}")
+    ] + [f"e_ph_u[tag {w}]: {_sci(e)}" for w, e in enumerate(per_tag)]
     _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -15,6 +15,9 @@ epsilon_u = 0 and inside the analytic sectors:
 The truth is sum_k w_k sum_alpha pbar_alpha P(gamma = 1 - alpha | E(rho_vir,
 alpha)) / Y_Z, with the virtual states of each tuple's own Z emissions, and
 ``phase_error_bound`` of the mixed statistics must not fall below it.
+
+Random channels rarely come near the worst case, so a local search over a
+unitary channel and one phase tuple also pushes truth - e_ph^U upward.
 """
 
 import math
@@ -22,6 +25,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 
 from qkdbound.bounds import (
     ObservedStatistics,
@@ -70,12 +74,17 @@ def outcome_probs(rho, basis, ch):
     return (only0 + 0.5 * both, only1 + 0.5 * both, p_fail)
 
 
+def kraus_of(g):
+    """The Kraus operators cut from the QR isometry of the complex 2r x 2
+    matrix ``g``: r of them, and sum_i K_i^dagger K_i = 1."""
+    return np.linalg.qr(g)[0].reshape(-1, 2, 2)
+
+
 def random_kraus(r, seed):
-    """r Kraus operators cut from the QR isometry of a complex Gaussian
-    2r x 2 matrix: sum_i K_i^dagger K_i = 1."""
+    """r Kraus operators of a complex Gaussian 2r x 2 matrix."""
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((2 * r, 2)) + 1j * rng.standard_normal((2 * r, 2))
-    return np.linalg.qr(g)[0].reshape(r, 2, 2)
+    return kraus_of(rng.standard_normal((2 * r, 2))
+                    + 1j * rng.standard_normal((2 * r, 2)))
 
 
 def run(proto, tuples, weights, kraus, ch):
@@ -130,6 +139,29 @@ def test_bound_dominates_the_adversarial_truth(proto, delta, cap_delta, ch,
                          data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     stats, truth = run(proto, tuples, weights / weights.sum(), kraus, ch)
     assert bound(proto, spec, stats) >= truth - ALLOWANCE
+
+
+@pytest.mark.parametrize("proto", PROTOCOLS, ids=lambda p: p.name)
+def test_worst_case_search_stays_below_the_bound(proto):
+    # a bound that shrinks the phase ranges to Delta / 4 fails here, though
+    # random channels pass it
+    spec = SourceSpec(delta=0.063, Delta=0.03)
+    nominal = spec.nominal_phases()
+    ch = ChannelParams(loss_db=0.0, p_d=1e-8)
+
+    def shortfall(x):
+        """e_ph^U - truth of a unitary channel (8 real parameters) and one
+        phase tuple, each phase theta_hat_j + Delta tanh(x_j)."""
+        phases = {j: nominal[j] + spec.Delta * math.tanh(t)
+                  for j, t in zip(proto.settings, x[8:])}
+        stats, truth = run(proto, [phases], [1.0],
+                           kraus_of((x[:4] + 1j * x[4:8]).reshape(2, 2)), ch)
+        return bound(proto, spec, stats) - truth
+
+    start = np.random.default_rng(7).standard_normal(8 + len(proto.settings))
+    worst = minimize(shortfall, start, method="L-BFGS-B",
+                     options={"maxiter": 60})
+    assert -worst.fun <= ALLOWANCE
 
 
 @settings(max_examples=30, deadline=None)

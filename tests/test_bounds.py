@@ -91,14 +91,30 @@ class TestObservedStatistics:
             ObservedStatistics(q={"0Z": (q, 0.0)}, y_z=0.5, e_bit=0.0)
 
     def test_from_tags_sums_the_tags(self):
-        tags = [TagCounts(w=w, n_w=500, n_x={"0Z": (w, 2 * w)}, n_det_z=10 + w,
-                          n_err_z=w) for w in range(3)]
+        tags = [TagCounts(w=w, n_w=500, n_x={"0Z": (w, 2 * w), "1Z": (w, 1)},
+                          n_det_z=10 + w, n_err_z=w) for w in range(3)]
         probs = ProtocolProbs(p_zb=0.5, p_j={"0Z": 0.5, "1Z": 0.5})
         stats = ObservedStatistics.from_tags(1500, tags, probs)
         assert stats.per_tag == tags
         # replace() rebuilds from the constructor fields, without the tags
         assert dataclasses.replace(stats) == ObservedStatistics.from_counts(
-            n=1500, n_x={"0Z": (3, 6)}, n_det_z=33, n_err_z=3, probs=probs)
+            n=1500, n_x={"0Z": (3, 6), "1Z": (3, 3)}, n_det_z=33, n_err_z=3,
+            probs=probs)
+
+    @pytest.mark.parametrize("settings, odd", [
+        ([SETTINGS_BB84, ("0Z",)], 1), ([("0Z",), SETTINGS_BB84], 0)],
+        ids=["later_tag_short", "first_tag_short"])
+    def test_from_tags_refuses_settings_other_than_the_runs(self, settings,
+                                                            odd):
+        # the totals used to be summed over tag 0's settings: a KeyError when
+        # a later tag lacked one, and settings dropped when tag 0 did
+        tags = [TagCounts(w=w, n_w=500, n_x={j: (1, 2) for j in names},
+                          n_det_z=10, n_err_z=1)
+                for w, names in enumerate(settings)]
+        with pytest.raises(InconsistentProtocol) as exc:
+            ObservedStatistics.from_tags(1000, tags, PROBS)
+        assert str(exc.value) == \
+            f"tag {odd}: n_x names {list(settings[odd])}, not probs.p_j's"
 
     def test_partition_validated(self):
         tags = [TagCounts(w=0, n_w=10, n_x={"0Z": (0, 0)}, n_det_z=1,

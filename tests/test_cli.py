@@ -19,6 +19,7 @@ from qkdbound.bounds import (
     TagCounts,
     bound_inputs_from_source,
     evaluate_point,
+    per_tag_bounds,
 )
 from qkdbound.cli import (
     EXIT_COMPUTE,
@@ -460,13 +461,15 @@ class TestSimulateAndBound:
                                             in t["n_x"].items()}))
                    for t in doc["per_tag"]]
         probs = ProtocolProbs(**doc["probs"])
-        report = evaluate_point(
-            ObservedStatistics.from_tags(doc["n"], per_tag, probs), probs,
-            SourceSpec(**doc["source"]), doc["protocol"], doc["channel"]["f"])
+        stats = ObservedStatistics.from_tags(doc["n"], per_tag, probs)
+        spec = SourceSpec(**doc["source"])
+        report = evaluate_point(stats, probs, spec, doc["protocol"],
+                                doc["channel"]["f"])
         assert f"e_ph_u: {report.e_ph_u:.8e}" in lines
+        c_upper, pvir, eps = bound_inputs_from_source(spec, doc["protocol"])
         assert [ln for ln in lines if ln.startswith("e_ph_u[tag")] == [
-            f"e_ph_u[tag {w}]: {e:.8e}"
-            for w, e in enumerate(report.e_ph_u_per_tag)]
+            f"e_ph_u[tag {w}]: {e:.8e}" for w, e in
+            enumerate(per_tag_bounds(stats, probs, c_upper, pvir, eps))]
         doc["n"] += 1
         path.write_text(json.dumps(doc))
         assert run_cli(["bound", str(path)]) == EXIT_CONFIG
@@ -695,3 +698,14 @@ def test_memory_error_is_compute_error(monkeypatch, capsys, command, message,
     argv = [command] + (["counts.json"] if command == "bound" else [])
     assert run_cli(argv) == EXIT_COMPUTE
     assert capsys.readouterr().err == f"computation error: {printed}\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate", "bound"])
+def test_arithmetic_error_is_compute_error(monkeypatch, capsys, command):
+    def overflowed(args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, f"cmd_{command}", overflowed)
+    argv = [command] + (["counts.json"] if command == "bound" else [])
+    assert run_cli(argv) == EXIT_COMPUTE
+    assert capsys.readouterr().err == "computation error: math range error\n"

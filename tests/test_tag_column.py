@@ -1,13 +1,16 @@
-"""The count column of ``evaluate_with_inputs`` against scalar bounds.
+"""The count column of ``column_bounds`` against scalar bounds.
 
 One array pass bounds the run total (entry 0) and every tag. Each entry
 must be, bit for bit, what its own counts give through ``from_counts`` and
 ``phase_error_bound``: the total's what the summed counts of ``from_tags``
 give, each tag's what a loop over the tags gives, including q estimates
-clamped at 1, counts beyond 2^53 and a tag with an empty sifted key.
+clamped at 1, counts beyond 2^53 and a tag with an empty sifted key. Only
+``bound`` prints the tags' bounds, so a finite sweep row is bounded from its
+run total alone, even when one of its tags has an empty sifted key.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -19,12 +22,13 @@ from qkdbound.bounds import (
     ObservedStatistics,
     TagCounts,
     bound_inputs_from_source,
+    column_bounds,
     evaluate_with_inputs,
-    key_rate,
     per_tag_bounds,
     phase_error_bound,
 )
-from qkdbound.cli import EXIT_OK, main
+from qkdbound.cli import EXIT_COMPUTE, EXIT_OK, main
+from qkdbound.simulator import ChannelColumn, RunConfig, simulate_finite
 from qkdbound.source import PROTOCOLS, ProtocolProbs, SourceSpec
 
 #: Counts this large leave int64 and the exact float integers behind.
@@ -117,15 +121,11 @@ def test_total_entry_equals_scalar_path(run, data):
     c_upper, pvir, eps = bound_inputs = inputs(proto, data)
     stats = ObservedStatistics.from_tags(sum(t.n_w for t in tags), tags,
                                          probs)
-    want = key_rate(stats.y_z,
-                    phase_error_bound(stats, probs, c_upper, pvir, eps),
-                    stats.e_bit, 1.16,
-                    e_ph_u_per_tag=tag_loop(tags, probs, c_upper, pvir, eps))
-    got = evaluate_with_inputs(stats, probs, bound_inputs, 1.16)
-    for field in ("y_z", "e_bit", "e_ph_u", "rate"):
-        assert getattr(got, field).hex() == getattr(want, field).hex()
-    assert [e.hex() for e in got.e_ph_u_per_tag] == \
-        [e.hex() for e in want.e_ph_u_per_tag]
+    total, *per_tag = column_bounds(stats, probs, c_upper, pvir, eps)
+    assert total.hex() == \
+        phase_error_bound(stats, probs, c_upper, pvir, eps).hex()
+    assert [e.hex() for e in per_tag] == \
+        [e.hex() for e in tag_loop(tags, probs, c_upper, pvir, eps)]
 
     dead = data.draw(st.integers(0, len(tags) - 1), label="dead tag")
     tags[dead] = TagCounts(w=dead, n_w=tags[dead].n_w, n_x=tags[dead].n_x,
@@ -133,7 +133,52 @@ def test_total_entry_equals_scalar_path(run, data):
     stats = ObservedStatistics.from_tags(sum(t.n_w for t in tags), tags,
                                          probs)
     with pytest.raises(EmptySiftedKey):
-        evaluate_with_inputs(stats, probs, bound_inputs, 1.16)
+        column_bounds(stats, probs, c_upper, pvir, eps)
+    if len(tags) > 1:
+        # every other tag has a sifted key, so the run total has one too;
+        # its report is that of the same totals without tags
+        got, want = (evaluate_with_inputs(s, probs, bound_inputs, 1.16)
+                     for s in (stats, dataclasses.replace(stats)))
+        assert [x.hex() for x in dataclasses.astuple(got)] == \
+            [x.hex() for x in dataclasses.astuple(want)]
+
+
+#: A finite run with l_c = 9 whose total has 3 sifted rounds, and the
+#: sifted rounds of each of its tags
+EMPTY_TAG_RUN = ["--n", "300", "--lc", "9", "--seed", "3"]
+SIFTED_PER_TAG = [0, 0, 1, 0, 0, 1, 0, 0, 1, 0]
+
+
+def test_sweep_row_with_an_empty_tag_is_bounded_from_its_total(tmp_path,
+                                                                capsys):
+    # used to refuse the whole sweep with exit 4
+    assert main(["sweep", "--mode", "finite", "--loss-start", "10",
+                 "--loss-end", "10"] + EMPTY_TAG_RUN) == EXIT_OK
+    rows = [ln for ln in capsys.readouterr().out.splitlines()
+            if not ln.startswith("#")]
+    assert len(rows) == 2
+    spec = SourceSpec(delta=0.063, Delta=0.03, correlation_length=9)
+    probs = ProtocolProbs.uniform(PROTOCOLS[0].settings)
+    ch = ChannelColumn.of_losses([10.0], p_d=1e-8, f=1.16).channels[0]
+    stats = simulate_finite(RunConfig(n=300, seed=3, l_c=9, protocol="bb84",
+                                      probs=probs), spec, ch)
+    assert [t.n_det_z for t in stats.per_tag] == SIFTED_PER_TAG
+    report = evaluate_with_inputs(
+        stats, probs, bound_inputs_from_source(spec, "bb84"), 1.16)
+    assert rows[1].split(",")[6:] == [
+        f"{x:.8e}" for x in (report.y_z, report.e_bit, report.e_ph_u,
+                             report.rate)]
+
+    # bound prints every tag's bound, and tag 0 has none
+    path = tmp_path / "counts.json"
+    assert main(["simulate", "--loss-db", "10", "--out", str(path)]
+                + EMPTY_TAG_RUN) == EXIT_OK
+    doc = json.loads(path.read_text())
+    assert [t["n_det_z"] for t in doc["per_tag"]] == SIFTED_PER_TAG
+    capsys.readouterr()
+    assert main(["bound", str(path)]) == EXIT_COMPUTE
+    assert capsys.readouterr().err == \
+        "computation error: no detected Z-basis rounds\n"
 
 
 def test_scaled_document_reports_the_same(tmp_path):
