@@ -15,11 +15,11 @@ provides:
     is the one evaluator of a closed form at phase values,
   * worst-case coefficient upper bounds over phase ranges: inside the
     validity sectors a corner rule per (row, X reference), and dense grid
-    maximisation outside them. The grid is cut into blocks; every form is
-    enclosed over every block (exact sin/cos ranges of the affine phase
-    terms, and a mean-value form of the quotient, widened for float
+    maximisation outside them. The grid is cut into blocks; one array pass
+    encloses every form over every block (exact sin/cos term ranges, each
+    form an affine map of its terms, a mean-value quotient widened for float
     rounding), and only the blocks that may hold the maximum or a pole are
-    evaluated, which gives the full grid's values bit for bit.
+    evaluated: the full grid's values, bit for bit.
 """
 
 from __future__ import annotations
@@ -175,6 +175,19 @@ _TERMS_OF = {formula: tuple(inspect.signature(formula).parameters)
              for row in _FORMULAS.values() for formula in row}
 
 
+def _affine(formula):
+    """(b, A): the form's (numerator, denominator) is b + A t over the terms
+    t of _TERMS, read off at the unit vectors and at t = 0 as _WEIGHTS is.
+    Exact, as every entry of A is 0, +-1 or +-2 and of b 0 or +-1."""
+    names = _TERMS_OF[formula]
+    *units, b = (np.array(formula(*t)) for t in np.eye(len(names) + 1, len(names)))
+    cols = dict(zip(names, units))
+    return b, np.column_stack([cols.get(name, b) - b for name in _TERMS])
+
+
+_AFFINE = {formula: _affine(formula) for formula in _TERMS_OF}
+
+
 def _at(formula, a, b, c):
     """(numerator, denominator) of a closed form at phases (a, b, c)."""
     return formula(*(_term(name, a, b, c) for name in _TERMS_OF[formula]))
@@ -263,148 +276,135 @@ _GRID_MAX_POINTS = 700
 #: grid points per axis of one block of the pruned scan; even, so that every
 #: block starts on an even index and holds points of the coarser grid
 _BLOCK = 14
-#: blocks enclosed at once: what bounds the enclosure pass's working memory
-_SLAB_BLOCKS = 1 << 12
+#: blocks enclosed at once, but at least one row of blocks: what bounds the
+#: enclosure pass's working memory, about 0.3 kB per block and form
+_SLAB_BLOCKS = 1 << 11
 
 #: the derivative of each term function, as (function, sign)
 _DERIVATIVE = {np.sin: (np.cos, 1.0), np.cos: (np.sin, -1.0)}
 
 _EPS = np.finfo(float).eps
-#: float64 rounding allowances of the enclosures. A term is off its exact
-#: value by the rounding of its argument (at most _EPS per unit of the
-#: argument's magnitude) plus that of sin or cos (_TRIG_ERR); a numerator or
-#: denominator adds that of its at most six sums of terms weighing at most 9
-#: in all (_SUM_ERR). Each allowance covers both the grid's evaluation and
-#: the enclosure's own, with room to spare.
+#: float64 rounding allowances, each over the sum of |weight * value| of
+#: what is added, so that it holds in any summation order. A term is off by
+#: the rounding of its argument (2 _EPS per unit of sum |weight * phase|)
+#: plus that of sin or cos (_TRIG_ERR). A numerator, a denominator or either
+#: one's derivative along an axis adds at most five exact products and a
+#: constant, of |weight * value| summing to at most _TERM_WEIGHT + 1: five
+#: roundings of _EPS / 2 per unit, 25 _EPS. _SUM_ERR covers both the grid's
+#: evaluation and the enclosure's own, with room to spare.
 _TRIG_ERR = 2 * _EPS
 _SUM_ERR = 128 * _EPS
-#: the most a numerator or denominator can weigh in terms
+#: the most a numerator or denominator can weigh in terms: sum |A| over a
+#: row of _AFFINE, besides a constant |b| <= 1
 _TERM_WEIGHT = 9
 
 
-class _Enclosure:
-    """Interval [lo, hi] of an expression over each block of a grid, with
-    an interval (dlo[i], dhi[i]) of its derivative along each phase axis i.
-
-    It supports the sums, differences and constant multiples the closed
-    forms are made of, so a closed form applied to the enclosures of its
-    terms encloses its own numerator and denominator.
-    """
-
-    __slots__ = ("lo", "hi", "dlo", "dhi")
-
-    def __init__(self, lo, hi, dlo, dhi):
-        self.lo, self.hi, self.dlo, self.dhi = lo, hi, dlo, dhi
-
-    def __add__(self, other):
-        if not isinstance(other, _Enclosure):
-            return _Enclosure(self.lo + other, self.hi + other,
-                              self.dlo, self.dhi)
-        return _Enclosure(self.lo + other.lo, self.hi + other.hi,
-                          tuple(map(np.add, self.dlo, other.dlo)),
-                          tuple(map(np.add, self.dhi, other.dhi)))
-
-    def __neg__(self):
-        return _Enclosure(-self.hi, -self.lo, tuple(-d for d in self.dhi),
-                          tuple(-d for d in self.dlo))
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, k):
-        if k < 0:
-            return -(self * -k)
-        return _Enclosure(self.lo * k, self.hi * k, tuple(d * k for d in self.dlo),
-                          tuple(d * k for d in self.dhi))
-
-    __rmul__ = __mul__
-
-    def widened(self, by):
-        return _Enclosure(self.lo - by, self.hi + by, self.dlo, self.dhi)
-
-
-def _enclose_term(name, boxes, mags):
-    """Enclosure of one term of _TERMS over blocks.
+def _term_ranges(names, boxes, mags):
+    """Value and slope ranges of the terms ``names`` over blocks.
 
     ``boxes`` holds, per phase axis, the (lo, hi) arrays of the blocks'
     phase ranges, shaped to broadcast; ``mags`` the largest |phase| per axis.
-    The argument range is widened by its rounding before the exact sin or
-    cos range is taken, and that range by the rounding of sin and cos, so
-    it holds every computed value of the term in the block as well as every
-    exact one.
+    Each argument range spans only the axes its term weighs, widened by its
+    rounding; all, flattened into one array, take one exact sin and one
+    exact cos range (``trig_range``). Returns (values, slopes) over (term,
+    block), lower ends over upper ones, widened by _TRIG_ERR: the range of
+    each term's function, which holds every computed and exact value of the
+    term in the block, and of the other one, its derivative up to sign.
     """
-    fn, weights = _TERMS[name][0], _WEIGHTS[name]
-    lo = hi = 0.0
-    for w, (b_lo, b_hi) in zip(weights, boxes):
-        if w:
-            lo = lo + w * (b_lo if w > 0 else b_hi)
-            hi = hi + w * (b_hi if w > 0 else b_lo)
-    slack = 4 * _EPS * (sum(abs(w) * m for w, m in zip(weights, mags)) + 1.0)
-    lo, hi = lo - slack, hi + slack
-    v_lo, v_hi = trig_range(fn, lo, hi)
-    d_fn, sign = _DERIVATIVE[fn]
-    g_lo, g_hi = trig_range(d_fn, lo, hi)
-    dlo, dhi = [], []
-    for w in weights:
-        w = w * sign
-        dlo.append(w * (g_lo if w > 0 else g_hi))
-        dhi.append(w * (g_hi if w > 0 else g_lo))
-    return _Enclosure(v_lo - _TRIG_ERR, v_hi + _TRIG_ERR, tuple(dlo), tuple(dhi))
+    args = []
+    for weights in map(_WEIGHTS.get, names):
+        # w * phase is least at the upper end of the phase when w < 0
+        lo = sum(w * box[w < 0] for w, box in zip(weights, boxes) if w)
+        hi = sum(w * box[w > 0] for w, box in zip(weights, boxes) if w)
+        slack = 4 * _EPS * (sum(abs(w) * m for w, m in zip(weights, mags)) + 1.0)
+        args.append((lo - slack, hi + slack))
+    cuts = np.cumsum([np.size(lo) for lo, _ in args])[:-1]
+    flat = [np.concatenate([np.ravel(arg[k]) for arg in args]) for k in (0, 1)]
+    ranges = {fn: [np.split(end + widen, cuts) for end, widen in
+                   zip(trig_range(fn, *flat), (-_TRIG_ERR, _TRIG_ERR))]
+              for fn in _DERIVATIVE}
+    shape = np.broadcast_shapes(*(np.shape(end) for box in boxes for end in box))
+    values, slopes = np.empty((2, 2, len(names)) + shape)
+    for i, (name, (lo, _)) in enumerate(zip(names, args)):
+        fn = _TERMS[name][0]
+        for out, of in ((values, fn), (slopes, _DERIVATIVE[fn][0])):
+            for k, end in enumerate(ranges[of]):
+                out[k, i] = end[i].reshape(np.shape(lo))
+    return values.reshape((-1,) + shape), slopes.reshape((-1,) + shape)
+
+
+def _interval_map(a, b, ends):
+    """Interval of b + a t per (numerator or denominator, form) row over the
+    term ranges ``ends`` (as ``_term_ranges`` stacks them), widened by
+    _SUM_ERR: ((num lo, den lo), (num hi, den hi)) over (form, block). Sums
+    of products over a's positive and negative parts in numpy's own loops
+    (``einsum`` without ``optimize`` makes no BLAS call)."""
+    rows = a.reshape(-1, a.shape[-1])
+    up, down = np.maximum(rows, 0.0), np.minimum(rows, 0.0)
+    offset = np.add.outer((-_SUM_ERR, _SUM_ERR), np.broadcast_to(b, a.shape[:-1]))
+    out = np.einsum("rt,t...->r...", np.vstack([np.hstack([up, down]),
+                                                np.hstack([down, up])]), ends)
+    out += offset.reshape((-1,) + (1,) * (ends.ndim - 1))
+    return out.reshape((2,) + a.shape[:-1] + ends.shape[1:])
 
 
 def _product(a, b):
     """Interval product of (lo, hi) pairs."""
-    ends = [x * y for x in a for y in b]
-    return np.minimum.reduce(ends), np.maximum.reduce(ends)
+    p, q, r, s = (x * y for x in a for y in b)
+    return (np.minimum(np.minimum(p, q), np.minimum(r, s)),
+            np.maximum(np.maximum(p, q), np.maximum(r, s)))
 
 
 def _bound_forms(formulas, boxes, mags):
     """Upper bound and smallest-|denominator| bound of each form per block.
 
-    ``boxes`` and ``mags`` are as for ``_enclose_term``. Returns, per form,
-    (upper, gap) arrays over the blocks: every computed grid value of the
-    form in a block is at most ``upper``, and every computed |denominator|
-    at least ``gap``. The upper bound is the smaller of the interval
-    quotient of the enclosed numerator and denominator and a mean-value
-    form: the value at the block centre plus the interval gradient times
-    the half-width, widened by the most the computed values can differ from
-    the exact ones. A denominator enclosure that holds 0 gives gap 0 and
-    upper +inf.
+    ``boxes`` and ``mags`` are as for ``_term_ranges``. Returns (upper, gap)
+    over (form, block): every computed grid value of a form in a block is at
+    most ``upper``, and every computed |denominator| at least ``gap``. All
+    forms are enclosed at once: ``_interval_map`` of their affine maps
+    (``_AFFINE``) over the term ranges gives the numerators, denominators
+    and their derivatives along each axis. The upper bound is the smaller
+    of the interval quotient and a mean-value form: the value at the block
+    centre plus the interval gradient times the half-width, widened by the
+    most the computed values can differ from the exact ones. A denominator
+    enclosure that holds 0 gives gap 0 and upper +inf.
     """
-    names = dict.fromkeys(name for formula in formulas
-                          for name in _TERMS_OF[formula])
-    terms = {name: _enclose_term(name, boxes, mags) for name in names}
+    used = [any(name in _TERMS_OF[f] for f in formulas) for name in _TERMS]
+    names = list(itertools.compress(_TERMS, used))
+    b = np.array([_AFFINE[f][0] for f in formulas]).T
+    a = np.array([_AFFINE[f][1][:, used] for f in formulas]).swapaxes(0, 1)
+    values, slopes = _term_ranges(names, boxes, mags)
+    (num_lo, den_lo), (num_hi, den_hi) = _interval_map(a, b, values)
     centres = [(lo + hi) / 2 for lo, hi in boxes]
     radii = [np.maximum(hi - mid, mid - lo) * (1 + 4 * _EPS)
              for (lo, hi), mid in zip(boxes, centres)]
-    point_err = (_TERM_WEIGHT * (4 * _EPS * (2 * max(mags) + 1.0) + _TRIG_ERR)
-                 + _SUM_ERR)
-    out = []
-    for formula in formulas:
-        num, den = (x.widened(_SUM_ERR) for x in
-                    formula(*(terms[name] for name in _TERMS_OF[formula])))
-        gap = np.maximum(np.maximum(den.lo, -den.hi), 0.0)
-        inverse = (1 / den.hi, 1 / den.lo)  # of a denominator that excludes 0
-        value = _product((num.lo, num.hi), inverse)
-        size = np.maximum(-value[0], value[1]) * (1 + 4 * _EPS)
-        high = value[1] + 4 * _EPS * size
-        # the most a computed value can differ from the exact one
-        margin = point_err * (1.0 + size) / gap + 4 * _EPS * size
-        # f' = (num' - f den') / den along each axis, times the half-width
-        slope = 0.0
-        for d, r in enumerate(radii):
-            drag = _product(value, (den.dlo[d], den.dhi[d]))
-            lo, hi = _product((num.dlo[d] - drag[1], num.dhi[d] - drag[0]), inverse)
-            rounding = 8 * _EPS * (np.maximum(-num.dlo[d], num.dhi[d])
-                                   + np.maximum(-drag[0], drag[1]))
-            slope = slope + (np.maximum(-lo, hi) + rounding / gap) * r
-        c_num, c_den = _at(formula, *centres)
-        centre = c_num / c_den
-        mean_value = centre + 2 * margin + slope
-        mean_value = mean_value + 8 * _EPS * (np.abs(centre) + 2 * margin + slope)
-        upper = np.where(gap > 0, np.fmin(high, mean_value), np.inf)
-        out.append((np.where(np.isnan(upper), np.inf, upper), gap))
-    return out
+    point_err = _TERM_WEIGHT * (4 * _EPS * (2 * max(mags) + 1) + _TRIG_ERR) + _SUM_ERR
+    gap = np.maximum(np.maximum(den_lo, -den_hi), 0.0)
+    value = _product((num_lo, num_hi), (1 / den_hi, 1 / den_lo))
+    size = np.maximum(-value[0], value[1]) * (1 + 4 * _EPS)
+    high = value[1] + 4 * _EPS * size
+    # the most a computed value can differ from the exact one
+    margin = point_err * (1.0 + size) / gap + 4 * _EPS * size
+    # |f'| = |num' - f den'| / |den| along each axis, times the half-width;
+    # a term's derivative along an axis is its slope times weight and sign
+    slope = 0.0
+    for w, r in zip(np.array([np.multiply(_WEIGHTS[n], _DERIVATIVE[_TERMS[n][0]][1])
+                              for n in names]).T, radii):
+        (dn_lo, dd_lo), (dn_hi, dd_hi) = _interval_map(a * w, 0.0, slopes)
+        drag = _product(value, (dd_lo, dd_hi))
+        rounding = 8 * _EPS * (np.maximum(-dn_lo, dn_hi)
+                               + np.maximum(-drag[0], drag[1]))
+        bound = np.maximum(drag[1] - dn_lo, dn_hi - drag[0]) + rounding
+        slope = slope + bound / gap * r
+    # the value at each block centre, as ``_at`` gives it
+    terms = {name: _term(name, *centres) for name in names}
+    centre = np.array(np.broadcast_arrays(*(
+        np.divide(*formula(*map(terms.get, _TERMS_OF[formula])))
+        for formula in formulas)))
+    mean_value = centre + 2 * margin + slope
+    mean_value = mean_value + 8 * _EPS * (np.abs(centre) + 2 * margin + slope)
+    upper = np.where(gap > 0, np.fmin(high, mean_value), np.inf)
+    return np.where(np.isnan(upper), np.inf, upper), gap
 
 
 def _scan_level(formulas, r0z, r1z, rx, n: int, with_start: bool):
@@ -432,14 +432,13 @@ def _scan_level(formulas, r0z, r1z, rx, n: int, with_start: bool):
     axes = [(np.minimum.reduceat(g, e[:-1]), np.maximum.reduceat(g, e[:-1]))
             for g, e in zip(grids, edges)]
     mags = [max(abs(g[0]), abs(g[-1])) for g in grids]
-    bounds = [(np.empty(shape), np.empty(shape)) for _ in formulas]
+    upper, gap = np.empty((2, len(formulas)) + shape)
     rows = max(1, _SLAB_BLOCKS // (shape[1] * shape[2]))
     for i in range(0, shape[0], rows):
         cut = [slice(i, i + rows), slice(None), slice(None)]
-        slab = _bound_forms(formulas, [[x[c].reshape(b) for x in axis] for
-                                       axis, c, b in zip(axes, cut, bcast)], mags)
-        for (upper, gap), (u, g) in zip(bounds, slab):
-            upper[i:i + rows], gap[i:i + rows] = u, g
+        slab = [[x[c].reshape(b) for x in axis] for axis, c, b in zip(axes, cut, bcast)]
+        upper[:, i:i + rows], gap[:, i:i + rows] = _bound_forms(formulas, slab, mags)
+    bounds = list(zip(upper, gap))
 
     views = [(slice(None),) * 3]
     if with_start:

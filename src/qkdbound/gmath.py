@@ -97,6 +97,7 @@ def binary_entropy(x):
 
 #: where each function takes its minimum and its maximum, modulo 2 pi
 _EXTREMA = {np.sin: (-np.pi / 2, np.pi / 2), np.cos: (np.pi, 0.0)}
+_EPS = 2.0 ** -52  # np.finfo(float).eps
 
 
 def _holds(lo, hi, at):
@@ -105,7 +106,7 @@ def _holds(lo, hi, at):
     # the first candidate at or above lo, give or take the rounding of the
     # division: the one below is tested too
     point = at + turn * np.ceil((lo - at) / turn)
-    slack = 8.0 * np.finfo(float).eps * (np.abs(lo) + np.abs(hi) + turn)
+    slack = 8.0 * _EPS * (np.abs(lo) + np.abs(hi) + turn)
     return (point <= hi + slack) | (point - turn >= lo - slack)
 
 

@@ -8,11 +8,17 @@ bound. These tests sample computed values inside random boxes of the kinds
 that stress the enclosures (ranges across sin/cos extrema, ranges wider
 than 2 pi, single-phase and one-ulp ranges, ranges next to the
 theta_0Z = theta_1Z pole) and check them, and check a sample of term ranges
-against mpmath's interval arithmetic.
+against mpmath's interval arithmetic. They also check that each form's
+affine table is the form itself, that the interval sums hold every
+summation order, and that the benchmark's out-of-sector sources evaluate
+no more blocks than the enclosures let through when these tests were written.
 """
 
 import contextlib
+import itertools
 import math
+import sys
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -68,12 +74,19 @@ def _mags(box):
     return [max(abs(lo), abs(hi)) for lo, hi in box]
 
 
+def _term_ranges(box):
+    """The value range of every term of _TERMS over the box, by name."""
+    names = tuple(coeffs._TERMS)
+    values, _ = coeffs._term_ranges(names, box, _mags(box))
+    return {name: SimpleNamespace(lo=lo, hi=hi) for name, lo, hi in
+            zip(names, values[:len(names)], values[len(names):])}
+
+
 @settings(max_examples=150, deadline=None)
 @given(box=boxes(), seed=st.integers(0, 2 ** 32 - 1))
 def test_term_ranges_hold_every_computed_value(box, seed):
     a, b, c = _points(box, np.random.default_rng(seed))
-    for name in coeffs._TERMS:
-        enc = coeffs._enclose_term(name, box, _mags(box))
+    for name, enc in _term_ranges(box).items():
         values = coeffs._term(name, a, b, c)
         assert enc.lo <= values.min() and values.max() <= enc.hi, name
 
@@ -84,7 +97,7 @@ def test_form_bounds_hold_every_computed_value(box, seed):
     a, b, c = _points(box, np.random.default_rng(seed))
     with np.errstate(divide="ignore", invalid="ignore"):
         bounds = coeffs._bound_forms(FORMULAS, box, _mags(box))
-        for formula, (upper, gap) in zip(FORMULAS, bounds):
+        for formula, upper, gap in zip(FORMULAS, *bounds):
             num, den = coeffs._at(formula, a, b, c)
             assert np.abs(den).min() >= gap, formula.__name__
             if gap > 0:
@@ -102,7 +115,7 @@ def test_mean_value_form_is_second_order():
     a, b, c = _points(box, np.random.default_rng(0))
     with np.errstate(divide="ignore", invalid="ignore"):
         bounds = coeffs._bound_forms(FORMULAS, box, _mags(box))
-    for formula, (upper, gap) in zip(FORMULAS, bounds):
+    for formula, upper, gap in zip(FORMULAS, *bounds):
         num, den = coeffs._at(formula, a, b, c)
         assert gap > coeffs.SINGULAR_TOL
         assert upper - (num / den).max() < 1e-5, formula.__name__
@@ -142,7 +155,7 @@ def test_term_ranges_against_mpmath_intervals(box, name):
         arg = sum(w * iv.mpf([lo, hi]) for w, (lo, hi) in zip(weights, box))
         exact = (iv.sin if fn is np.sin else iv.cos)(arg)
     lo, hi = (mpmath.mp.make_mpf(end) for end in exact._mpi_)
-    enc = coeffs._enclose_term(name, box, _mags(box))
+    enc = _term_ranges(box)[name]
     assert mpmath.mpf(float(enc.lo)) <= lo and hi <= mpmath.mpf(float(enc.hi))
     slack = 1e-14 * (1 + sum(abs(w) * m for w, m in zip(weights, _mags(box))))
     assert lo - enc.lo <= slack and enc.hi - hi <= slack
@@ -163,3 +176,92 @@ def test_trig_range_is_exact(fn, iv_fn):
     # the endpoint values themselves wherever an endpoint is extreme
     point_lo, point_hi = trig_range(fn, lo, lo)
     assert np.array_equal(point_lo, fn(lo)) and np.array_equal(point_hi, fn(lo))
+
+
+def _tables(formulas=FORMULAS):
+    """The (b, A) rows of ``formulas`` as ``_bound_forms`` stacks them."""
+    b = np.array([coeffs._AFFINE[f][0] for f in formulas]).T
+    a = np.array([coeffs._AFFINE[f][1] for f in formulas]).swapaxes(0, 1)
+    return b, a
+
+
+@pytest.mark.parametrize("formula", FORMULAS, ids=lambda f: f.__name__)
+def test_affine_tables_are_exact(formula):
+    # b + A t is the closed form itself wherever the arithmetic is exact:
+    # at small-integer term values, by float.hex
+    b, a = coeffs._AFFINE[formula]
+    names = tuple(coeffs._TERMS)
+    rng = np.random.default_rng(3)
+    for t in rng.integers(-4, 5, (50, len(names))).astype(float):
+        got = formula(*(t[names.index(name)] for name in coeffs._TERMS_OF[formula]))
+        want = b + (a * t).sum(1)
+        assert [float(x).hex() for x in got] == [x.hex() for x in want]
+    assert set(a.ravel()) <= {0.0, 1.0, -1.0, 2.0, -2.0}
+    assert set(b) <= {0.0, 1.0, -1.0}
+    # what _SUM_ERR and point_err are stated over
+    assert (np.abs(a).sum(1) + np.abs(b) <= coeffs._TERM_WEIGHT + 1).all()
+    assert (np.count_nonzero(a, axis=1) <= 5).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), width=st.sampled_from([0.0, 1e-15, 1e-9]))
+def test_interval_map_holds_every_summation_order(seed, width):
+    # each end of a numerator, a denominator or a derivative along an axis
+    # holds its exact value and its float sum in every order, at term
+    # values anywhere in the ranges: the derivative rows are the tables
+    # times each axis's weights and signs
+    rng = np.random.default_rng(seed)
+    b, a = _tables()
+    names = tuple(coeffs._TERMS)
+    lo = rng.uniform(-1.0, 1.0, len(names))
+    hi = np.minimum(lo + width, 1.0)
+    signs = [coeffs._DERIVATIVE[coeffs._TERMS[name][0]][1] for name in names]
+    weights = np.array([coeffs._WEIGHTS[name] for name in names]).T * signs
+    maps = [(a, b)] + [(a * w, np.zeros_like(b)) for w in weights]
+    t = [rng.uniform(lo, hi) for _ in range(3)] + [lo, hi]
+    for rows, const in maps:
+        ends = coeffs._interval_map(rows, const, np.concatenate([lo, hi]))
+        for part, form in np.ndindex(const.shape):
+            row, c = rows[part, form], float(const[part, form])
+            low, high = ends[0][part][form], ends[1][part][form]
+            for x in t:
+                summands = [c] + [float(w * v) for w, v in zip(row, x) if w]
+                assert low <= math.fsum(summands) <= high
+                for order in itertools.permutations(summands):
+                    total = 0.0
+                    for s in order:
+                        total += s
+                    assert low <= total <= high
+
+
+# the (delta, Delta) draws of the benchmark's sweep_out_of_sector workload
+# for seeds 1-5, and how many grid blocks its pruned scans evaluate there,
+# both protocols together
+OUT_OF_SECTOR_DRAWS = [
+    (0.6694867473874465, 0.052913238569298415, 27),
+    (0.6895654974118699, 0.03169654103180426, 27),
+    (0.6088458450591904, 0.04109865499644238, 27),
+    (0.5206332068461431, 0.04188174727832043, 23),
+    (0.6483573978521459, 0.0538558069669709, 27),
+]
+
+
+@pytest.mark.parametrize("delta, cap_delta, blocks", OUT_OF_SECTOR_DRAWS)
+def test_pruning_evaluates_no_more_blocks(monkeypatch, delta, cap_delta, blocks):
+    # a looser enclosure lets more blocks through to pointwise evaluation:
+    # each _at call the scan's visit makes evaluates one form on one block
+    from qkdbound.bounds import bound_inputs_from_source
+    from qkdbound.source import SourceSpec
+
+    calls = []
+    at = coeffs._at
+
+    def counted(*args):
+        if sys._getframe(1).f_code.co_name == "visit":
+            calls.append(1)
+        return at(*args)
+
+    monkeypatch.setattr(coeffs, "_at", counted)
+    for protocol in ("bb84", "three_state"):
+        bound_inputs_from_source(SourceSpec(delta=delta, Delta=cap_delta), protocol)
+    assert 0 < len(calls) <= blocks
