@@ -28,11 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coeffs import (
-    CoefficientSet,
-    coeff_bounds_bb84,
-    coeff_bounds_three_state,
-)
+from .coeffs import CoefficientSet, _coeff_bounds
 from .gmath import G_minus, G_plus, as_unit, binary_entropy, native, within
 from .source import (
     InconsistentProtocol,
@@ -281,18 +277,22 @@ def key_rate(y_z: float, e_ph_u: float, e_bit: float,
 BoundInputs = Tuple[CoefficientSet, Tuple[float, float], float]
 
 
+def bound_inputs_per_protocol(spec: SourceSpec,
+                              protocols: Sequence[str]) -> List[BoundInputs]:
+    """``bound_inputs_from_source`` of each protocol, in one coefficient pass."""
+    protos = [Protocol.named(p) for p in protocols]
+    ranges = PhaseRanges.from_source(spec)  # bb84 has every setting
+    shared = virtual_prob_bounds(ranges), spec.effective_epsilon()
+    return [(c,) + shared for c in _coeff_bounds(protos, ranges)]
+
+
 def bound_inputs_from_source(spec: SourceSpec, protocol: str) -> BoundInputs:
     """Worst-case coefficient bounds, virtual probabilities and effective
     epsilon for a characterised source — the inputs of phase_error_bound.
 
     None depends on the channel: c^U and pbar_vir are set by (protocol,
     delta, Delta), epsilon_eff by (epsilon_u, l_c)."""
-    proto = Protocol.named(protocol)
-    ranges = PhaseRanges.from_source(spec, settings=proto.settings)
-    bounds_of = {"bb84": coeff_bounds_bb84,
-                 "three_state": coeff_bounds_three_state}[proto.name]
-    return (bounds_of(ranges), virtual_prob_bounds(ranges),
-            spec.effective_epsilon())
+    return bound_inputs_per_protocol(spec, [protocol])[0]
 
 
 def evaluate_with_inputs(stats: ObservedStatistics, probs: ProtocolProbs,

@@ -33,6 +33,7 @@ from .bounds import (
     ObservedStatistics,
     TagCounts,
     bound_inputs_from_source,
+    bound_inputs_per_protocol,
     column_bounds,
     evaluate_with_inputs,
     key_rate,
@@ -259,10 +260,11 @@ def _sweep_rows(protocols: Sequence[str], losses: Sequence[float],
 def _sweep_values(cfg: Dict, protocols: Sequence[str],
                   specs: List[SourceSpec], column: ChannelColumn) -> Tuple:
     """(stats, values) of every protocol and source, as ``_sweep_rows``
-    takes them. The statistics depend on delta only, c^U and pbar_vir on
-    (protocol, delta, Delta) only. So asymptotic mode makes one
-    ``simulate_asymptotic`` call per delta for all protocols, and one bound
-    pass per (protocol, delta, Delta), the sources' epsilon_eff a column
+    takes them. The statistics depend on delta only: asymptotic mode makes
+    one ``simulate_asymptotic`` call per delta for all protocols. c^U and
+    pbar_vir come once per (delta, Delta) for all protocols, each grid box
+    scanned once for the union of its forms; then one bound pass per
+    (protocol, delta, Delta) takes the sources' epsilon_eff as a column
     against the loss axis. Finite mode makes one seeded run per row, seeded
     with ``--seed`` plus the row's index, (n * losses + i) * sources + k.
     """
@@ -284,13 +286,13 @@ def _sweep_values(cfg: Dict, protocols: Sequence[str],
             stats.append((shared.y_z.tolist(), shared.e_bit.tolist()))
         for ks in by_cap.values():
             eps = [specs[k].effective_epsilon() for k in ks]
-            for n, protocol in enumerate(protocols):
-                inputs = bound_inputs_from_source(specs[ks[0]], protocol)[:2]
+            inputs_of = bound_inputs_per_protocol(specs[ks[0]], protocols)
+            for n, (protocol, inputs) in enumerate(zip(protocols, inputs_of)):
                 if not finite:
                     # e_ph_u and R come out as arrays of sources x losses
                     report = evaluate_with_inputs(
-                        shared, probs[n], inputs + (np.array(eps)[:, None],),
-                        cfg["f"])
+                        shared, probs[n],
+                        inputs[:2] + (np.array(eps)[:, None],), cfg["f"])
                     for k, e_ph, rate in zip(ks, report.e_ph_u.tolist(),
                                              report.rate.tolist()):
                         values[n][k] = (len(stats) - 1, e_ph, rate)
@@ -304,7 +306,7 @@ def _sweep_values(cfg: Dict, protocols: Sequence[str],
                                         protocol=protocol, probs=probs[n])
                         r.append(evaluate_with_inputs(
                             simulate_finite(run, specs[k], ch), probs[n],
-                            inputs + (e,), cfg["f"]))
+                            inputs[:2] + (e,), cfg["f"]))
                     stats.append(([x.y_z for x in r], [x.e_bit for x in r]))
                     values[n][k] = (len(stats) - 1, [x.e_ph_u for x in r],
                                     [x.rate for x in r])

@@ -28,7 +28,7 @@ import inspect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -348,6 +348,13 @@ def _interval_map(a, b, ends):
     return out.reshape((2,) + a.shape[:-1] + ends.shape[1:])
 
 
+def _derivative_maps(a, names, slopes):
+    """``_interval_map`` per axis of the rows ``a``'s derivatives along it."""
+    signs = [_DERIVATIVE[_TERMS[name][0]][1] for name in names]
+    for w in np.array([_WEIGHTS[name] for name in names]).T * signs:
+        yield _interval_map(a * w, 0.0, slopes)
+
+
 def _product(a, b):
     """Interval product of (lo, hi) pairs."""
     p, q, r, s = (x * y for x in a for y in b)
@@ -385,12 +392,10 @@ def _bound_forms(formulas, boxes, mags):
     high = value[1] + 4 * _EPS * size
     # the most a computed value can differ from the exact one
     margin = point_err * (1.0 + size) / gap + 4 * _EPS * size
-    # |f'| = |num' - f den'| / |den| along each axis, times the half-width;
-    # a term's derivative along an axis is its slope times weight and sign
+    # |f'| = |num' - f den'| / |den| along each axis, times the half-width
     slope = 0.0
-    for w, r in zip(np.array([np.multiply(_WEIGHTS[n], _DERIVATIVE[_TERMS[n][0]][1])
-                              for n in names]).T, radii):
-        (dn_lo, dd_lo), (dn_hi, dd_hi) = _interval_map(a * w, 0.0, slopes)
+    for ((dn_lo, dd_lo), (dn_hi, dd_hi)), r in zip(
+            _derivative_maps(a, names, slopes), radii):
         drag = _product(value, (dd_lo, dd_hi))
         rounding = 8 * _EPS * (np.maximum(-dn_lo, dn_hi)
                                + np.maximum(-drag[0], drag[1]))
@@ -478,40 +483,41 @@ def _grid_maxima(formulas, r0z, r1z, rx):
     axis until a refinement moves its maximum by less than ``_GRID_TOL`` or
     the next grid would exceed ``_GRID_MAX_POINTS``. The forms still
     refining share the scan of each grid, and the first two grids share one
-    scan. The first form, in order, with a grid point within SINGULAR_TOL
-    of a pole raises SingularSystem.
+    scan; no form's result depends on the forms it shares them with. Per
+    form: (math.inf, gap, maximum) of its final grid, gap the smallest
+    |denominator|, or (n, gap, -) once gap marks a pole (below SINGULAR_TOL
+    or NaN) in the scan up to n points; that form stops, the others go on.
 
     Each scan is pruned (``_scan_level``): it evaluates a form only on the
     blocks of ``_BLOCK``^3 points whose enclosure may reach the maximum or
-    a pole, so each maximum, convergence decision and SingularSystem message
-    is that of the full grid. Its memory is two floats per form and block,
-    the enclosures of at most ``_SLAB_BLOCKS`` blocks and the points of one
-    block, not the grid.
+    a pole, so each result is that of the full grid. Its memory is two
+    floats per form and block, the enclosures of at most ``_SLAB_BLOCKS``
+    blocks and the points of one block, not the grid.
     """
-    maxima = [None] * len(formulas)
+    out = [None] * len(formulas)
     prev = [None] * len(formulas)
     pending = list(range(len(formulas)))
     sizes = (_GRID_START, 2 * _GRID_START - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # poles raise below
+    with np.errstate(divide="ignore", invalid="ignore"):  # poles: see above
         while pending:
             scans = _scan_level([formulas[k] for k in pending], r0z, r1z, rx,
                                 sizes[-1], len(sizes) == 2)
             kept = []
             for k, scan in zip(pending, scans):
                 for n, (gap, cur) in zip(sizes, scan):
-                    _check_pole(gap)
+                    pole = not gap >= SINGULAR_TOL  # NaN fails the test too
                     cur = float(cur)
                     settled = (prev[k] is not None
                                and abs(cur - prev[k]) < _GRID_TOL)
-                    if settled or 2 * n > _GRID_MAX_POINTS:
-                        maxima[k] = cur
+                    if pole or settled or 2 * n > _GRID_MAX_POINTS:
+                        out[k] = (sizes[-1] if pole else math.inf, gap, cur)
                         break
                     prev[k] = cur
                 else:
                     kept.append(k)
             pending = kept
             sizes = (2 * sizes[-1] - 1,)
-    return maxima
+    return out
 
 
 #: the in-sector corner rule of each row, keyed by (alpha, X reference):
@@ -531,45 +537,57 @@ _CORNER_RULES = {
 }
 
 
-def _coeff_bounds(proto: Protocol, ranges: PhaseRanges) -> CoefficientSet:
-    """Upper bounds on every coefficient of ``proto`` over the phase ranges.
+def _coeff_bounds(protos: Sequence[Protocol],
+                  ranges: PhaseRanges) -> List[CoefficientSet]:
+    """Upper bounds on every coefficient of each of ``protos`` over the phase
+    ranges, one CoefficientSet per protocol, each bound a Python float.
 
-    The ranges of the settings the rows use (0Z, 1Z and the X references)
-    alone choose the rule: the corner rules of ``_CORNER_RULES`` when they
-    all sit inside their analytic sectors, otherwise the exact closed forms
-    maximised on a dense grid, evaluated only on the grid blocks that may
-    hold a maximum or a pole. Every bound is a Python float.
+    The ranges of the settings a protocol's rows use (0Z, 1Z and its X
+    references) alone choose its rule: the corner rules of ``_CORNER_RULES``
+    when they all sit inside their analytic sectors, otherwise the exact
+    closed forms maximised on a dense grid. Each grid box is scanned once,
+    for the union of the forms all protocols take there (``_grid_maxima``);
+    a pole raises as in one call per protocol in turn (earliest scan first).
     """
-    used = dict.fromkeys(("0Z", "1Z") + proto.x_ref)
-    missing = [j for j in used if j not in ranges.lo]
-    if missing:
-        raise InconsistentProtocol(f"phase ranges lack settings {missing} "
-                                   f"that the {proto.name} rows use")
-    own = PhaseRanges(lo={j: ranges.lo[j] for j in used},
-                      hi={j: ranges.hi[j] for j in used})
-    r = {j: (own.lo[j], own.hi[j]) for j in used}
-    in_sector = own.in_analytic_sectors()
-    rows = {}
-    # rows with the same X reference share one grid (three-state: 0X)
-    for x in dict.fromkeys(proto.x_ref[alpha] for alpha in (1, 0)):
-        alphas = [alpha for alpha in (1, 0) if proto.x_ref[alpha] == x]
-        box = r["0Z"], r["1Z"], r[x]
-        if in_sector:
-            values = [v for alpha in alphas
-                      for v in _CORNER_RULES[alpha, x](*box)]
+    r = {j: (ranges.lo[j], ranges.hi[j]) for j in ranges.lo}
+    plans, boxes = [], {}
+    for n, proto in enumerate(protos):
+        used = dict.fromkeys(("0Z", "1Z") + proto.x_ref)
+        missing = [j for j in used if j not in r]
+        if missing:
+            raise InconsistentProtocol(f"phase ranges lack settings {missing}"
+                                       f" that the {proto.name} rows use")
+        grid = not PhaseRanges(lo={j: ranges.lo[j] for j in used},
+                               hi={j: ranges.hi[j] for j in used}
+                               ).in_analytic_sectors()
+        # rows with the same X reference share one box (three-state: 0X)
+        for x in dict.fromkeys(proto.x_ref[::-1]):
+            alphas = [alpha for alpha in (1, 0) if proto.x_ref[alpha] == x]
+            plans.append((n, x, alphas, grid))
+            if grid:
+                boxes.setdefault(x, {}).update(dict.fromkeys(
+                    f for alpha in alphas for f in _FORMULAS[alpha]))
+    found = {(x, f): v for x, forms in boxes.items() for f, v in
+             zip(forms, _grid_maxima(list(forms), r["0Z"], r["1Z"], r[x]))}
+    rows = [{} for _ in protos]
+    for n, x, alphas, grid in plans:
+        if grid:
+            values = [found[x, f] for alpha in alphas for f in _FORMULAS[alpha]]
+            _check_pole(min(values, key=lambda v: v[0])[1])
+            values = [v for _, _, v in values]
         else:
-            values = _grid_maxima([formula for alpha in alphas
-                                   for formula in _FORMULAS[alpha]], *box)
+            values = [v for alpha in alphas for v in
+                      _CORNER_RULES[alpha, x](r["0Z"], r["1Z"], r[x])]
         for i, alpha in enumerate(alphas):
-            rows[alpha] = [float(v) for v in values[3 * i:3 * i + 3]]
-    return _coefficient_set(proto, rows)
+            rows[n][alpha] = [float(v) for v in values[3 * i:3 * i + 3]]
+    return [_coefficient_set(proto, row) for proto, row in zip(protos, rows)]
 
 
 def coeff_bounds_bb84(ranges: PhaseRanges) -> CoefficientSet:
     """Upper bounds on every bb84 coefficient over the phase ranges."""
-    return _coeff_bounds(BB84, ranges)
+    return _coeff_bounds([BB84], ranges)[0]
 
 
 def coeff_bounds_three_state(ranges: PhaseRanges) -> CoefficientSet:
     """Upper bounds on every three-state coefficient over the phase ranges."""
-    return _coeff_bounds(THREE_STATE, ranges)
+    return _coeff_bounds([THREE_STATE], ranges)[0]

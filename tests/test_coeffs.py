@@ -244,7 +244,7 @@ class TestCoefficientBounds:
         spec = SourceSpec(delta=delta, Delta=0.03, epsilon_u=1e-4)
         ranges = PhaseRanges.from_source(spec)
         proto = Protocol("bb84", BB84.settings, x_ref=("0X", "0X"))
-        got = coeffs._coeff_bounds(proto, ranges)
+        got, = coeffs._coeff_bounds([proto], ranges)
         want = coeff_bounds_three_state(ranges)
         assert hex_rows(got.c) == hex_rows(
             {alpha: dict(row, **{"1X": 0.0}) for alpha, row in want.c.items()})

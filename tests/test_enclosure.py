@@ -208,19 +208,22 @@ def test_affine_tables_are_exact(formula):
 def test_interval_map_holds_every_summation_order(seed, width):
     # each end of a numerator, a denominator or a derivative along an axis
     # holds its exact value and its float sum in every order, at term
-    # values anywhere in the ranges: the derivative rows are the tables
-    # times each axis's weights and signs
+    # values anywhere in the ranges: the value maps of _interval_map, and
+    # the axis-derivative maps of _derivative_maps, whose rows are the
+    # tables times each axis's weights and signs
     rng = np.random.default_rng(seed)
     b, a = _tables()
     names = tuple(coeffs._TERMS)
     lo = rng.uniform(-1.0, 1.0, len(names))
     hi = np.minimum(lo + width, 1.0)
+    ranges = np.concatenate([lo, hi])
     signs = [coeffs._DERIVATIVE[coeffs._TERMS[name][0]][1] for name in names]
     weights = np.array([coeffs._WEIGHTS[name] for name in names]).T * signs
-    maps = [(a, b)] + [(a * w, np.zeros_like(b)) for w in weights]
+    maps = [(a, b, coeffs._interval_map(a, b, ranges))] + [
+        (a * w, np.zeros_like(b), ends) for w, ends in
+        zip(weights, coeffs._derivative_maps(a, names, ranges), strict=True)]
     t = [rng.uniform(lo, hi) for _ in range(3)] + [lo, hi]
-    for rows, const in maps:
-        ends = coeffs._interval_map(rows, const, np.concatenate([lo, hi]))
+    for rows, const, ends in maps:
         for part, form in np.ndindex(const.shape):
             row, c = rows[part, form], float(const[part, form])
             low, high = ends[0][part][form], ends[1][part][form]

@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from qkdbound import bounds, cli
+from qkdbound import bounds, cli, coeffs
 from qkdbound.cli import EXIT_OK, main
 
 README_SWEEP = ["sweep", "--protocol", "both", "--loss-start", "0",
@@ -101,24 +101,24 @@ def test_lc9_counts_document_and_report(tmp_path, protocol, doc_digest,
         == report_digest
 
 
-@pytest.mark.parametrize("argv, calls", [
-    (README_SWEEP, 2), (MULTI_SOURCE_SWEEP, 8),
-], ids=["readme_sweep", "multi_source_sweep"])
+@pytest.mark.parametrize("argv, passes, scans", [
+    (README_SWEEP, 1, 0), (MULTI_SOURCE_SWEEP, 4, 0), (GRID_SWEEP, 1, 2),
+], ids=["readme_sweep", "multi_source_sweep", "grid_branch_sweep"])
 def test_sweep_bounds_coefficients_once_per_source(tmp_path, monkeypatch,
-                                                   argv, calls):
-    # c^U depends on (protocol, delta, Delta) only, never on the loss
-    count = []
-    for name in ("coeff_bounds_bb84", "coeff_bounds_three_state"):
-        original = getattr(bounds, name)
+                                                   argv, passes, scans):
+    # c^U depends on (protocol, delta, Delta) only, never on the loss: one
+    # coefficient pass per (delta, Delta) serves every protocol, and out of
+    # sector it scans each X-reference box once (1X, and 0X for both)
+    count = {"_coeff_bounds": 0, "_grid_maxima": 0}
+    for module, name in ((bounds, "_coeff_bounds"), (coeffs, "_grid_maxima")):
+        def counted(*args, _original=getattr(module, name), _name=name,
+                    **kwargs):
+            count[_name] += 1
+            return _original(*args, **kwargs)
 
-        def counted(ranges, *args, _original=original, **kwargs):
-            count.append(ranges)
-            return _original(ranges, *args, **kwargs)
-
-        monkeypatch.setattr(bounds, name, counted)
+        monkeypatch.setattr(module, name, counted)
     assert main(argv + ["--out", str(tmp_path / "sweep.csv")]) == EXIT_OK
-    assert len(count) == calls
-
+    assert count == {"_coeff_bounds": passes, "_grid_maxima": scans}
 
 
 @pytest.mark.parametrize("argv, calls", [

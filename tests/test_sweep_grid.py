@@ -1,7 +1,9 @@
 """The grouped sweep equals the scalar pipeline per (source, loss), bit for bit.
 
 ``sweep`` makes one ``simulate_asymptotic`` call per delta, shared by every
-protocol, and one bound pass per (protocol, delta, Delta): the sources'
+protocol, and computes c^U and pbar_vir once per (delta, Delta) for all
+protocols, each grid box scanned once for the union of its forms. Then
+comes one bound pass per (protocol, delta, Delta): the sources'
 epsilon_eff form a (k, 1) column that broadcasts against the loss axis.
 Every value must equal ``simulate_asymptotic`` + ``evaluate_point`` run on
 that protocol, source and loss alone, also where G+ saturates (epsilon_u up
