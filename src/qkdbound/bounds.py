@@ -4,9 +4,9 @@ The estimate of interest is an upper bound on the phase-error rate of the
 virtual X-basis protocol, obtained from basis-mismatched detection statistics
 through two layers of the G+ / G- sandwich:
 
-  Y_inner(gamma, alpha) = sum_{j: c>0} c[alpha][j] * G+(q[j][gamma], z)
-                        + sum_{j: c<0} c[alpha][j] * G-(q[j][gamma], z)
-  y_outer = sum_alpha pbar[alpha] * Y_inner(1 - alpha, alpha)   (clamped to [0,1])
+  Y_inner[alpha] = sum_j c[alpha, j] * G+-(q[j][1 - alpha], z)   (G+ where
+                   c > 0, G- where c < 0; c the CoefficientSet table)
+  y_outer = sum_alpha pbar[alpha] * Y_inner[alpha]   (clamped to [0,1])
   e_ph^U  = G+(y_outer, z) / Y_Z,    z = sqrt(1 - epsilon_u)
 
 and the key rate is R = max(0, Y_Z * [1 - h(e_ph^U) - f * h(e_bit)]).
@@ -164,19 +164,6 @@ class KeyRateReport:
     rate: float
 
 
-def _inner_detection_bound(q: Dict[str, Tuple[float, float]], gamma: int,
-                           row: Dict[str, float], z: float) -> float:
-    """One virtual detection probability, of Bob's X outcome ``gamma``,
-    bounded through the sandwich over the coefficients ``row``."""
-    total = 0.0
-    for j, c in row.items():
-        if c > 0.0:
-            total += c * G_plus(q[j][gamma], z)
-        elif c < 0.0:
-            total += c * G_minus(q[j][gamma], z)
-    return total
-
-
 def phase_error_bound(stats: ObservedStatistics, probs: ProtocolProbs,
                       c_upper: CoefficientSet,
                       pvir_upper: Tuple[float, float],
@@ -190,17 +177,22 @@ def phase_error_bound(stats: ObservedStatistics, probs: ProtocolProbs,
     """
     if np.any(stats.y_z <= 0.0) or np.any(stats.n_det_z == 0):
         raise EmptySiftedKey("no detected Z-basis rounds")
-    for j in c_upper.c[1]:
+    for j in c_upper.settings:
         if j not in stats.q:
             raise InconsistentProtocol(
                 f"statistics lack setting {j} required by the {c_upper.protocol} "
                 f"coefficient set")
     eps_u = as_unit(eps_u)
     z = np.sqrt(1.0 - eps_u)
-    pbar_1x, pbar_0x = pvir_upper
-    # phase error: virtual bit alpha with Bob's X outcome gamma = 1 - alpha
-    y_outer = (pbar_1x * _inner_detection_bound(stats.q, 0, c_upper.c[1], z)
-               + pbar_0x * _inner_detection_bound(stats.q, 1, c_upper.c[0], z))
+    # q[..., alpha, k] = q[setting k][gamma = 1 - alpha]: a phase error
+    q = np.array([stats.q[j][::-1] for j in c_upper.settings])
+    q, c, zz = q.transpose(*range(2, q.ndim), 1, 0), c_upper.table, z[..., None, None]
+    terms = np.where(c > 0.0, c * G_plus(q, zz),
+                     np.where(c < 0.0, c * G_minus(q, zz), 0.0))
+    y_inner = 0.0
+    for k in range(c.shape[1]):  # the settings, left to right
+        y_inner = y_inner + terms[..., k]
+    y_outer = pvir_upper[0] * y_inner[..., 1] + pvir_upper[1] * y_inner[..., 0]
     y_outer = np.minimum(1.0, np.maximum(0.0, y_outer))
     return native(np.minimum(1.0, G_plus(y_outer, z) / stats.y_z))
 

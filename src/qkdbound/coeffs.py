@@ -72,16 +72,30 @@ def virtual_triple(th0z: float, th1z: float, alpha: int) -> np.ndarray:
     return triple / trace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSet:
-    """Real decomposition coefficients c[alpha][setting], one row per virtual state.
-
-    ``protocol`` names an entry of the protocol table, whose settings each
-    row lists; only 0Z, 1Z and the row's X reference can be nonzero.
-    """
+    """Real decomposition coefficients c^U: ``table[alpha, k]`` is row alpha's
+    coefficient of setting k of ``settings`` (those of ``protocol``), in a
+    read-only float array; the engine's rows use only 0Z, 1Z and their X
+    reference. ``c`` gives the table as {alpha: {setting: float}}, rows 1, 0."""
 
     protocol: str
-    c: Dict[int, Dict[str, float]]
+    table: np.ndarray
+
+    def __post_init__(self):
+        table = np.array(self.table, dtype=float)
+        if table.shape != (2, len(self.settings)):
+            raise InconsistentProtocol(f"{self.protocol} table shape {table.shape}")
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+
+    @property
+    def settings(self) -> Tuple[str, ...]:
+        return Protocol.named(self.protocol).settings
+
+    @property
+    def c(self) -> Dict[int, Dict[str, float]]:
+        return {a: dict(zip(self.settings, self.table[a].tolist())) for a in (1, 0)}
 
 
 def solve_generic(target: np.ndarray, ref_phases: Dict[str, float],
@@ -218,23 +232,19 @@ c0_0z, c0_1z, c0_0x = map(_public, _FORMULAS[0])
 
 
 def _coefficient_set(proto: Protocol, rows: Dict[int, Sequence[float]]):
-    """Spread each row's (0Z, 1Z, X reference) values over the settings,
-    with 0 for every other setting."""
-    c = {}
+    """The table of each row's (0Z, 1Z, X reference) values, 0 elsewhere."""
+    table = np.zeros((2, len(proto.settings)))
     for alpha, values in rows.items():
-        named = dict(zip(("0Z", "1Z", proto.x_ref[alpha]), values))
-        c[alpha] = {j: named.get(j, 0.0) for j in proto.settings}
-    return CoefficientSet(protocol=proto.name, c=c)
+        for j, v in zip(("0Z", "1Z", proto.x_ref[alpha]), values):
+            table[alpha, proto.settings.index(j)] = v
+    return CoefficientSet(protocol=proto.name, table=table)
 
 
 def _closed_form(proto: Protocol, phases: Sequence[float]) -> CoefficientSet:
     th = dict(zip(proto.settings, phases))
-    rows = {}
-    for alpha in (1, 0):
-        triple = (th["0Z"], th["1Z"], th[proto.x_ref[alpha]])
-        rows[alpha] = [_checked(*_at(formula, *triple))
-                       for formula in _FORMULAS[alpha]]
-    return _coefficient_set(proto, rows)
+    return _coefficient_set(proto, {alpha: [
+        _checked(*_at(formula, th["0Z"], th["1Z"], th[proto.x_ref[alpha]]))
+        for formula in _FORMULAS[alpha]] for alpha in (1, 0)})
 
 
 def coeffs_bb84(th0z: float, th1z: float, th0x: float, th1x: float) -> CoefficientSet:
@@ -540,7 +550,7 @@ _CORNER_RULES = {
 def _coeff_bounds(protos: Sequence[Protocol],
                   ranges: PhaseRanges) -> List[CoefficientSet]:
     """Upper bounds on every coefficient of each of ``protos`` over the phase
-    ranges, one CoefficientSet per protocol, each bound a Python float.
+    ranges, one CoefficientSet per protocol.
 
     The ranges of the settings a protocol's rows use (0Z, 1Z and its X
     references) alone choose its rule: the corner rules of ``_CORNER_RULES``
@@ -578,8 +588,7 @@ def _coeff_bounds(protos: Sequence[Protocol],
         else:
             values = [v for alpha in alphas for v in
                       _CORNER_RULES[alpha, x](r["0Z"], r["1Z"], r[x])]
-        for i, alpha in enumerate(alphas):
-            rows[n][alpha] = [float(v) for v in values[3 * i:3 * i + 3]]
+        rows[n].update(zip(alphas, (values[:3], values[3:])))
     return [_coefficient_set(proto, row) for proto, row in zip(protos, rows)]
 
 

@@ -27,7 +27,8 @@ import numpy as np
 
 from .bounds import ObservedStatistics, TagCounts
 from .gmath import native
-from .source import BB84, Protocol, ProtocolProbs, SourceSpec
+from .source import (BB84, Protocol, ProtocolProbs, SourceSpec,
+                     exact_virtual_prob)
 
 #: Identifier recorded in output metadata so results declare their channel model.
 CHANNEL_MODEL_ID = "single-photon-routing-darkcounts-v1"
@@ -246,14 +247,12 @@ def true_virtual_error_rate(spec: SourceSpec, ch: ChannelParams) -> float:
     nominal = spec.nominal_phases()
     th0, th1 = nominal["0Z"], nominal["1Z"]
     num = den = 0.0
-    for alpha in (0, 1):
-        sign = 1.0 if alpha == 0 else -1.0
-        pbar = 0.5 * (1.0 + sign * math.cos((th0 - th1) / 2.0))
+    for alpha, sign in ((0, 1.0), (1, -1.0)):
+        pbar = exact_virtual_prob(th0, th1, alpha)
         if pbar <= 0.0:
             continue
-        v = np.array([math.cos(th0 / 2), math.sin(th0 / 2)])
-        v = v + sign * np.array([math.cos(th1 / 2), math.sin(th1 / 2)])
-        theta_vir = 2.0 * math.atan2(v[1], v[0])
+        theta_vir = 2.0 * math.atan2(math.sin(th0 / 2) + sign * math.sin(th1 / 2),
+                                     math.cos(th0 / 2) + sign * math.cos(th1 / 2))
         p0, p1, p_fail = detection_probs(theta_vir, "X", ch)
         num += pbar * (p0 if alpha == 1 else p1)
         den += pbar * (1.0 - p_fail)

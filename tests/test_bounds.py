@@ -2,8 +2,11 @@
 
 import dataclasses
 import math
+from typing import Dict, Tuple
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qkdbound.bounds import (
     EmptySiftedKey,
@@ -17,13 +20,14 @@ from qkdbound.bounds import (
     phase_error_bound,
     secret_fraction_check,
 )
-from qkdbound.coeffs import CoefficientSet
-from qkdbound.source import ProtocolProbs, SETTINGS_BB84, SourceSpec
+from qkdbound.coeffs import CoefficientSet, solve_generic, virtual_triple
+from qkdbound.gmath import G_minus, G_plus, as_unit, native
+from qkdbound.source import (PROTOCOLS, ProtocolProbs, SETTINGS_BB84,
+                             SourceSpec)
 
-IDEAL_C = CoefficientSet(protocol="bb84", c={
-    1: {"0Z": 0.0, "1Z": 0.0, "0X": 0.0, "1X": 1.0},
-    0: {"0Z": 0.0, "1Z": 0.0, "0X": 1.0, "1X": 0.0},
-})
+#: rows alpha = 0, 1 over the settings (0Z, 1Z, 0X, 1X)
+IDEAL_C = CoefficientSet(protocol="bb84", table=[[0.0, 0.0, 1.0, 0.0],
+                                                 [0.0, 0.0, 0.0, 1.0]])
 PROBS = ProtocolProbs.uniform(SETTINGS_BB84)
 
 
@@ -74,6 +78,106 @@ class TestPhaseErrorBound:
         # the G kernels do not check z = sqrt(1 - eps); this is the boundary
         with pytest.raises(ValueError):
             phase_error_bound(make_stats(), PROBS, IDEAL_C, (0.5, 0.5), eps)
+
+
+# The per-entry sum that phase_error_bound replaced, verbatim: the reference
+# its masked (row, setting) sum must equal bit for bit.
+def _inner_detection_bound(q: Dict[str, Tuple[float, float]], gamma: int,
+                           row: Dict[str, float], z: float) -> float:
+    """One virtual detection probability, of Bob's X outcome ``gamma``,
+    bounded through the sandwich over the coefficients ``row``."""
+    total = 0.0
+    for j, c in row.items():
+        if c > 0.0:
+            total += c * G_plus(q[j][gamma], z)
+        elif c < 0.0:
+            total += c * G_minus(q[j][gamma], z)
+    return total
+
+
+def reference_bound(stats, c_upper, pvir_upper, eps_u):
+    """e_ph^U with Y_inner of each row from ``_inner_detection_bound``."""
+    eps_u = as_unit(eps_u)
+    z = np.sqrt(1.0 - eps_u)
+    pbar_1x, pbar_0x = pvir_upper
+    # phase error: virtual bit alpha with Bob's X outcome gamma = 1 - alpha
+    y_outer = (pbar_1x * _inner_detection_bound(stats.q, 0, c_upper.c[1], z)
+               + pbar_0x * _inner_detection_bound(stats.q, 1, c_upper.c[0], z))
+    y_outer = np.minimum(1.0, np.maximum(0.0, y_outer))
+    return native(np.minimum(1.0, G_plus(y_outer, z) / stats.y_z))
+
+
+@st.composite
+def tables(draw, settings):
+    """Coefficient rows (0, 1): any entries, exact zeros of either sign among
+    them, or a dense decomposition of the virtual states at a source's
+    nominal phases over three settings (``solve_generic``)."""
+    if len(settings) == 4 and draw(st.booleans()):
+        ph = SourceSpec(delta=draw(st.floats(-0.3, 0.3))).nominal_phases()
+        return [[solve_generic(virtual_triple(ph["0Z"], ph["1Z"], alpha), ph,
+                               zeroed=draw(st.sampled_from(settings)))[j]
+                 for j in settings] for alpha in (0, 1)]
+    entry = st.sampled_from([0.0, -0.0]) | st.floats(-4.0, 4.0)
+    return draw(st.lists(st.lists(entry, min_size=len(settings),
+                                  max_size=len(settings)),
+                         min_size=2, max_size=2))
+
+
+def detection_probs_near(z2):
+    """q in [0, 1]: its ends, any value, and values on either side of the
+    sandwich's switch points z^2 and 1 - z^2."""
+    near = [v + d for v in (z2, 1.0 - z2)
+            for d in (-1e-3, -1e-12, 0.0, 1e-12, 1e-3) if 0.0 <= v + d <= 1.0]
+    return st.sampled_from([0.0, 1.0] + near) | st.floats(0.0, 1.0)
+
+
+#: (epsilon_u shape, statistics shape) of the three call shapes: a scalar
+#: call, a sweep's epsilon column against the loss axis, a count column
+SHAPES = {"scalar": ((), ()), "sweep": ((3, 1), (5,)), "tags": ((), (4,))}
+
+
+class TestMaskedRowSum:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @settings(max_examples=120, deadline=None)
+    @given(proto=st.sampled_from(PROTOCOLS), data=st.data())
+    def test_equals_the_per_entry_sum_bit_for_bit(self, shape, proto, data):
+        eps_shape, batch = SHAPES[shape]
+
+        def draw_array(shape, values, label):
+            size = int(np.prod(shape))
+            return np.array(data.draw(st.lists(values, min_size=size,
+                                               max_size=size),
+                                      label=label)).reshape(shape)
+
+        table = data.draw(tables(proto.settings), label="table")
+        eps = draw_array(eps_shape, st.sampled_from([0.0, 1e-6, 0.25])
+                         | st.floats(0.0, 0.5), "eps")
+        # the switch points of the first epsilon_u, where G+- change branch
+        probs_of = detection_probs_near(1.0 - float(eps.flat[0]))
+        q = {j: tuple(draw_array(batch, probs_of, f"q[{j}][{g}]")
+                      for g in (0, 1)) for j in proto.settings}
+        y_z = draw_array(batch, st.floats(1e-3, 1.0), "y_z")
+        pvir = data.draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                         label="pvir")
+        if not eps_shape:
+            eps = float(eps)
+        stats = ObservedStatistics(q=q, y_z=native(y_z), e_bit=0.0)
+        c_upper = CoefficientSet(protocol=proto.name, table=table)
+        got = phase_error_bound(stats, PROBS, c_upper, pvir, eps)
+        want = reference_bound(stats, c_upper, pvir, eps)
+        assert np.shape(got) == np.shape(want)
+        assert ([float(v).hex() for v in np.ravel(got)]
+                == [float(v).hex() for v in np.ravel(want)])
+
+    def test_settings_are_summed_from_the_left(self):
+        # at epsilon_u = 0 each row's terms are 1, 2^-53, 2^-53, -1: 0 from
+        # the left, 2^-52 from the right
+        row = [2.0, 2.0 ** -52, 2.0 ** -52, -2.0]
+        stats = ObservedStatistics(q={j: (0.5, 0.5) for j in SETTINGS_BB84},
+                                   y_z=1.0, e_bit=0.0)
+        c_upper = CoefficientSet(protocol="bb84", table=[row, row])
+        assert phase_error_bound(stats, PROBS, c_upper, (0.5, 0.5), 0.0) \
+            == reference_bound(stats, c_upper, (0.5, 0.5), 0.0) == 0.0
 
 
 class TestObservedStatistics:

@@ -81,6 +81,25 @@ class TestSolveGeneric:
             assert np.max(np.abs(recon - target)) < 1e-10
 
 
+class TestCoefficientTable:
+    def test_table_is_a_read_only_copy_and_c_is_read_from_it(self):
+        rows = np.array([[0.5, -1.0, 2.0], [0.0, 3.0, -0.25]])
+        cs = CoefficientSet(protocol="three_state", table=rows)
+        rows[0, 0] = 7.0
+        assert cs.table.tolist() == [[0.5, -1.0, 2.0], [0.0, 3.0, -0.25]]
+        with pytest.raises(ValueError):
+            cs.table[0, 0] = 7.0
+        assert cs.settings == SETTINGS_THREE_STATE
+        assert list(cs.c) == [1, 0]
+        assert cs.c == {1: {"0Z": 0.0, "1Z": 3.0, "0X": -0.25},
+                        0: {"0Z": 0.5, "1Z": -1.0, "0X": 2.0}}
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (4, 2), (1, 4), (2, 4, 1)])
+    def test_a_table_not_shaped_rows_by_settings_is_refused(self, shape):
+        with pytest.raises(ValueError, match="bb84 table shape"):
+            CoefficientSet(protocol="bb84", table=np.zeros(shape))
+
+
 class TestClosedForms:
     def test_ideal_bb84(self):
         cs = coeffs_bb84(0.0, math.pi, math.pi / 2, 3 * math.pi / 2)
@@ -274,7 +293,8 @@ class TestCoefficientBounds:
                                    zeroed=z1)
                 c0 = solve_generic(virtual_triple(ph["0Z"], ph["1Z"], 0), ph,
                                    zeroed=z0)
-                cs = CoefficientSet(protocol="bb84", c={1: c1, 0: c0})
+                cs = CoefficientSet(protocol="bb84", table=[
+                    [row[j] for j in SETTINGS_BB84] for row in (c0, c1)])
                 results[(z1, z0)] = phase_error_bound(
                     stats, probs, cs, pvir, spec.effective_epsilon())
         assert results[("0X", "1X")] <= min(results.values()) + 1e-9
