@@ -16,8 +16,10 @@ and empirical counts (finite mode); no finite-size deviation terms are added,
 finite mode exists to exercise estimator convergence. Asymptotic statistics
 may be arrays over a loss axis (``simulator.ChannelColumn``), and epsilon_u
 a column of shape (k, 1) that broadcasts against it: the bound and the rate
-are then (k x losses) arrays, evaluated elementwise in one pass per
-(protocol, delta, Delta) over the epsilon_eff x loss grid.
+are then (k x losses) arrays, and a table stacked on a protocol axis
+(``stacked_bound_inputs``) bounds every protocol in the same pass, G+-
+evaluated once: one pass per (delta, Delta) over the protocol x epsilon_eff
+x loss grid.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 from .coeffs import CoefficientSet, _coeff_bounds
 from .gmath import G_minus, G_plus, as_unit, binary_entropy, native, within
 from .source import (
+    BB84,
     InconsistentProtocol,
     PhaseRanges,
     Protocol,
@@ -173,7 +176,8 @@ def phase_error_bound(stats: ObservedStatistics, probs: ProtocolProbs,
     ``pvir_upper`` is (pbar_1X^U, pbar_0X^U), the normalised virtual-state
     probability bounds. Sound for any channel when ``c_upper`` and
     ``pvir_upper`` upper-bound the true decomposition. An ``eps_u`` column
-    of shape (k, 1) gives k rows, each bit for bit its scalar call.
+    of shape (k, 1) gives k rows, a table's leading axes lead the result,
+    and each entry is bit for bit its scalar call with its own table.
     """
     if np.any(stats.y_z <= 0.0) or np.any(stats.n_det_z == 0):
         raise EmptySiftedKey("no detected Z-basis rounds")
@@ -186,11 +190,14 @@ def phase_error_bound(stats: ObservedStatistics, probs: ProtocolProbs,
     z = np.sqrt(1.0 - eps_u)
     # q[..., alpha, k] = q[setting k][gamma = 1 - alpha]: a phase error
     q = np.array([stats.q[j][::-1] for j in c_upper.settings])
-    q, c, zz = q.transpose(*range(2, q.ndim), 1, 0), c_upper.table, z[..., None, None]
+    q, zz = q.transpose(*range(2, q.ndim), 1, 0), z[..., None, None]
+    # the table's leading axes go ahead of the statistics' (epsilon, loss)
+    c, axes = c_upper.table, max(np.ndim(z), q.ndim - 2)
+    c = c.reshape(c.shape[:-2] + (1,) * axes + c.shape[-2:])
     terms = np.where(c > 0.0, c * G_plus(q, zz),
                      np.where(c < 0.0, c * G_minus(q, zz), 0.0))
     y_inner = 0.0
-    for k in range(c.shape[1]):  # the settings, left to right
+    for k in range(c.shape[-1]):  # the settings, left to right
         y_inner = y_inner + terms[..., k]
     y_outer = pvir_upper[0] * y_inner[..., 1] + pvir_upper[1] * y_inner[..., 0]
     y_outer = np.minimum(1.0, np.maximum(0.0, y_outer))
@@ -269,13 +276,25 @@ def key_rate(y_z: float, e_ph_u: float, e_bit: float,
 BoundInputs = Tuple[CoefficientSet, Tuple[float, float], float]
 
 
-def bound_inputs_per_protocol(spec: SourceSpec,
-                              protocols: Sequence[str]) -> List[BoundInputs]:
-    """``bound_inputs_from_source`` of each protocol, in one coefficient pass."""
+def bound_inputs_per_protocol(spec: SourceSpec, protocols: Sequence[str],
+                              host: Optional[Protocol] = None
+                              ) -> List[BoundInputs]:
+    """``bound_inputs_from_source`` of each protocol, in one coefficient pass;
+    each c^U in the columns of ``host``'s settings when given."""
     protos = [Protocol.named(p) for p in protocols]
     ranges = PhaseRanges.from_source(spec)  # bb84 has every setting
     shared = virtual_prob_bounds(ranges), spec.effective_epsilon()
-    return [(c,) + shared for c in _coeff_bounds(protos, ranges)]
+    return [(c,) + shared for c in _coeff_bounds(protos, ranges, host)]
+
+
+def stacked_bound_inputs(spec: SourceSpec,
+                         protocols: Sequence[str]) -> BoundInputs:
+    """The bound inputs of all ``protocols`` as one, their c^U stacked on a
+    leading axis in bb84's settings, which hold every protocol's: a zero
+    column adds exactly +0.0 to the inner sum."""
+    inputs = bound_inputs_per_protocol(spec, protocols, BB84)
+    table = np.stack([c.table for c, _, _ in inputs])
+    return (CoefficientSet(BB84.name, table),) + inputs[0][1:]
 
 
 def bound_inputs_from_source(spec: SourceSpec, protocol: str) -> BoundInputs:

@@ -37,6 +37,7 @@ from .bounds import (
     column_bounds,
     evaluate_with_inputs,
     key_rate,
+    stacked_bound_inputs,
 )
 from .coeffs import SingularSystem
 from .simulator import (
@@ -228,8 +229,10 @@ def _emit(path: Optional[str], text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _sci(x: float) -> str:
-    return f"{x:.8e}"
+def _sci(values: Sequence[float]) -> List[str]:
+    """``{:.8e}`` of each float of a column: the one formatter of every
+    printed number, one ``%`` per column (no cell holds a line break)."""
+    return ("%.8e\n" * len(values) % tuple(values)).splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +245,15 @@ def _sweep_rows(protocols: Sequence[str], losses: Sequence[float],
     ``{:.8e}``, each row ended by "\r\n". ``stats[g]`` is a (Y_Z, e_bit)
     pair of lists over the losses, ``values[n][k]`` (g, e_ph_u list, rate
     list) of protocol n and source k. Each loss, source and (g, loss) cell
-    is formatted once."""
+    is formatted once, each list by one ``_sci`` call."""
     loss_cells = list(map(str, losses))
     source_cells = [",".join(map(str, source)) for source in sources]
-    stat_cells = [[f"{y:.8e},{e:.8e}" for y, e in zip(*pair)]
-                  for pair in stats]
+    stat_cells = [list(map(",".join, zip(*map(_sci, pair)))) for pair in stats]
     rows = []
     for protocol, by_source in zip(protocols, values):
-        columns = [zip(stat_cells[g], e_ph, rate)
+        columns = [zip(stat_cells[g], _sci(e_ph), _sci(rate))
                    for g, e_ph, rate in by_source]
-        rows += [f"{protocol},{loss},{c},{s},{p:.8e},{r:.8e}\r\n"
+        rows += [f"{protocol},{loss},{c},{s},{p},{r}\r\n"
                  for loss, at_loss in zip(loss_cells, zip(*columns))
                  for c, (s, p, r) in zip(source_cells, at_loss)]
     return "".join(rows)
@@ -264,9 +266,9 @@ def _sweep_values(cfg: Dict, protocols: Sequence[str],
     one ``simulate_asymptotic`` call per delta for all protocols. c^U and
     pbar_vir come once per (delta, Delta) for all protocols, each grid box
     scanned once for the union of its forms; then one bound pass per
-    (protocol, delta, Delta) takes the sources' epsilon_eff as a column
-    against the loss axis. Finite mode makes one seeded run per row, seeded
-    with ``--seed`` plus the row's index, (n * losses + i) * sources + k.
+    (delta, Delta) bounds all protocols, sources and losses. Finite mode
+    makes one seeded run per row, seeded with ``--seed`` plus the row's
+    index, (n * losses + i) * sources + k, bounded by its protocol's table.
     """
     groups: Dict[float, Dict[float, List[int]]] = {}
     for k, spec in enumerate(specs):
@@ -286,17 +288,20 @@ def _sweep_values(cfg: Dict, protocols: Sequence[str],
             stats.append((shared.y_z.tolist(), shared.e_bit.tolist()))
         for ks in by_cap.values():
             eps = [specs[k].effective_epsilon() for k in ks]
+            if not finite:
+                # e_ph_u and R come out as protocols x sources x losses
+                c_upper, pvir, _ = stacked_bound_inputs(specs[ks[0]],
+                                                        protocols)
+                report = evaluate_with_inputs(
+                    shared, ProtocolProbs.uniform(),
+                    (c_upper, pvir, np.array(eps)[:, None]), cfg["f"])
+                for n, (e_ph, rate) in enumerate(zip(report.e_ph_u.tolist(),
+                                                     report.rate.tolist())):
+                    for k, e, r in zip(ks, e_ph, rate):
+                        values[n][k] = (len(stats) - 1, e, r)
+                continue
             inputs_of = bound_inputs_per_protocol(specs[ks[0]], protocols)
             for n, (protocol, inputs) in enumerate(zip(protocols, inputs_of)):
-                if not finite:
-                    # e_ph_u and R come out as arrays of sources x losses
-                    report = evaluate_with_inputs(
-                        shared, probs[n],
-                        inputs[:2] + (np.array(eps)[:, None],), cfg["f"])
-                    for k, e_ph, rate in zip(ks, report.e_ph_u.tolist(),
-                                             report.rate.tolist()):
-                        values[n][k] = (len(stats) - 1, e_ph, rate)
-                    continue
                 for k, e in zip(ks, eps):
                     r = []
                     for i, ch in enumerate(column.channels):
@@ -467,13 +472,15 @@ def cmd_bound(args: argparse.Namespace) -> int:
     e_ph, *per_tag = column_bounds(stats, probs,
                                    *bound_inputs_from_source(spec, protocol))
     report = key_rate(stats.y_z, e_ph, stats.e_bit, f)
+    y_z, e_bit, e_ph_u, rate, *tags = _sci(
+        [report.y_z, report.e_bit, report.e_ph_u, report.rate] + per_tag)
     lines = [
         f"protocol: {protocol}",
-        f"Y_Z:    {_sci(report.y_z)}",
-        f"e_bit:  {_sci(report.e_bit)}",
-        f"e_ph_u: {_sci(report.e_ph_u)}",
-        f"rate:   {_sci(report.rate)}",
-    ] + [f"e_ph_u[tag {w}]: {_sci(e)}" for w, e in enumerate(per_tag)]
+        f"Y_Z:    {y_z}",
+        f"e_bit:  {e_bit}",
+        f"e_ph_u: {e_ph_u}",
+        f"rate:   {rate}",
+    ] + [f"e_ph_u[tag {w}]: {e}" for w, e in enumerate(tags)]
     _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -74,17 +74,18 @@ def virtual_triple(th0z: float, th1z: float, alpha: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSet:
-    """Real decomposition coefficients c^U: ``table[alpha, k]`` is row alpha's
-    coefficient of setting k of ``settings`` (those of ``protocol``), in a
-    read-only float array; the engine's rows use only 0Z, 1Z and their X
-    reference. ``c`` gives the table as {alpha: {setting: float}}, rows 1, 0."""
+    """Real decomposition coefficients c^U: ``table[..., alpha, k]`` is row
+    alpha's coefficient of setting k of ``settings`` (those of ``protocol``),
+    in a read-only float array, leading axes stacking tables; the engine's
+    rows use only 0Z, 1Z and their X reference. ``c`` gives a (row, setting)
+    table as {alpha: {setting: float}}, rows 1, 0."""
 
     protocol: str
     table: np.ndarray
 
     def __post_init__(self):
         table = np.array(self.table, dtype=float)
-        if table.shape != (2, len(self.settings)):
+        if table.shape[-2:] != (2, len(self.settings)):
             raise InconsistentProtocol(f"{self.protocol} table shape {table.shape}")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
@@ -95,6 +96,8 @@ class CoefficientSet:
 
     @property
     def c(self) -> Dict[int, Dict[str, float]]:
+        if self.table.ndim != 2:
+            raise InconsistentProtocol(f"stacked {self.protocol} tables have no c view")
         return {a: dict(zip(self.settings, self.table[a].tolist())) for a in (1, 0)}
 
 
@@ -231,13 +234,16 @@ c1_0z, c1_1z, c1_x = map(_public, _FORMULAS[1])
 c0_0z, c0_1z, c0_0x = map(_public, _FORMULAS[0])
 
 
-def _coefficient_set(proto: Protocol, rows: Dict[int, Sequence[float]]):
-    """The table of each row's (0Z, 1Z, X reference) values, 0 elsewhere."""
-    table = np.zeros((2, len(proto.settings)))
+def _coefficient_set(proto: Protocol, rows: Dict[int, Sequence[float]],
+                     host: Optional[Protocol] = None) -> CoefficientSet:
+    """The table of each row's (0Z, 1Z, X reference) values, 0 elsewhere, in
+    the columns of ``host``'s settings (by default ``proto``'s own)."""
+    host = host or proto
+    table = np.zeros((2, len(host.settings)))
     for alpha, values in rows.items():
         for j, v in zip(("0Z", "1Z", proto.x_ref[alpha]), values):
-            table[alpha, proto.settings.index(j)] = v
-    return CoefficientSet(protocol=proto.name, table=table)
+            table[alpha, host.settings.index(j)] = v
+    return CoefficientSet(protocol=host.name, table=table)
 
 
 def _closed_form(proto: Protocol, phases: Sequence[float]) -> CoefficientSet:
@@ -547,10 +553,10 @@ _CORNER_RULES = {
 }
 
 
-def _coeff_bounds(protos: Sequence[Protocol],
-                  ranges: PhaseRanges) -> List[CoefficientSet]:
+def _coeff_bounds(protos: Sequence[Protocol], ranges: PhaseRanges,
+                  host: Optional[Protocol] = None) -> List[CoefficientSet]:
     """Upper bounds on every coefficient of each of ``protos`` over the phase
-    ranges, one CoefficientSet per protocol.
+    ranges, one CoefficientSet per protocol (in ``host``'s settings if given).
 
     The ranges of the settings a protocol's rows use (0Z, 1Z and its X
     references) alone choose its rule: the corner rules of ``_CORNER_RULES``
@@ -589,7 +595,7 @@ def _coeff_bounds(protos: Sequence[Protocol],
             values = [v for alpha in alphas for v in
                       _CORNER_RULES[alpha, x](r["0Z"], r["1Z"], r[x])]
         rows[n].update(zip(alphas, (values[:3], values[3:])))
-    return [_coefficient_set(proto, row) for proto, row in zip(protos, rows)]
+    return [_coefficient_set(proto, row, host) for proto, row in zip(protos, rows)]
 
 
 def coeff_bounds_bb84(ranges: PhaseRanges) -> CoefficientSet:

@@ -128,6 +128,10 @@ class RunConfig:
         return Protocol.named(self.protocol).settings
 
 
+#: cos or sin of the phase: the Born probability (1 + it)/2 of outcome 0
+_BORN = {"Z": math.cos, "X": math.sin}
+
+
 def detection_probs(theta_j: float, basis: str,
                     ch: ChannelParams | ChannelColumn) -> Tuple:
     """(p_gamma0, p_gamma1, p_fail) for Bob measuring ``basis`` on the qubit.
@@ -139,12 +143,15 @@ def detection_probs(theta_j: float, basis: str,
     cos(theta_j/2)|0> + sin(theta_j/2)|1> are (1 +- cos theta_j)/2 in Z and
     (1 +- sin theta_j)/2 in X.
     """
-    if basis == "Z":
-        q0 = (1.0 + math.cos(theta_j)) / 2.0
-    elif basis == "X":
-        q0 = (1.0 + math.sin(theta_j)) / 2.0
-    else:
+    if basis not in _BORN:
         raise ValueError(f"unknown basis {basis!r}")
+    return _routed((1.0 + _BORN[basis](theta_j)) / 2.0, ch)
+
+
+def _routed(q0, ch: ChannelParams | ChannelColumn) -> Tuple:
+    """``detection_probs`` of the Born probability ``q0`` of outcome 0: a
+    float, or an array over states, shaped (states, 1) against a
+    ``ChannelColumn`` to give (states, losses) arrays."""
     q1 = 1.0 - q0
     eta, pd = ch.eta, ch.p_d
     # detector gamma clicks if the photon reaches it or it dark-counts
@@ -166,16 +173,18 @@ def simulate_asymptotic(spec: SourceSpec, probs: ProtocolProbs,
     ``ChannelColumn`` every statistic is an array over its losses.
     """
     nominal = spec.nominal_phases()
-    q = {}
-    for j in Protocol.named(protocol).settings:
-        p0, p1, _ = detection_probs(nominal[j], "X", ch)
-        q[j] = (p0, p1)
-    y_z = 0.0
-    wrong = 0.0
-    for bit, j in enumerate(("0Z", "1Z")):
-        p0, p1, p_fail = detection_probs(nominal[j], "Z", ch)
-        y_z += 0.5 * (1.0 - p_fail)
-        wrong += 0.5 * (p1 if bit == 0 else p0)
+    settings = Protocol.named(protocol).settings
+    # every setting in X, then 0Z and 1Z in Z: one (state, loss) pass
+    states = [(j, "X") for j in settings] + [("0Z", "Z"), ("1Z", "Z")]
+    q0 = np.array([(1.0 + _BORN[basis](nominal[j])) / 2.0
+                   for j, basis in states])
+    p0, p1, p_fail = np.broadcast_arrays(*_routed(
+        q0.reshape((-1,) + (1,) * np.ndim(ch.eta)), ch))
+    q = {j: (p0[k], p1[k]) for k, j in enumerate(settings)}
+    z0, z1 = len(settings), len(settings) + 1
+    # summed in the order of the two Z emissions
+    y_z = native(0.5 * (1.0 - p_fail[z0]) + 0.5 * (1.0 - p_fail[z1]))
+    wrong = 0.5 * p1[z0] + 0.5 * p0[z1]
     with np.errstate(divide="ignore", invalid="ignore"):
         e_bit = native(np.where(y_z > 0, np.divide(wrong, y_z), 0.0))
     return ObservedStatistics(q=q, y_z=y_z, e_bit=e_bit)

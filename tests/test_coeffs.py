@@ -94,6 +94,12 @@ class TestCoefficientTable:
         assert cs.c == {1: {"0Z": 0.0, "1Z": 3.0, "0X": -0.25},
                         0: {"0Z": 0.5, "1Z": -1.0, "0X": 2.0}}
 
+    def test_a_stacked_table_keeps_its_leading_axes_and_has_no_c_view(self):
+        cs = CoefficientSet(protocol="bb84", table=np.ones((3, 2, 4)))
+        assert cs.table.shape == (3, 2, 4)
+        with pytest.raises(ValueError, match="stacked bb84 tables"):
+            cs.c
+
     @pytest.mark.parametrize("shape", [(4,), (2, 3), (4, 2), (1, 4), (2, 4, 1)])
     def test_a_table_not_shaped_rows_by_settings_is_refused(self, shape):
         with pytest.raises(ValueError, match="bb84 table shape"):

@@ -122,13 +122,13 @@ def test_sweep_bounds_coefficients_once_per_source(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("argv, calls", [
-    (README_SWEEP, {"simulate_asymptotic": 1, "phase_error_bound": 2}),
-    (MULTI_SOURCE_SWEEP, {"simulate_asymptotic": 2, "phase_error_bound": 8}),
+    (README_SWEEP, {"simulate_asymptotic": 1, "phase_error_bound": 1}),
+    (MULTI_SOURCE_SWEEP, {"simulate_asymptotic": 2, "phase_error_bound": 4}),
 ], ids=["readme_sweep", "multi_source_sweep"])
 def test_sweep_passes_once_per_delta_and_cap_delta(tmp_path, monkeypatch,
                                                    argv, calls):
     # the statistics depend on delta only, so all protocols share them, and
-    # the bound pass covers all epsilon_eff of one (protocol, delta, Delta)
+    # the bound pass covers all protocols and epsilon_eff of one (delta, Delta)
     count = dict.fromkeys(calls, 0)
     for module, name in ((cli, "simulate_asymptotic"),
                          (bounds, "phase_error_bound")):

@@ -3,13 +3,16 @@
 ``sweep`` makes one ``simulate_asymptotic`` call per delta, shared by every
 protocol, and computes c^U and pbar_vir once per (delta, Delta) for all
 protocols, each grid box scanned once for the union of its forms. Then
-comes one bound pass per (protocol, delta, Delta): the sources'
-epsilon_eff form a (k, 1) column that broadcasts against the loss axis.
-Every value must equal ``simulate_asymptotic`` + ``evaluate_point`` run on
-that protocol, source and loss alone, also where G+ saturates (epsilon_u up
-to 0.9) and where the rate clamps to 0. The CSV rows are formatted by hand,
-each Y_Z and e_bit cell once per (delta, loss), and must stay byte-equal to
-what ``csv.writer``, the dialect the goldens were recorded with, writes.
+comes one bound pass per (delta, Delta) for all protocols: their tables,
+widened to bb84's settings, are stacked on a leading protocol axis, and the
+sources' epsilon_eff form a (k, 1) column that broadcasts against the loss
+axis. Every value must equal ``simulate_asymptotic`` + ``evaluate_point``
+run on that protocol, source and loss alone, also where G+ saturates
+(epsilon_u up to 0.9) and where the rate clamps to 0. The CSV rows are
+formatted by hand, a column of cells per call of one formatter and each
+Y_Z and e_bit cell once per (delta, loss), and must stay byte-equal to
+what ``csv.writer``, the dialect the goldens were recorded with, writes of
+``{:.8e}`` cells.
 """
 
 import contextlib
@@ -24,7 +27,9 @@ from qkdbound import cli
 from qkdbound.bounds import (
     bound_inputs_from_source,
     evaluate_point,
+    key_rate,
     phase_error_bound,
+    stacked_bound_inputs,
 )
 from qkdbound.gmath import CLAMP_TOL
 from qkdbound.simulator import ChannelColumn, simulate_asymptotic
@@ -135,6 +140,45 @@ def test_epsilon_column_equals_scalar_calls(protocol, delta, cap, eps, losses,
                           np.array(eps + [beyond])[:, None])
 
 
+@settings(max_examples=40, deadline=None)
+@given(delta=st.floats(-0.3, 0.3) | st.floats(0.35, 0.7),
+       cap=st.floats(0.0, 0.05),
+       eps=st.lists(EPSILONS, min_size=1, max_size=4),
+       losses=st.lists(st.floats(0.0, 80.0), min_size=1, max_size=3),
+       p_d=st.floats(1e-9, 1e-5), one_loss=st.booleans())
+@example(delta=0.063, cap=0.03, eps=[0.0, 1e-3, 0.9], losses=[0.0, 30.0],
+         p_d=1e-8, one_loss=False)
+def test_stacked_table_equals_each_protocol_alone(delta, cap, eps, losses, p_d,
+                                                  one_loss):
+    # bb84's table and three-state's, widened by a zero 1X column, bound bb84
+    # statistics in one call as each protocol's own table bounds its own
+    spec = SourceSpec(delta=delta, Delta=cap)
+    channel = (ChannelColumn.of_losses(losses + [DARK_LOSS], p_d=p_d).channels[0]
+               if one_loss else
+               ChannelColumn.of_losses(losses + [DARK_LOSS], p_d=p_d))
+    names = [p.name for p in TABLE]
+    shared = simulate_asymptotic(spec, ProtocolProbs.uniform(), channel)
+    c_upper, pvir, _ = stacked_bound_inputs(spec, names)
+    assert c_upper.settings == BB84.settings
+    assert c_upper.table.shape == (len(names), 2, len(BB84.settings))
+    for e in (eps[0], np.array(eps)[:, None]):
+        grid = phase_error_bound(shared, ProtocolProbs.uniform(), c_upper,
+                                 pvir, e)
+        rates = key_rate(shared.y_z, grid, shared.e_bit, F).rate
+        for n, protocol in enumerate(names):
+            probs = ProtocolProbs.uniform(Protocol.named(protocol).settings)
+            own = simulate_asymptotic(spec, probs, channel, protocol=protocol)
+            c_own, pvir_own, _ = bound_inputs_from_source(spec, protocol)
+            alone = phase_error_bound(own, probs, c_own, pvir_own, e)
+            assert np.shape(grid[n]) == np.shape(alone)
+            assert bits(np.ravel(grid[n])) == bits(np.ravel(alone))
+            assert bits(np.ravel(rates[n])) == bits(np.ravel(
+                key_rate(own.y_z, alone, own.e_bit, F).rate))
+            if not one_loss:
+                # dark counts dominate at DARK_LOSS: R = 0 in every row
+                assert np.all(rates[n][..., -1] == 0.0)
+
+
 #: every float a sweep row holds, of any magnitude, subnormals included
 FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 
@@ -173,7 +217,7 @@ def test_sweep_rows_match_csv_writer(cells):
             for source, (g, e_ph, rate) in zip(sources, by_source):
                 y_z, e_bit = stats[g]
                 writer.writerow([protocol, loss, *source] + [
-                    cli._sci(x) for x in (y_z[i], e_bit[i], e_ph[i], rate[i])])
+                    f"{x:.8e}" for x in (y_z[i], e_bit[i], e_ph[i], rate[i])])
     assert cli._sweep_rows(protocols, losses, sources, stats, values) \
         == out.getvalue()
 
