@@ -276,24 +276,26 @@ def key_rate(y_z: float, e_ph_u: float, e_bit: float,
 BoundInputs = Tuple[CoefficientSet, Tuple[float, float], float]
 
 
-def bound_inputs_per_protocol(spec: SourceSpec, protocols: Sequence[str],
-                              host: Optional[Protocol] = None
-                              ) -> List[BoundInputs]:
-    """``bound_inputs_from_source`` of each protocol, in one coefficient pass;
-    each c^U in the columns of ``host``'s settings when given."""
+def bound_inputs_per_protocol(spec: SourceSpec,
+                              protocols: Sequence[str]) -> List[BoundInputs]:
+    """``bound_inputs_from_source`` of each protocol, in one coefficient pass
+    (``coeffs._coeff_bounds``); each c^U in its own protocol's settings."""
     protos = [Protocol.named(p) for p in protocols]
     ranges = PhaseRanges.from_source(spec)  # bb84 has every setting
     shared = virtual_prob_bounds(ranges), spec.effective_epsilon()
-    return [(c,) + shared for c in _coeff_bounds(protos, ranges, host)]
+    return [(c,) + shared for c in _coeff_bounds(protos, ranges)]
 
 
 def stacked_bound_inputs(spec: SourceSpec,
                          protocols: Sequence[str]) -> BoundInputs:
     """The bound inputs of all ``protocols`` as one, their c^U stacked on a
-    leading axis in bb84's settings, which hold every protocol's: a zero
-    column adds exactly +0.0 to the inner sum."""
-    inputs = bound_inputs_per_protocol(spec, protocols, BB84)
-    table = np.stack([c.table for c, _, _ in inputs])
+    leading axis in bb84's settings, which hold every protocol's: each table
+    is written into its settings' columns, 0 elsewhere, and a zero column
+    adds exactly +0.0 to the inner sum."""
+    inputs = bound_inputs_per_protocol(spec, protocols)
+    table = np.zeros((len(inputs), 2, len(BB84.settings)))
+    for stacked, (c, _, _) in zip(table, inputs):
+        stacked[:, [BB84.settings.index(j) for j in c.settings]] = c.table
     return (CoefficientSet(BB84.name, table),) + inputs[0][1:]
 
 

@@ -234,16 +234,14 @@ c1_0z, c1_1z, c1_x = map(_public, _FORMULAS[1])
 c0_0z, c0_1z, c0_0x = map(_public, _FORMULAS[0])
 
 
-def _coefficient_set(proto: Protocol, rows: Dict[int, Sequence[float]],
-                     host: Optional[Protocol] = None) -> CoefficientSet:
-    """The table of each row's (0Z, 1Z, X reference) values, 0 elsewhere, in
-    the columns of ``host``'s settings (by default ``proto``'s own)."""
-    host = host or proto
-    table = np.zeros((2, len(host.settings)))
+def _coefficient_set(proto: Protocol,
+                     rows: Dict[int, Sequence[float]]) -> CoefficientSet:
+    """The table of each row's (0Z, 1Z, X reference) values, 0 elsewhere."""
+    table = np.zeros((2, len(proto.settings)))
     for alpha, values in rows.items():
         for j, v in zip(("0Z", "1Z", proto.x_ref[alpha]), values):
-            table[alpha, host.settings.index(j)] = v
-    return CoefficientSet(protocol=host.name, table=table)
+            table[alpha, proto.settings.index(j)] = v
+    return CoefficientSet(protocol=proto.name, table=table)
 
 
 def _closed_form(proto: Protocol, phases: Sequence[float]) -> CoefficientSet:
@@ -500,9 +498,9 @@ def _grid_maxima(formulas, r0z, r1z, rx):
     the next grid would exceed ``_GRID_MAX_POINTS``. The forms still
     refining share the scan of each grid, and the first two grids share one
     scan; no form's result depends on the forms it shares them with. Per
-    form: (math.inf, gap, maximum) of its final grid, gap the smallest
-    |denominator|, or (n, gap, -) once gap marks a pole (below SINGULAR_TOL
-    or NaN) in the scan up to n points; that form stops, the others go on.
+    form: (gap, maximum) of its final grid, gap the smallest |denominator|,
+    or of the first grid on which gap marks a pole (below SINGULAR_TOL or
+    NaN); that form stops, the others go on.
 
     Each scan is pruned (``_scan_level``): it evaluates a form only on the
     blocks of ``_BLOCK``^3 points whose enclosure may reach the maximum or
@@ -526,7 +524,7 @@ def _grid_maxima(formulas, r0z, r1z, rx):
                     settled = (prev[k] is not None
                                and abs(cur - prev[k]) < _GRID_TOL)
                     if pole or settled or 2 * n > _GRID_MAX_POINTS:
-                        out[k] = (sizes[-1] if pole else math.inf, gap, cur)
+                        out[k] = (gap, cur)
                         break
                     prev[k] = cur
                 else:
@@ -553,21 +551,24 @@ _CORNER_RULES = {
 }
 
 
-def _coeff_bounds(protos: Sequence[Protocol], ranges: PhaseRanges,
-                  host: Optional[Protocol] = None) -> List[CoefficientSet]:
+def _coeff_bounds(protos: Sequence[Protocol],
+                  ranges: PhaseRanges) -> List[CoefficientSet]:
     """Upper bounds on every coefficient of each of ``protos`` over the phase
-    ranges, one CoefficientSet per protocol (in ``host``'s settings if given).
+    ranges, one CoefficientSet per protocol.
 
     The ranges of the settings a protocol's rows use (0Z, 1Z and its X
     references) alone choose its rule: the corner rules of ``_CORNER_RULES``
     when they all sit inside their analytic sectors, otherwise the exact
     closed forms maximised on a dense grid. Each grid box is scanned once,
-    for the union of the forms all protocols take there (``_grid_maxima``);
-    a pole raises as in one call per protocol in turn (earliest scan first).
+    for the union of the forms all protocols take there (``_grid_maxima``),
+    and each corner rule runs once: rows are found by (row, X reference,
+    rule), protocol by protocol, row 1 first. A pole raises the message of
+    the first grid form in that order (0Z, 1Z, X within a row), as one call
+    per protocol in turn would.
     """
     r = {j: (ranges.lo[j], ranges.hi[j]) for j in ranges.lo}
-    plans, boxes = [], {}
-    for n, proto in enumerate(protos):
+    keys, boxes = [], {}
+    for proto in protos:
         used = dict.fromkeys(("0Z", "1Z") + proto.x_ref)
         missing = [j for j in used if j not in r]
         if missing:
@@ -576,26 +577,24 @@ def _coeff_bounds(protos: Sequence[Protocol], ranges: PhaseRanges,
         grid = not PhaseRanges(lo={j: ranges.lo[j] for j in used},
                                hi={j: ranges.hi[j] for j in used}
                                ).in_analytic_sectors()
+        keys.append([(alpha, proto.x_ref[alpha], grid) for alpha in (1, 0)])
         # rows with the same X reference share one box (three-state: 0X)
-        for x in dict.fromkeys(proto.x_ref[::-1]):
-            alphas = [alpha for alpha in (1, 0) if proto.x_ref[alpha] == x]
-            plans.append((n, x, alphas, grid))
+        for alpha, x, _ in keys[-1]:
             if grid:
-                boxes.setdefault(x, {}).update(dict.fromkeys(
-                    f for alpha in alphas for f in _FORMULAS[alpha]))
+                boxes.setdefault(x, {}).update(dict.fromkeys(_FORMULAS[alpha]))
     found = {(x, f): v for x, forms in boxes.items() for f, v in
              zip(forms, _grid_maxima(list(forms), r["0Z"], r["1Z"], r[x]))}
-    rows = [{} for _ in protos]
-    for n, x, alphas, grid in plans:
+    rows = {}
+    for key in dict.fromkeys(itertools.chain(*keys)):  # each key once, in order
+        alpha, x, grid = key
         if grid:
-            values = [found[x, f] for alpha in alphas for f in _FORMULAS[alpha]]
-            _check_pole(min(values, key=lambda v: v[0])[1])
-            values = [v for _, _, v in values]
+            gaps, rows[key] = zip(*(found[x, f] for f in _FORMULAS[alpha]))
+            for gap in gaps:
+                _check_pole(gap)
         else:
-            values = [v for alpha in alphas for v in
-                      _CORNER_RULES[alpha, x](r["0Z"], r["1Z"], r[x])]
-        rows[n].update(zip(alphas, (values[:3], values[3:])))
-    return [_coefficient_set(proto, row, host) for proto, row in zip(protos, rows)]
+            rows[key] = _CORNER_RULES[alpha, x](r["0Z"], r["1Z"], r[x])
+    return [_coefficient_set(proto, {key[0]: rows[key] for key in row_keys})
+            for proto, row_keys in zip(protos, keys)]
 
 
 def coeff_bounds_bb84(ranges: PhaseRanges) -> CoefficientSet:

@@ -101,7 +101,8 @@ class PhaseRanges:
             raise InconsistentProtocol(f"unknown settings {sorted(unknown)}; "
                                        f"expected {list(ANALYTIC_SECTORS)}")
         for j in self.lo:
-            if not -math.inf < self.lo[j] <= self.hi[j] < math.inf:  # NaN too
+            if not (-math.inf < self.lo[j] <= self.hi[j]  # NaN too
+                    and self.hi[j] - self.lo[j] < math.inf):
                 raise ValueError(f"phase range of setting {j} must be finite"
                                  f" and nonempty: [{self.lo[j]}, {self.hi[j]}]")
 

@@ -609,8 +609,12 @@ def _list_config(tmp_path):
      "I/O error: cannot write {tmp}/missing/dir/r.csv"),
     (_empty_tag_list, "report.txt", EXIT_CONFIG,
      "config error: a tagged run needs at least one tag block"),
+    (["sweep", "--loss-end", "0", "--cap-delta", "1e308"], "r.csv",
+     EXIT_CONFIG, "config error: phase range of setting 0Z must be finite "
+     "and nonempty"),
 ], ids=["config_not_object", "empty_list_flag", "loss_span_not_finite",
-        "loss_step_stalls", "out_not_writable", "empty_tag_list"])
+        "loss_step_stalls", "out_not_writable", "empty_tag_list",
+        "phase_width_not_finite"])
 def test_refusal_is_named_without_output(tmp_path, capsys, argv, out_name,
                                          code, printed):
     if callable(argv):

@@ -260,6 +260,23 @@ def test_pole_in_blocks_the_values_rule_out_raises_in_both():
     assert str(got.value) == str(expected.value)
 
 
+def test_poles_on_different_grids_raise_the_first_form_in_row_order():
+    # a box from a seeded search: c_{1,1X} meets a pole on the 81-point grid,
+    # c_{1,1Z} only on the 161-point one. Both raise the message of c_{1,1Z},
+    # the first of them in row order. bb84 only: the three-state reference
+    # takes seconds on this box
+    lo = {"0Z": -2.0577716977412814, "1Z": -1.9512948832218775,
+          "0X": 6.052537338207184, "1X": 4.598992231082854}
+    hi = {"0Z": -1.5907194936908278, "1Z": -1.4709710032129204,
+          "0X": 6.24928110425715, "1X": 4.976025819201283}
+    ranges = PhaseRanges(lo=lo, hi=hi)
+    with pytest.raises(SingularSystem) as expected:
+        reference_bounds(BB84, ranges)
+    with pytest.raises(SingularSystem) as got:
+        coeff_bounds_bb84(ranges)
+    assert str(got.value) == str(expected.value)
+
+
 def _outcome(bounds_of, ranges):
     """A box's coefficient bounds as hex strings, or its pole's message."""
     try:

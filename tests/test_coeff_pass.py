@@ -1,11 +1,13 @@
 """One coefficient pass for several protocols equals one call per protocol.
 
 ``coeffs._coeff_bounds`` takes a sequence of protocols. Each keeps its own
-rule (corner rules in-sector, the grid outside), and the grid rows of all
-protocols share one scan per X-reference box. Every bound must be, by
-``float.hex``, what the single-protocol functions give, called one protocol
-after another; where one of those calls raises SingularSystem, the pass must
-raise the message of the first call that does.
+rule (corner rules in-sector, the grid outside), the grid rows of all
+protocols share one scan per X-reference box, and each row's bounds are
+found once per (row, X reference, rule): a corner rule the protocols share,
+row 0 over 0X, runs once. Every bound must be, by ``float.hex``, what the
+single-protocol functions give, called one protocol after another; where
+one of those calls raises SingularSystem, the pass must raise the message of
+the first call that does.
 """
 
 import itertools
@@ -60,8 +62,9 @@ def _source(delta, cap_delta):
 _ROW_1_POLE = {"0Z": -0.3821853071792574, "1Z": 3.28, "0X": 1.9, "1X": 5.901}
 #: theta_0Z = theta_0X + 2 pi, a pole of both rows over 0X: c_{1,0Z} and
 #: c_{1,X} meet it on the 81-point grid, c_{0,0X} only on the 321-point
-#: one. bb84 raises c_{0,0X}'s (its 1X box is clear); the earliest pole of
-#: the 0X box's union, c_{1,0Z}'s, is three-state's
+#: one. bb84 raises c_{0,0X}'s (its 1X box is clear) and three-state
+#: c_{1,0Z}'s: each the first pole in row order, row 1 first, then the
+#: forms of 0Z, 1Z and X
 _LATE_POLE = ({"0Z": 5.8386629417141815, "1Z": 6.079233870138798,
                "0X": -0.4445223654754047, "1X": 4.8912643398607765},
               {"0Z": 5.838662942714182, "1Z": 6.079233870138798,
@@ -137,6 +140,15 @@ def test_mixed_source_keeps_each_protocols_rule(monkeypatch, protos):
     assert sorted(calls, key=str) == [
         (0, "0X"), (1, "0X"), ["_c0_0z", "_c0_1z", "_c0_0x"],
         ["_c1_0z", "_c1_1z", "_c1_x"]]
+
+
+@pytest.mark.parametrize("protos", ORDERS,
+                         ids=lambda o: "-".join(p.name for p in o))
+def test_in_sector_pass_runs_each_corner_rule_once(monkeypatch, protos):
+    # both protocols decompose row 0 over 0X: one run of its rule serves both
+    calls = _scans_and_rules(monkeypatch)
+    coeffs._coeff_bounds(protos, _source(0.063, 0.03))
+    assert sorted(calls) == [(0, "0X"), (1, "0X"), (1, "1X")]
 
 
 def test_both_out_of_sector_scan_each_box_once(monkeypatch):
