@@ -85,6 +85,13 @@ def epsilon_effective(eps_prime: float, l_c: int) -> float:
     return 1.0 - (1.0 - eps_prime) ** (l_c + 1)
 
 
+#: the largest |phase end| whose rounding allowances stay finite: a term's
+#: argument weighs at most two phase ends (coeffs._WEIGHTS), and
+#: gmath._holds adds the magnitudes of two argument ends and a turn, so no
+#: sum exceeds 4 * max / 8 + 2 pi, which is finite; NaN fails the comparison
+PHASE_LIMIT = sys.float_info.max / 8
+
+
 @dataclass(frozen=True)
 class PhaseRanges:
     """Per-setting encoding-phase intervals [lo_j, hi_j] in radians."""
@@ -101,10 +108,10 @@ class PhaseRanges:
             raise InconsistentProtocol(f"unknown settings {sorted(unknown)}; "
                                        f"expected {list(ANALYTIC_SECTORS)}")
         for j in self.lo:
-            if not (-math.inf < self.lo[j] <= self.hi[j]  # NaN too
-                    and self.hi[j] - self.lo[j] < math.inf):
+            if not -PHASE_LIMIT <= self.lo[j] <= self.hi[j] <= PHASE_LIMIT:
                 raise ValueError(f"phase range of setting {j} must be finite"
-                                 f" and nonempty: [{self.lo[j]}, {self.hi[j]}]")
+                                 f" and nonempty, within +-{PHASE_LIMIT!r}:"
+                                 f" [{self.lo[j]}, {self.hi[j]}]")
 
     def in_analytic_sectors(self) -> bool:
         """True when every interval sits inside its analytic-bound sector."""

@@ -35,7 +35,12 @@ from qkdbound.simulator import (
     simulate_asymptotic,
     simulate_finite,
 )
-from qkdbound.source import ProtocolProbs, SETTINGS_BB84, SourceSpec
+from qkdbound.source import (
+    PHASE_LIMIT,
+    ProtocolProbs,
+    SETTINGS_BB84,
+    SourceSpec,
+)
 
 
 def run_cli(args):
@@ -612,9 +617,32 @@ def _list_config(tmp_path):
     (["sweep", "--loss-end", "0", "--cap-delta", "1e308"], "r.csv",
      EXIT_CONFIG, "config error: phase range of setting 0Z must be finite "
      "and nonempty"),
+    # within PHASE_LIMIT every rounding allowance stays finite (the poles
+    # met there are exit 4); beyond it they used to overflow with numpy
+    # RuntimeWarnings before exit 4
+    (["sweep", "--loss-end", "0", "--cap-delta", "1e307", "--protocol",
+      "both"], "r.csv", EXIT_COMPUTE,
+     "computation error: coefficient denominator"),
+    (["sweep", "--loss-end", "0", "--cap-delta", repr(PHASE_LIMIT),
+      "--protocol", "both"], "r.csv", EXIT_COMPUTE,
+     "computation error: coefficient denominator"),
+    (["sweep", "--loss-end", "0", "--cap-delta",
+      repr(math.nextafter(PHASE_LIMIT, math.inf)), "--protocol", "both"],
+     "r.csv", EXIT_CONFIG, "config error: phase range of setting 0Z must be "
+     "finite and nonempty, within +-2.2471164185778946e+307: "
+     "[-2.247116418577895e+307, 2.247116418577895e+307]"),
+    (["sweep", "--loss-end", "0", "--cap-delta", "8e307", "--protocol",
+      "both"], "r.csv", EXIT_CONFIG, "config error: phase range of setting "
+     "0Z must be finite and nonempty, within +-2.2471164185778946e+307: "
+     "[-8e+307, 8e+307]"),
+    (["sweep", "--loss-end", "0", "--cap-delta", "8.988465674311579e307",
+      "--protocol", "both"], "r.csv", EXIT_CONFIG,
+     "config error: phase range of setting 0Z must be finite and nonempty"),
 ], ids=["config_not_object", "empty_list_flag", "loss_span_not_finite",
         "loss_step_stalls", "out_not_writable", "empty_tag_list",
-        "phase_width_not_finite"])
+        "phase_width_not_finite", "phase_end_below_limit",
+        "phase_end_at_limit", "phase_end_above_limit", "phase_end_8e307",
+        "phase_width_max"])
 def test_refusal_is_named_without_output(tmp_path, capsys, argv, out_name,
                                          code, printed):
     if callable(argv):

@@ -1,20 +1,32 @@
-"""Golden outputs: the CLI's CSV, counts documents and reports, byte for byte.
+"""Golden outputs: the CLI's sweep CSVs, counts documents and ``bound``
+reports, byte for byte, against the files committed under ``tests/golden``.
 
-The sha256 values were recorded before the bb84 / three-state code paths
-were merged into one table-driven implementation (the multi-source and
-finite sweeps before the sweep moved to one array pass per loss column);
-any change to a printed digit, a setting order or a random stream shows up
-here. The ``--help`` texts and argparse rejection messages were recorded
-before the CLI's flags came to be built from one table of config fields, at
-80 columns under Python 3.11.
+``GOLDEN`` maps each file to the one command line that writes it, run from
+the repository root; a report's command bounds the committed counts document
+it names. A mismatch fails with ``golden_diff``'s account of every changed
+cell: its row, column, old and new value and direction. To re-record a file
+after an intended change, run its command line with ``--out
+tests/golden/<file>``; no test run rewrites a golden file. CI compares its
+console-script runs with the same files, and perfbench's README sweep digest
+is tied here to ``readme_sweep.csv``.
+
+The ``--help`` texts and argparse rejection messages are pinned as sha256
+digests, recorded before the CLI's flags came to be built from one table of
+config fields, at 80 columns under Python 3.11.
 """
 
+import ast
 import hashlib
+from pathlib import Path
 
 import pytest
 
+import golden_diff
 from qkdbound import bounds, cli, coeffs
 from qkdbound.cli import EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_DIR = ROOT / "tests" / "golden"
 
 README_SWEEP = ["sweep", "--protocol", "both", "--loss-start", "0",
                 "--loss-end", "60", "--loss-step", "1",
@@ -39,66 +51,90 @@ FINITE_SWEEP = ["sweep", "--protocol", "both", "--loss-start", "0",
                 "--epsilon-u", "0,1e-6", "--lc", "0,1", "--mode", "finite",
                 "--n", "200000", "--seed", "7"]
 
-SIMULATE = ["simulate", "--loss-db", "10", "--n", "300000", "--seed",
-            "424242", "--lc", "2", "--epsilon-u", "1e-6"]
+#: the counts runs by correlation length; l_c = 9 has ten tags, the longest
+#: correlation the benchmark runs
+SIMULATE = {
+    2: ["simulate", "--loss-db", "10", "--n", "300000", "--seed", "424242",
+        "--lc", "2", "--epsilon-u", "1e-6"],
+    3: ["simulate", "--loss-db", "10", "--n", "200000", "--seed", "11",
+        "--lc", "3", "--epsilon-u", "1e-5"],
+    9: ["simulate", "--loss-db", "15", "--n", "200000", "--seed", "99",
+        "--lc", "9", "--epsilon-u", "1e-5"],
+}
+#: file-name spelling -> --protocol spelling
+PROTOCOLS = {"bb84": "bb84", "three_state": "three-state"}
+
+#: golden file -> the command line that writes it
+GOLDEN = {
+    "readme_sweep.csv": README_SWEEP,
+    "grid_branch_sweep.csv": GRID_SWEEP,
+    "multi_source_sweep.csv": MULTI_SOURCE_SWEEP,
+    "finite_sweep.csv": FINITE_SWEEP,
+    # CI only (~1.5 s): its rows are saturated (e_ph_u = 1), so it guards
+    # the 641-point grid's completion more than values, which
+    # tests/test_coeff_grid.py checks at 161 points
+    "wide_sweep.csv": ["sweep", "--cap-delta", "1.0", "--loss-end", "0",
+                       "--protocol", "both"],
+}
+for _lc, _argv in SIMULATE.items():
+    for _name, _protocol in PROTOCOLS.items():
+        _counts = f"counts_lc{_lc}_{_name}.json"
+        GOLDEN[_counts] = _argv + ["--protocol", _protocol]
+        GOLDEN[f"report_lc{_lc}_{_name}.txt"] = [
+            "bound", f"tests/golden/{_counts}"]
 
 
-def sha256_of(argv, path):
-    assert main(argv + ["--out", str(path)]) == EXIT_OK
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def assert_golden(tmp_path, monkeypatch, name):
+    """Run ``name``'s command line and compare its output with the file."""
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / name
+    assert main(GOLDEN[name] + ["--out", str(out)]) == EXIT_OK
+    old, new = (GOLDEN_DIR / name).read_bytes(), out.read_bytes()
+    if new != old:
+        pytest.fail(f"output differs from tests/golden/{name}:\n"
+                    + golden_diff.describe(old, new), pytrace=False)
 
 
-@pytest.mark.parametrize("argv, digest", [
-    (README_SWEEP,
-     "418ac9f0ab0b30d0401d75b85839571688439ad0a5e48d0159e0e0e046bb9531"),
-    (GRID_SWEEP,
-     "d64d5c92ecf9d488bf2aee4642d16b7fb181a480e91075a038bb499f06eb9749"),
-    (MULTI_SOURCE_SWEEP,
-     "66b03bc38cfd4b4fc9bc26d3073e355245d6e7a5e31d24980819b858515da63b"),
-    (FINITE_SWEEP,
-     "da193bb95ee1fef56d475e3f453ac91aa107f0d570041faa4693e81919beba19"),
-], ids=["readme_sweep", "grid_branch_sweep", "multi_source_sweep",
-        "finite_sweep"])
-def test_sweep_csv(tmp_path, argv, digest):
-    assert sha256_of(argv, tmp_path / "sweep.csv") == digest
+@pytest.mark.parametrize("name", ["readme_sweep", "grid_branch_sweep",
+                                  "multi_source_sweep", "finite_sweep"])
+def test_sweep_csv(tmp_path, monkeypatch, name):
+    assert_golden(tmp_path, monkeypatch, f"{name}.csv")
 
 
-@pytest.mark.parametrize("protocol, doc_digest, report_digest", [
-    ("bb84",
-     "18543a4d79a72359fb2a8c2ff754fd064f7a53e281edbf341e5a3def1358814b",
-     "ad1b99d6d077f194ee95bda60a8c2d43389e406f884dd0289b90dbcc3ce0e2a4"),
-    ("three-state",
-     "f09a58587045bde9381861d93dec438d2e5b386460c8a02fa869dfe0f8e49ca1",
-     "3ebb2aa9a7671b6401684651fd2951d629808b605e5c51bc64cb28ded4769dc1"),
-], ids=["bb84", "three_state"])
-def test_counts_document_and_report(tmp_path, protocol, doc_digest,
-                                    report_digest):
-    doc = tmp_path / "counts.json"
-    assert sha256_of(SIMULATE + ["--protocol", protocol], doc) == doc_digest
-    assert sha256_of(["bound", str(doc)], tmp_path / "report.txt") \
-        == report_digest
+def assert_counts_and_report(tmp_path, monkeypatch, lc, protocol):
+    for name in (f"counts_lc{lc}_{protocol}.json",
+                 f"report_lc{lc}_{protocol}.txt"):
+        assert_golden(tmp_path, monkeypatch, name)
 
 
-#: ten tags: the per-tag bounds of the longest correlation the benchmark runs
-SIMULATE_LC9 = ["simulate", "--loss-db", "15", "--n", "200000", "--seed",
-                "99", "--lc", "9", "--epsilon-u", "1e-5"]
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_counts_document_and_report(tmp_path, monkeypatch, protocol):
+    assert_counts_and_report(tmp_path, monkeypatch, 2, protocol)
 
 
-@pytest.mark.parametrize("protocol, doc_digest, report_digest", [
-    ("bb84",
-     "2e790a4e325736b929e8052c4a28fc422c31452a622e8ca4b6ade879649e81aa",
-     "cf987cc29d9c187b808d987fa2f9a76ae46f5aff223a6a4cb586e5a74c8416ef"),
-    ("three-state",
-     "79b79081d75903ff22a69bc256297d1128feb992cfc9030965a106abf2e2eb58",
-     "0d7fa61bb06f1a72ad6d374ee413f24951b319889d4d05faa3fafcba26560a8c"),
-], ids=["bb84", "three_state"])
-def test_lc9_counts_document_and_report(tmp_path, protocol, doc_digest,
-                                        report_digest):
-    doc = tmp_path / "counts.json"
-    assert sha256_of(SIMULATE_LC9 + ["--protocol", protocol], doc) \
-        == doc_digest
-    assert sha256_of(["bound", str(doc)], tmp_path / "report.txt") \
-        == report_digest
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_lc3_counts_document_and_report(tmp_path, monkeypatch, protocol):
+    assert_counts_and_report(tmp_path, monkeypatch, 3, protocol)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_lc9_counts_document_and_report(tmp_path, monkeypatch, protocol):
+    assert_counts_and_report(tmp_path, monkeypatch, 9, protocol)
+
+
+def test_every_golden_file_has_one_command_line():
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(GOLDEN)
+
+
+def test_perfbench_readme_digest_is_the_committed_sweep():
+    # perfbench keeps its own literal; re-recording the README sweep fails
+    # here until the benchmark's digest is updated with it
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    digest, = (ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets] == ["README_SWEEP_SHA256"])
+    sweep = (GOLDEN_DIR / "readme_sweep.csv").read_bytes()
+    assert digest == hashlib.sha256(sweep).hexdigest()
 
 
 @pytest.mark.parametrize("argv, passes, scans", [

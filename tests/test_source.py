@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qkdbound import coeffs
 from qkdbound.source import (
     BB84,
+    PHASE_LIMIT,
     PROTOCOLS,
     THREE_STATE,
     InconsistentProtocol,
@@ -163,6 +165,21 @@ class TestPhaseRanges:
         # in-sector, a NaN 0Z end give virtual probabilities (nan, nan)
         with pytest.raises(ValueError):
             PhaseRanges(lo=lo, hi=hi)
+
+    def test_phase_limit_keeps_every_rounding_allowance_finite(self):
+        # a term's argument weighs at most two phase ends, and gmath._holds
+        # adds two argument ends and a turn: 4 * PHASE_LIMIT + 2 pi is finite
+        heaviest = max(sum(map(abs, w)) for w in coeffs._WEIGHTS.values())
+        assert heaviest == 2
+        names = list(coeffs._WEIGHTS)
+        ends = (np.array([-PHASE_LIMIT]), np.array([PHASE_LIMIT]))
+        values, slopes = coeffs._term_ranges(names, [ends] * 3,
+                                             [PHASE_LIMIT] * 3)
+        assert np.isfinite(values).all() and np.isfinite(slopes).all()
+        PhaseRanges(lo={"0Z": -PHASE_LIMIT}, hi={"0Z": PHASE_LIMIT})
+        with pytest.raises(ValueError, match="within"):
+            PhaseRanges(lo={"0Z": 0.0},
+                        hi={"0Z": math.nextafter(PHASE_LIMIT, math.inf)})
 
     def test_rejects_settings_without_a_sector(self):
         # used to pass, then fail in in_analytic_sectors with KeyError: '2X'
