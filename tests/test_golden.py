@@ -6,9 +6,11 @@ the repository root; a report's command bounds the committed counts document
 it names. A mismatch fails with ``golden_diff``'s account of every changed
 cell: its row, column, old and new value and direction. To re-record a file
 after an intended change, run its command line with ``--out
-tests/golden/<file>``; no test run rewrites a golden file. CI compares its
-console-script runs with the same files, and perfbench's README sweep digest
-is tied here to ``readme_sweep.csv``.
+tests/golden/<file>``; no test run rewrites a golden file. CI pipes its
+console-script runs into ``cmp`` against the same files; a test reads those
+command lines out of the workflow and checks each against ``GOLDEN``, so the
+two cannot drift apart. perfbench's README sweep digest is tied here to
+``readme_sweep.csv``.
 
 The ``--help`` texts and argparse rejection messages are pinned as sha256
 digests, recorded before the CLI's flags came to be built from one table of
@@ -17,6 +19,7 @@ config fields, at 80 columns under Python 3.11.
 
 import ast
 import hashlib
+import shlex
 from pathlib import Path
 
 import pytest
@@ -70,8 +73,8 @@ GOLDEN = {
     "grid_branch_sweep.csv": GRID_SWEEP,
     "multi_source_sweep.csv": MULTI_SOURCE_SWEEP,
     "finite_sweep.csv": FINITE_SWEEP,
-    # CI only (~1.5 s): its rows are saturated (e_ph_u = 1), so it guards
-    # the 641-point grid's completion more than values, which
+    # run by CI only (~1.5 s): its rows are saturated (e_ph_u = 1), so it
+    # guards the 641-point grid's completion more than values, which
     # tests/test_coeff_grid.py checks at 161 points
     "wide_sweep.csv": ["sweep", "--cap-delta", "1.0", "--loss-end", "0",
                        "--protocol", "both"],
@@ -124,6 +127,61 @@ def test_lc9_counts_document_and_report(tmp_path, monkeypatch, protocol):
 
 def test_every_golden_file_has_one_command_line():
     assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(GOLDEN)
+
+
+def ci_golden_runs():
+    """(file, argv) for each CI command whose output is compared with a
+    golden file: ``qkdbound ... | cmp - tests/golden/<file>``, or a run with
+    ``--out P`` followed by ``cmp P tests/golden/<file>``. A later ``bound P``
+    reads as ``bound tests/golden/<file>``, the document it was shown to be."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    runs = []
+    for step in workflow.replace("\\\n", " ").split("- name:")[1:]:
+        written, golden, argv = {}, {}, None
+        for line in step.partition("run:")[2].splitlines():
+            lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+            lexer.whitespace_split = True
+            command = []
+            for word in list(lexer) + [";"]:
+                if word.strip("();<>|&"):
+                    command.append(word)
+                    continue
+                if "qkdbound" in command:
+                    argv = command[command.index("qkdbound") + 1:]
+                    argv = [golden.get(w, w) for w in argv]
+                    if "--out" in argv:
+                        at = argv.index("--out")
+                        written[argv[at + 1]] = argv = argv[:at] + argv[at + 2:]
+                elif command[:1] == ["cmp"] and len(command) == 3 \
+                        and command[2].startswith("tests/golden/"):
+                    source, target = command[1:]
+                    runs.append((Path(target).name,
+                                 argv if source == "-" else written[source]))
+                    golden[source] = target
+                command = []
+    return runs
+
+
+def canonical(argv):
+    """A command line as its positional words and sorted flag/value pairs."""
+    words, positional, flags = iter(argv), [], []
+    for word in words:
+        if word.startswith("--"):
+            flags.append((word, next(words)))
+        else:
+            positional.append(word)
+    return positional, sorted(flags)
+
+
+def test_ci_compares_each_golden_file_with_its_command_line():
+    runs = ci_golden_runs()
+    assert sorted(name for name, _ in runs) == sorted([
+        "readme_sweep.csv", "grid_branch_sweep.csv", "wide_sweep.csv",
+        "multi_source_sweep.csv", "finite_sweep.csv",
+        "counts_lc3_bb84.json", "report_lc3_bb84.txt",
+        "counts_lc3_three_state.json", "report_lc3_three_state.txt"])
+    for name, argv in runs:
+        assert canonical(argv) == canonical(GOLDEN[name]), name
 
 
 def test_perfbench_readme_digest_is_the_committed_sweep():
