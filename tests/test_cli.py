@@ -428,6 +428,8 @@ class TestSimulateAndBound:
          "tag block 0 has w = 7"),
         (lambda d: d["per_tag"][1].__setitem__("w", -3),
          "tag block 1 has w = -3"),
+        (lambda d: d["per_tag"][1].__setitem__("w", 0),
+         "tag block 1 has w = 0"),
     ], ids=["negative", "x_plus_sifted_above_n_w", "errors_above_sifted",
             "n_w_sum", "l_c_blocks", "tag_lacks_setting", "short_pair",
             "setting_outside_protocol", "three_state_with_1x",
@@ -436,17 +438,19 @@ class TestSimulateAndBound:
             "delta_beyond_pi",
             "missing_f", "non_numeric_f", "l_c_vs_correlation_length",
             "empty_tag", "p_zb_one", "p_zb_zero", "p_j_zero",
-            "int_beyond_float", "w_not_position", "negative_w"])
+            "int_beyond_float", "w_not_position", "negative_w",
+            "repeated_w"])
     def test_bound_rejects_inconsistent_counts(self, tmp_path, capsys, edit,
                                                message):
         path = self._simulate(tmp_path)
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
-        assert run_cli(["bound", str(path)]) == EXIT_CONFIG
+        out = tmp_path / "report.txt"
+        assert run_cli(["bound", str(path), "--out", str(out)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert message in captured.err
-        assert "rate:" not in captured.out
+        assert captured.out == "" and not out.exists()
 
     def test_counts_beyond_int64(self, tmp_path, capsys):
         # summed in int64, these counts would wrap
@@ -617,6 +621,9 @@ def _list_config(tmp_path):
     (["sweep", "--loss-end", "0", "--cap-delta", "1e308"], "r.csv",
      EXIT_CONFIG, "config error: phase range of setting 0Z must be finite "
      "and nonempty"),
+    (["sweep", "--loss-end", "0", "--cap-delta", "1e308", "--protocol",
+      "both"], "r.csv", EXIT_CONFIG, "config error: phase range of setting "
+     "0Z must be finite and nonempty"),
     # within PHASE_LIMIT every rounding allowance stays finite (the poles
     # met there are exit 4); beyond it they used to overflow with numpy
     # RuntimeWarnings before exit 4
@@ -640,7 +647,8 @@ def _list_config(tmp_path):
      "config error: phase range of setting 0Z must be finite and nonempty"),
 ], ids=["config_not_object", "empty_list_flag", "loss_span_not_finite",
         "loss_step_stalls", "out_not_writable", "empty_tag_list",
-        "phase_width_not_finite", "phase_end_below_limit",
+        "phase_width_not_finite", "phase_width_not_finite_both",
+        "phase_end_below_limit",
         "phase_end_at_limit", "phase_end_above_limit", "phase_end_8e307",
         "phase_width_max"])
 def test_refusal_is_named_without_output(tmp_path, capsys, argv, out_name,

@@ -6,10 +6,10 @@ the repository root; a report's command bounds the committed counts document
 it names. A mismatch fails with ``golden_diff``'s account of every changed
 cell: its row, column, old and new value and direction. To re-record a file
 after an intended change, run its command line with ``--out
-tests/golden/<file>``; no test run rewrites a golden file. CI pipes its
-console-script runs into ``cmp`` against the same files; a test reads those
-command lines out of the workflow and checks each against ``GOLDEN``, so the
-two cannot drift apart. perfbench's README sweep digest is tied here to
+tests/golden/<file>``; no test run rewrites a golden file. Every file is
+compared here, the wide sweep through a child process's stdout under a
+memory limit and a timeout; CI runs these tests and holds no command line of
+its own. perfbench's README sweep digest is tied here to
 ``readme_sweep.csv``.
 
 The ``--help`` texts and argparse rejection messages are pinned as sha256
@@ -19,7 +19,10 @@ config fields, at 80 columns under Python 3.11.
 
 import ast
 import hashlib
-import shlex
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,8 +76,8 @@ GOLDEN = {
     "grid_branch_sweep.csv": GRID_SWEEP,
     "multi_source_sweep.csv": MULTI_SOURCE_SWEEP,
     "finite_sweep.csv": FINITE_SWEEP,
-    # run by CI only (~1.5 s): its rows are saturated (e_ph_u = 1), so it
-    # guards the 641-point grid's completion more than values, which
+    # its rows are saturated (e_ph_u = 1), so it guards the 641-point grid's
+    # completion within memory and time more than values, which
     # tests/test_coeff_grid.py checks at 161 points
     "wide_sweep.csv": ["sweep", "--cap-delta", "1.0", "--loss-end", "0",
                        "--protocol", "both"],
@@ -87,21 +90,43 @@ for _lc, _argv in SIMULATE.items():
             "bound", f"tests/golden/{_counts}"]
 
 
+def assert_same(name, new):
+    """Compare ``new`` output bytes with the golden file ``name``."""
+    old = (GOLDEN_DIR / name).read_bytes()
+    if new != old:
+        pytest.fail(f"output differs from tests/golden/{name}:\n"
+                    + golden_diff.describe(old, new), pytrace=False)
+
+
 def assert_golden(tmp_path, monkeypatch, name):
     """Run ``name``'s command line and compare its output with the file."""
     monkeypatch.chdir(ROOT)
     out = tmp_path / name
     assert main(GOLDEN[name] + ["--out", str(out)]) == EXIT_OK
-    old, new = (GOLDEN_DIR / name).read_bytes(), out.read_bytes()
-    if new != old:
-        pytest.fail(f"output differs from tests/golden/{name}:\n"
-                    + golden_diff.describe(old, new), pytrace=False)
+    assert_same(name, out.read_bytes())
 
 
 @pytest.mark.parametrize("name", ["readme_sweep", "grid_branch_sweep",
                                   "multi_source_sweep", "finite_sweep"])
 def test_sweep_csv(tmp_path, monkeypatch, name):
     assert_golden(tmp_path, monkeypatch, f"{name}.csv")
+
+
+def test_wide_sweep_to_stdout_within_memory_and_time():
+    # a child process, so that its address space can be capped at 1,500,000
+    # KiB: a grid evaluated too many points at once fails on memory, a slow
+    # one on the 60 s timeout
+    def cap_memory():
+        memory = 1_500_000 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkdbound.cli"] + GOLDEN["wide_sweep.csv"],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, timeout=60, preexec_fn=cap_memory)
+    assert proc.returncode == EXIT_OK, proc.stderr.decode()
+    assert_same("wide_sweep.csv", proc.stdout)
 
 
 def assert_counts_and_report(tmp_path, monkeypatch, lc, protocol):
@@ -127,61 +152,6 @@ def test_lc9_counts_document_and_report(tmp_path, monkeypatch, protocol):
 
 def test_every_golden_file_has_one_command_line():
     assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(GOLDEN)
-
-
-def ci_golden_runs():
-    """(file, argv) for each CI command whose output is compared with a
-    golden file: ``qkdbound ... | cmp - tests/golden/<file>``, or a run with
-    ``--out P`` followed by ``cmp P tests/golden/<file>``. A later ``bound P``
-    reads as ``bound tests/golden/<file>``, the document it was shown to be."""
-    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
-    runs = []
-    for step in workflow.replace("\\\n", " ").split("- name:")[1:]:
-        written, golden, argv = {}, {}, None
-        for line in step.partition("run:")[2].splitlines():
-            lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
-            lexer.whitespace_split = True
-            command = []
-            for word in list(lexer) + [";"]:
-                if word.strip("();<>|&"):
-                    command.append(word)
-                    continue
-                if "qkdbound" in command:
-                    argv = command[command.index("qkdbound") + 1:]
-                    argv = [golden.get(w, w) for w in argv]
-                    if "--out" in argv:
-                        at = argv.index("--out")
-                        written[argv[at + 1]] = argv = argv[:at] + argv[at + 2:]
-                elif command[:1] == ["cmp"] and len(command) == 3 \
-                        and command[2].startswith("tests/golden/"):
-                    source, target = command[1:]
-                    runs.append((Path(target).name,
-                                 argv if source == "-" else written[source]))
-                    golden[source] = target
-                command = []
-    return runs
-
-
-def canonical(argv):
-    """A command line as its positional words and sorted flag/value pairs."""
-    words, positional, flags = iter(argv), [], []
-    for word in words:
-        if word.startswith("--"):
-            flags.append((word, next(words)))
-        else:
-            positional.append(word)
-    return positional, sorted(flags)
-
-
-def test_ci_compares_each_golden_file_with_its_command_line():
-    runs = ci_golden_runs()
-    assert sorted(name for name, _ in runs) == sorted([
-        "readme_sweep.csv", "grid_branch_sweep.csv", "wide_sweep.csv",
-        "multi_source_sweep.csv", "finite_sweep.csv",
-        "counts_lc3_bb84.json", "report_lc3_bb84.txt",
-        "counts_lc3_three_state.json", "report_lc3_three_state.txt"])
-    for name, argv in runs:
-        assert canonical(argv) == canonical(GOLDEN[name]), name
 
 
 def test_perfbench_readme_digest_is_the_committed_sweep():

@@ -269,6 +269,16 @@ def sweep_argvs(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(argv=sweep_argvs())
+# delta = 0.4, beyond the draws: bb84 takes the grid (1X leaves its sector)
+# and three-state its corner rules, from one shared coefficient pass
+@example(argv=["--delta", "0.4", "--cap-delta", "0.03", "--loss-end", "20",
+               "--loss-step", "10"])
+# in sector, four (delta, Delta) groups: three-state's table gains a zero 1X
+# column that must add exactly +0.0, under G+ saturation (epsilon_u = 0.9)
+# and R = 0 (100 dB)
+@example(argv=["--loss-start", "0", "--loss-end", "100", "--loss-step", "5",
+               "--epsilon-u", "0,1e-5,0.9", "--delta", "0.05,0.08",
+               "--cap-delta", "0.02,0.03", "--lc", "0,2"])
 def test_both_protocols_equal_each_alone(argv):
     # the statistics are shared across protocols: each protocol's rows must
     # be those of its own run; a finite row's seed is --seed + its row index
