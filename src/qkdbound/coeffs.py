@@ -24,6 +24,7 @@ provides:
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import math
@@ -332,9 +333,9 @@ def _term_ranges(names, boxes, mags):
         hi = sum(w * box[w > 0] for w, box in zip(weights, boxes) if w)
         slack = 4 * _EPS * (sum(abs(w) * m for w, m in zip(weights, mags)) + 1.0)
         args.append((lo - slack, hi + slack))
-    cuts = np.cumsum([np.size(lo) for lo, _ in args])[:-1]
+    cuts = np.cumsum([0] + [np.size(lo) for lo, _ in args])
     flat = [np.concatenate([np.ravel(arg[k]) for arg in args]) for k in (0, 1)]
-    ranges = {fn: [np.split(end + widen, cuts) for end, widen in
+    ranges = {fn: [end + widen for end, widen in
                    zip(trig_range(fn, *flat), (-_TRIG_ERR, _TRIG_ERR))]
               for fn in _DERIVATIVE}
     shape = np.broadcast_shapes(*(np.shape(end) for box in boxes for end in box))
@@ -343,30 +344,66 @@ def _term_ranges(names, boxes, mags):
         fn = _TERMS[name][0]
         for out, of in ((values, fn), (slopes, _DERIVATIVE[fn][0])):
             for k, end in enumerate(ranges[of]):
-                out[k, i] = end[i].reshape(np.shape(lo))
+                out[k, i] = end[cuts[i]:cuts[i + 1]].reshape(np.shape(lo))
     return values.reshape((-1,) + shape), slopes.reshape((-1,) + shape)
+
+
+def _map(a, b):
+    """The interval map of b + a t per (numerator or denominator, form) row:
+    (matrix, offset, lead). The matrix stacks the rows' positive and
+    negative parts so that one product with the term ranges gives the lower
+    ends, then the upper ones; the offset is b widened by _SUM_ERR, and lead
+    the shape of a's rows. Read-only, as plans share it."""
+    rows = a.reshape(-1, a.shape[-1])
+    up, down = np.maximum(rows, 0.0), np.minimum(rows, 0.0)
+    offset = np.add.outer((-_SUM_ERR, _SUM_ERR),
+                          np.broadcast_to(b, a.shape[:-1])).ravel()
+    matrix = np.vstack([np.hstack([up, down]), np.hstack([down, up])])
+    matrix.flags.writeable = offset.flags.writeable = False
+    return matrix, offset, a.shape[:-1]
+
+
+def _apply(plan_map, ends):
+    """A ``_map`` over the term ranges ``ends`` (as ``_term_ranges`` stacks
+    them): the (lo, hi) ends over (rows of a..., block). Sums of products in
+    numpy's own loops (``einsum`` without ``optimize`` makes no BLAS call)."""
+    matrix, offset, lead = plan_map
+    out = np.einsum("rt,t...->r...", matrix, ends)
+    out += offset.reshape((-1,) + (1,) * (ends.ndim - 1))
+    return out.reshape((2,) + lead + ends.shape[1:])
 
 
 def _interval_map(a, b, ends):
     """Interval of b + a t per (numerator or denominator, form) row over the
-    term ranges ``ends`` (as ``_term_ranges`` stacks them), widened by
-    _SUM_ERR: ((num lo, den lo), (num hi, den hi)) over (form, block). Sums
-    of products over a's positive and negative parts in numpy's own loops
-    (``einsum`` without ``optimize`` makes no BLAS call)."""
-    rows = a.reshape(-1, a.shape[-1])
-    up, down = np.maximum(rows, 0.0), np.minimum(rows, 0.0)
-    offset = np.add.outer((-_SUM_ERR, _SUM_ERR), np.broadcast_to(b, a.shape[:-1]))
-    out = np.einsum("rt,t...->r...", np.vstack([np.hstack([up, down]),
-                                                np.hstack([down, up])]), ends)
-    out += offset.reshape((-1,) + (1,) * (ends.ndim - 1))
-    return out.reshape((2,) + a.shape[:-1] + ends.shape[1:])
+    term ranges ``ends``, widened by _SUM_ERR: ((num lo, den lo), (num hi,
+    den hi)) over (form, block)."""
+    return _apply(_map(a, b), ends)
+
+
+def _derivative_rows(a, names):
+    """The rows ``a`` over terms ``names`` differentiated along each phase
+    axis in turn: their rows over the terms' derivatives (``_DERIVATIVE``)."""
+    signs = [_DERIVATIVE[_TERMS[name][0]][1] for name in names]
+    return [a * w for w in np.array([_WEIGHTS[name] for name in names]).T * signs]
 
 
 def _derivative_maps(a, names, slopes):
     """``_interval_map`` per axis of the rows ``a``'s derivatives along it."""
-    signs = [_DERIVATIVE[_TERMS[name][0]][1] for name in names]
-    for w in np.array([_WEIGHTS[name] for name in names]).T * signs:
-        yield _interval_map(a * w, 0.0, slopes)
+    return [_interval_map(rows, 0.0, slopes) for rows in _derivative_rows(a, names)]
+
+
+@functools.cache
+def _plan(formulas):
+    """What ``_bound_forms`` derives from the tuple of its forms alone: the
+    terms they use, in _TERMS order, the ``_map`` of their (num, den) rows
+    (``_AFFINE`` over those terms) and those of the rows' derivatives along
+    the three phase axes."""
+    used = [any(name in _TERMS_OF[f] for f in formulas) for name in _TERMS]
+    names = tuple(itertools.compress(_TERMS, used))
+    b = np.array([_AFFINE[f][0] for f in formulas]).T
+    a = np.array([_AFFINE[f][1][:, used] for f in formulas]).swapaxes(0, 1)
+    slope_maps = tuple(_map(rows, 0.0) for rows in _derivative_rows(a, names))
+    return names, _map(a, b), slope_maps
 
 
 def _product(a, b):
@@ -382,20 +419,21 @@ def _bound_forms(formulas, boxes, mags):
     ``boxes`` and ``mags`` are as for ``_term_ranges``. Returns (upper, gap)
     over (form, block): every computed grid value of a form in a block is at
     most ``upper``, and every computed |denominator| at least ``gap``. All
-    forms are enclosed at once: ``_interval_map`` of their affine maps
-    (``_AFFINE``) over the term ranges gives the numerators, denominators
-    and their derivatives along each axis. The upper bound is the smaller
-    of the interval quotient and a mean-value form: the value at the block
-    centre plus the interval gradient times the half-width, widened by the
-    most the computed values can differ from the exact ones. A denominator
-    enclosure that holds 0 gives gap 0 and upper +inf.
+    forms are enclosed at once: the interval maps of their affine maps
+    (``_AFFINE``) over the term ranges give the numerators, denominators
+    and their derivatives along the three axes. Those maps, and the terms
+    the forms use, are built once per tuple of forms (``_plan``); a call
+    only takes the term ranges of its blocks and applies the value map and
+    the three derivative maps to them, each row's sum as ``_interval_map``
+    forms it. The upper bound is the smaller of the interval quotient and
+    a mean-value form: the value at the block centre plus the interval
+    gradient times the half-width, widened by the most the computed values
+    can differ from the exact ones. A denominator enclosure that holds 0
+    gives gap 0 and upper +inf.
     """
-    used = [any(name in _TERMS_OF[f] for f in formulas) for name in _TERMS]
-    names = list(itertools.compress(_TERMS, used))
-    b = np.array([_AFFINE[f][0] for f in formulas]).T
-    a = np.array([_AFFINE[f][1][:, used] for f in formulas]).swapaxes(0, 1)
+    names, value_map, slope_maps = _plan(tuple(formulas))
     values, slopes = _term_ranges(names, boxes, mags)
-    (num_lo, den_lo), (num_hi, den_hi) = _interval_map(a, b, values)
+    (num_lo, den_lo), (num_hi, den_hi) = _apply(value_map, values)
     centres = [(lo + hi) / 2 for lo, hi in boxes]
     radii = [np.maximum(hi - mid, mid - lo) * (1 + 4 * _EPS)
              for (lo, hi), mid in zip(boxes, centres)]
@@ -409,7 +447,7 @@ def _bound_forms(formulas, boxes, mags):
     # |f'| = |num' - f den'| / |den| along each axis, times the half-width
     slope = 0.0
     for ((dn_lo, dd_lo), (dn_hi, dd_hi)), r in zip(
-            _derivative_maps(a, names, slopes), radii):
+            (_apply(m, slopes) for m in slope_maps), radii):
         drag = _product(value, (dd_lo, dd_hi))
         rounding = 8 * _EPS * (np.maximum(-dn_lo, dn_hi)
                                + np.maximum(-drag[0], drag[1]))

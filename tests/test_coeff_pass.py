@@ -131,15 +131,19 @@ def test_in_sector_sources_equal_sequential_calls(protos, delta, cap_delta):
                          ids=lambda o: "-".join(p.name for p in o))
 def test_mixed_source_keeps_each_protocols_rule(monkeypatch, protos):
     # delta = 0.4 takes 1X past its sector: bb84 takes the grid and
-    # three-state its corner rules, which give row 0 over 0X the same bits
-    # here, so the rules run are checked as well as the values
-    ranges = _source(0.4, 0.03)
-    want = sequential(protos, ranges)
+    # three-state its corner rules. At Delta = 0.03 they give row 0 over 0X
+    # the same bits, so the rules run are checked as well as the values; at
+    # Delta = 1e-10 bb84's grid c_{0,0X} is one ulp above the corner rule's,
+    # so a row read under the other protocol's rule changes the values too
+    sources = [_source(0.4, cap_delta) for cap_delta in (0.03, 1e-10)]
+    wants = [sequential(protos, ranges) for ranges in sources]
     calls = _scans_and_rules(monkeypatch)
-    assert shared(protos, ranges) == want
-    assert sorted(calls, key=str) == [
-        (0, "0X"), (1, "0X"), ["_c0_0z", "_c0_1z", "_c0_0x"],
-        ["_c1_0z", "_c1_1z", "_c1_x"]]
+    for ranges, want in zip(sources, wants):
+        calls.clear()
+        assert shared(protos, ranges) == want
+        assert sorted(calls, key=str) == [
+            (0, "0X"), (1, "0X"), ["_c0_0z", "_c0_1z", "_c0_0x"],
+            ["_c1_0z", "_c1_1z", "_c1_x"]]
 
 
 @pytest.mark.parametrize("protos", ORDERS,
