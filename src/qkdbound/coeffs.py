@@ -15,11 +15,12 @@ provides:
     is the one evaluator of a closed form at phase values,
   * worst-case coefficient upper bounds over phase ranges: inside the
     validity sectors a corner rule per (row, X reference), and dense grid
-    maximisation outside them. The grid is cut into blocks; one array pass
-    encloses every form over every block (exact sin/cos term ranges, each
-    form an affine map of its terms, a mean-value quotient widened for float
-    rounding), and only the blocks that may hold the maximum or a pole are
-    evaluated: the full grid's values, bit for bit.
+    maximisation outside them. Each X-reference box's grid is cut into
+    blocks; per grid size one array pass encloses every form over every
+    block of every box (exact sin/cos term ranges, each form an affine map
+    of its terms, a mean-value quotient widened for float rounding), and
+    only the blocks that may hold the maximum or a pole are evaluated: the
+    full grid's values, bit for bit.
 """
 
 from __future__ import annotations
@@ -373,13 +374,6 @@ def _apply(plan_map, ends):
     return out.reshape((2,) + lead + ends.shape[1:])
 
 
-def _interval_map(a, b, ends):
-    """Interval of b + a t per (numerator or denominator, form) row over the
-    term ranges ``ends``, widened by _SUM_ERR: ((num lo, den lo), (num hi,
-    den hi)) over (form, block)."""
-    return _apply(_map(a, b), ends)
-
-
 def _derivative_rows(a, names):
     """The rows ``a`` over terms ``names`` differentiated along each phase
     axis in turn: their rows over the terms' derivatives (``_DERIVATIVE``)."""
@@ -387,23 +381,19 @@ def _derivative_rows(a, names):
     return [a * w for w in np.array([_WEIGHTS[name] for name in names]).T * signs]
 
 
-def _derivative_maps(a, names, slopes):
-    """``_interval_map`` per axis of the rows ``a``'s derivatives along it."""
-    return [_interval_map(rows, 0.0, slopes) for rows in _derivative_rows(a, names)]
-
-
 @functools.cache
-def _plan(formulas):
-    """What ``_bound_forms`` derives from the tuple of its forms alone: the
-    terms they use, in _TERMS order, the ``_map`` of their (num, den) rows
-    (``_AFFINE`` over those terms) and those of the rows' derivatives along
-    the three phase axes."""
-    used = [any(name in _TERMS_OF[f] for f in formulas) for name in _TERMS]
+def _plan(forms):
+    """What ``_bound_forms`` derives from its forms alone, ``forms[i]`` the
+    tuple of box i's: the terms they use, in _TERMS order, and per box the
+    ``_map`` of its forms' (num, den) rows (``_AFFINE`` over those terms)
+    and those of the rows' derivatives along the three phase axes."""
+    used = [any(name in _TERMS_OF[f] for f in itertools.chain(*forms))
+            for name in _TERMS]
     names = tuple(itertools.compress(_TERMS, used))
-    b = np.array([_AFFINE[f][0] for f in formulas]).T
-    a = np.array([_AFFINE[f][1][:, used] for f in formulas]).swapaxes(0, 1)
-    slope_maps = tuple(_map(rows, 0.0) for rows in _derivative_rows(a, names))
-    return names, _map(a, b), slope_maps
+    tables = [(np.array([_AFFINE[f][1][:, used] for f in fs]).swapaxes(0, 1),
+               np.array([_AFFINE[f][0] for f in fs]).T) for fs in forms]
+    return names, [[_map(a, b)] + [_map(rows, 0.0) for rows in _derivative_rows(
+        a, names)] for a, b in tables]
 
 
 def _product(a, b):
@@ -413,31 +403,41 @@ def _product(a, b):
             np.maximum(np.maximum(p, q), np.maximum(r, s)))
 
 
-def _bound_forms(formulas, boxes, mags):
+def _bound_forms(forms, boxes, mags):
     """Upper bound and smallest-|denominator| bound of each form per block.
 
-    ``boxes`` and ``mags`` are as for ``_term_ranges``. Returns (upper, gap)
-    over (form, block): every computed grid value of a form in a block is at
-    most ``upper``, and every computed |denominator| at least ``gap``. All
-    forms are enclosed at once: the interval maps of their affine maps
-    (``_AFFINE``) over the term ranges give the numerators, denominators
-    and their derivatives along the three axes. Those maps, and the terms
-    the forms use, are built once per tuple of forms (``_plan``); a call
-    only takes the term ranges of its blocks and applies the value map and
-    the three derivative maps to them, each row's sum as ``_interval_map``
-    forms it. The upper bound is the smaller of the interval quotient and
-    a mean-value form: the value at the block centre plus the interval
-    gradient times the half-width, widened by the most the computed values
-    can differ from the exact ones. A denominator enclosure that holds 0
-    gives gap 0 and upper +inf.
+    ``boxes`` and ``mags`` are as for ``_term_ranges``, shaped to broadcast
+    to (box, block...), and ``forms[i]`` lists the forms of box i. Returns
+    (upper, gap) over (form, block...), the forms box by box: every computed
+    grid value of a form in a block of its box is at most ``upper``, and
+    every computed |denominator| at least ``gap``. The term ranges of all
+    boxes are found at once; the interval maps of each box's forms' affine
+    maps (``_AFFINE``) over its own give the numerators, denominators and
+    their derivatives along the three axes. Those maps, and the terms the
+    forms use, are built once per tuple of forms per box (``_plan``), and
+    ``_apply`` forms each row's sum. The upper bound is the smaller of the
+    interval quotient and a mean-value form: the value at the block centre
+    plus the interval gradient times the half-width, widened by the most
+    the computed values can differ from the exact ones. A denominator
+    enclosure that holds 0 gives gap 0 and upper +inf.
     """
-    names, value_map, slope_maps = _plan(tuple(formulas))
+    names, maps = _plan(tuple(map(tuple, forms)))
     values, slopes = _term_ranges(names, boxes, mags)
-    (num_lo, den_lo), (num_hi, den_hi) = _apply(value_map, values)
+    shape = values.shape[1:]
+
+    def own(x):
+        """``x`` over (box, block...) as over (form, block...)."""
+        return np.repeat(np.broadcast_to(x, shape), list(map(len, forms)), axis=0)
+
+    ((num_lo, den_lo), (num_hi, den_hi)), *slope_ends = (
+        np.concatenate(ends, axis=2) for ends in zip(*(
+            [_apply(m, (slopes if k else values)[:, i]) for k, m in enumerate(box)]
+            for i, box in enumerate(maps))))
     centres = [(lo + hi) / 2 for lo, hi in boxes]
-    radii = [np.maximum(hi - mid, mid - lo) * (1 + 4 * _EPS)
+    radii = [own(np.maximum(hi - mid, mid - lo) * (1 + 4 * _EPS))
              for (lo, hi), mid in zip(boxes, centres)]
-    point_err = _TERM_WEIGHT * (4 * _EPS * (2 * max(mags) + 1) + _TRIG_ERR) + _SUM_ERR
+    big = own(functools.reduce(np.maximum, mags))
+    point_err = _TERM_WEIGHT * (4 * _EPS * (2 * big + 1) + _TRIG_ERR) + _SUM_ERR
     gap = np.maximum(np.maximum(den_lo, -den_hi), 0.0)
     value = _product((num_lo, num_hi), (1 / den_hi, 1 / den_lo))
     size = np.maximum(-value[0], value[1]) * (1 + 4 * _EPS)
@@ -446,73 +446,86 @@ def _bound_forms(formulas, boxes, mags):
     margin = point_err * (1.0 + size) / gap + 4 * _EPS * size
     # |f'| = |num' - f den'| / |den| along each axis, times the half-width
     slope = 0.0
-    for ((dn_lo, dd_lo), (dn_hi, dd_hi)), r in zip(
-            (_apply(m, slopes) for m in slope_maps), radii):
+    for ((dn_lo, dd_lo), (dn_hi, dd_hi)), r in zip(slope_ends, radii):
         drag = _product(value, (dd_lo, dd_hi))
         rounding = 8 * _EPS * (np.maximum(-dn_lo, dn_hi)
                                + np.maximum(-drag[0], drag[1]))
         bound = np.maximum(drag[1] - dn_lo, dn_hi - drag[0]) + rounding
         slope = slope + bound / gap * r
     # the value at each block centre, as ``_at`` gives it
-    terms = {name: _term(name, *centres) for name in names}
-    centre = np.array(np.broadcast_arrays(*(
-        np.divide(*formula(*map(terms.get, _TERMS_OF[formula])))
-        for formula in formulas)))
+    terms = {name: np.broadcast_to(_term(name, *centres), shape) for name in names}
+    centre = np.array([np.divide(*f(*(terms[name][i] for name in _TERMS_OF[f])))
+                       for i, formulas in enumerate(forms) for f in formulas])
     mean_value = centre + 2 * margin + slope
     mean_value = mean_value + 8 * _EPS * (np.abs(centre) + 2 * margin + slope)
     upper = np.where(gap > 0, np.fmin(high, mean_value), np.inf)
     return np.where(np.isnan(upper), np.inf, upper), gap
 
 
-def _scan_level(formulas, r0z, r1z, rx, n: int, with_start: bool):
-    """Smallest |denominator| and maximum of each form on the n-point grid.
+def _scan_level(keys, r0z, r1z, n: int, with_start: bool):
+    """Smallest |denominator| and maximum of each (X range, form) key on
+    the n-point grid of its box (r0z, r1z, X range), ``keys`` box by box.
 
-    The grid is cut into blocks of ``_BLOCK`` points per axis, and each
-    form is enclosed over every block (``_bound_forms``) in slabs of at
-    most ``_SLAB_BLOCKS`` blocks. A form is then evaluated pointwise only on
-    the blocks whose upper bound reaches the largest value found on the
-    block with the highest bound, and on those whose denominator bound lies
-    below SINGULAR_TOL. The maxima are then those of the full grid, and
-    so is the smallest |denominator| wherever it lies below SINGULAR_TOL.
-    Returns, per form, a list of [gap, max] with one entry per grid size.
-    With ``with_start`` the entry of the ``_GRID_START``-point grid comes
-    first, read off the even-index points: ``np.linspace(lo, hi, 2 * m -
-    1)[::2]`` is ``np.linspace(lo, hi, m)`` bit for bit.
+    The boxes share the 0Z and 1Z grids. Each axis is cut into blocks of
+    ``_BLOCK`` points, the boxes' X blocks stacked on a leading box axis,
+    and every form of ``keys`` is enclosed over every block of every box
+    (``_bound_forms``) in slabs of at most ``_SLAB_BLOCKS`` blocks. A key's
+    form is then evaluated pointwise only on its box's blocks whose upper
+    bound reaches the largest value found on the block with the highest
+    bound, and on those whose denominator bound lies below SINGULAR_TOL.
+    The maxima are then those of the full grid, and so is the smallest
+    |denominator| wherever it lies below SINGULAR_TOL. Returns, per key, a
+    list of [gap, max] with one entry per grid size. With ``with_start``
+    the entry of the ``_GRID_START``-point grid comes first, read off the
+    even-index points: ``np.linspace(lo, hi, 2 * m - 1)[::2]`` is
+    ``np.linspace(lo, hi, m)`` bit for bit.
     """
-    grids = [np.linspace(lo, hi, n) for lo, hi in (r0z, r1z, rx)]
+    xs = list(dict.fromkeys(rx for rx, _ in keys))
+    forms = [[f for x, f in keys if x == rx] for rx in xs]
+    grids = [np.linspace(lo, hi, n) for lo, hi in [r0z, r1z] + xs]
     # the points of a range of one phase are all equal: its first stands
     # for all of them
     edges = [np.append(np.arange(0, n, _BLOCK), n) if g[0] < g[-1]
              else np.array([0, 1]) for g in grids]
-    shape = tuple(len(e) - 1 for e in edges)
-    bcast = ((-1, 1, 1), (-1, 1), (-1,))
-    axes = [(np.minimum.reduceat(g, e[:-1]), np.maximum.reduceat(g, e[:-1]))
+    counts = [len(e) - 1 for e in edges]
+    shape = (len(xs), *counts[:2], max(counts[2:]))
+    ends = [[f.reduceat(g, e[:-1]) for f in (np.minimum, np.maximum)]
             for g, e in zip(grids, edges)]
+    # a box with fewer X blocks repeats its last one, which no key visits
+    pad = np.minimum.outer(np.subtract(counts[2:], 1), np.arange(shape[3]))
+    x_ends = [np.reshape([end[k][i] for end, i in zip(ends[2:], pad)],
+                         (-1, 1, 1, shape[3])) for k in (0, 1)]
     mags = [max(abs(g[0]), abs(g[-1])) for g in grids]
-    upper, gap = np.empty((2, len(formulas)) + shape)
-    rows = max(1, _SLAB_BLOCKS // (shape[1] * shape[2]))
-    for i in range(0, shape[0], rows):
-        cut = [slice(i, i + rows), slice(None), slice(None)]
-        slab = [[x[c].reshape(b) for x in axis] for axis, c, b in zip(axes, cut, bcast)]
-        upper[:, i:i + rows], gap[:, i:i + rows] = _bound_forms(formulas, slab, mags)
-    bounds = list(zip(upper, gap))
+    mags[2:] = [np.reshape(mags[2:], (-1, 1, 1, 1))]
+    upper, gap = np.empty((2, len(keys)) + shape[1:])
+    rows = max(1, _SLAB_BLOCKS // (shape[0] * shape[2] * shape[3]))
+    for i in range(0, shape[1], rows):
+        slab = [[x[i:i + rows].reshape(-1, 1, 1) for x in ends[0]],
+                [x.reshape(-1, 1) for x in ends[1]], x_ends]
+        upper[:, i:i + rows], gap[:, i:i + rows] = _bound_forms(
+            forms, slab, mags)
 
-    views = [(slice(None),) * 3]
-    if with_start:
-        views.insert(0, (slice(None, None, 2),) * 3)
-    found = [[[np.inf, -np.inf] for _ in views] for _ in formulas]
-    seen = [set() for _ in formulas]
+    views = [(slice(None, None, 2),) * 3] * with_start + [(slice(None),) * 3]
+    bcast = ((-1, 1, 1), (-1, 1), (-1,))
+    # per key: its form, the grids of its box and its bounds on their blocks
+    jobs = [(f, (0, 1, 2 + b), upper[k, ..., :counts[2 + b]],
+             gap[k, ..., :counts[2 + b]])
+            for k, (b, f) in enumerate((xs.index(rx), f) for rx, f in keys)]
+    found = [[[np.inf, -np.inf] for _ in views] for _ in keys]
+    seen = [set() for _ in keys]
 
     def visit(wanted):
-        """Evaluate each form on the blocks ``wanted[k]`` it has not seen."""
-        for k, blocks in enumerate(wanted):
-            for b in set(blocks.tolist()) - seen[k]:
-                seen[k].add(b)
-                phases = [g[e[i]:e[i + 1]].reshape(to) for g, e, i, to in
-                          zip(grids, edges, np.unravel_index(b, shape), bcast)]
-                num, den = _at(formulas[k], *phases)
+        """Evaluate key k's form on the blocks ``wanted[k]`` it has not seen."""
+        for (formula, on, bound, _), blocks, done, acc_k in zip(
+                jobs, wanted, seen, found):
+            for b in set(blocks.tolist()) - done:
+                done.add(b)
+                phases = [grids[j][edges[j][i]:edges[j][i + 1]].reshape(to)
+                          for j, i, to in
+                          zip(on, np.unravel_index(b, bound.shape), bcast)]
+                num, den = _at(formula, *phases)
                 size, value = np.abs(den), num / den
-                for view, acc in zip(views, found[k]):
+                for view, acc in zip(views, acc_k):
                     # np.minimum keeps a NaN, so it fails the pole test
                     acc[0] = np.minimum(acc[0], size[view].min())
                     acc[1] = np.maximum(acc[1], value[view].max())
@@ -520,53 +533,48 @@ def _scan_level(formulas, r0z, r1z, rx, n: int, with_start: bool):
     # the block with the highest bound, and every block near a pole (a NaN
     # bound counts as one)
     visit([np.append(np.flatnonzero(~(gap >= SINGULAR_TOL)), np.argmax(upper))
-           for upper, gap in bounds])
+           for *_, upper, gap in jobs])
     # every block that may beat the values found so far; a NaN value is a
     # pole the check raises on
     visit([np.flatnonzero(upper >= np.fmin.reduce([acc[1] for acc in per_size]))
-           for (upper, _), per_size in zip(bounds, found)])
+           for (*_, upper, _), per_size in zip(jobs, found)])
     return found
 
 
-def _grid_maxima(formulas, r0z, r1z, rx):
-    """Grid maximum of each closed form over one (0Z, 1Z, X) range triple.
+def _grid_maxima(boxes, r0z, r1z):
+    """{(X range, form): (gap, maximum)} of each form's grid maximum over
+    its box (r0z, r1z, X range), ``boxes`` mapping X ranges to forms.
 
-    Each form is maximised on grids of n = 41, 81, 161, ... points per
-    axis until a refinement moves its maximum by less than ``_GRID_TOL`` or
-    the next grid would exceed ``_GRID_MAX_POINTS``. The forms still
-    refining share the scan of each grid, and the first two grids share one
-    scan; no form's result depends on the forms it shares them with. Per
-    form: (gap, maximum) of its final grid, gap the smallest |denominator|,
-    or of the first grid on which gap marks a pole (below SINGULAR_TOL or
-    NaN); that form stops, the others go on.
-
-    Each scan is pruned (``_scan_level``): it evaluates a form only on the
-    blocks of ``_BLOCK``^3 points whose enclosure may reach the maximum or
-    a pole, so each result is that of the full grid. Its memory is two
-    floats per form and block, the enclosures of at most ``_SLAB_BLOCKS``
-    blocks and the points of one block, not the grid.
+    Each form is maximised on grids of n = 41, 81, 161, ... points per axis
+    until a refinement moves its maximum by less than ``_GRID_TOL`` or the
+    next grid would exceed ``_GRID_MAX_POINTS``: (gap, maximum) of its final
+    grid, gap the smallest |denominator|, or of the first grid on which gap
+    marks a pole (below SINGULAR_TOL or NaN); that pair stops, the others go
+    on. The pairs still refining share one scan per grid (``_scan_level``),
+    the first two grids one scan, and no result depends on the pairs it is
+    scanned with. A scan evaluates a form only on the blocks of ``_BLOCK``^3
+    points of its box whose enclosure may reach the maximum or a pole: the
+    full grid's result, in two floats per box, form and block, the
+    enclosures of at most ``_SLAB_BLOCKS`` blocks and one block's points.
     """
-    out = [None] * len(formulas)
-    prev = [None] * len(formulas)
-    pending = list(range(len(formulas)))
+    out, prev = {}, {}
+    pending = [(rx, f) for rx, forms in boxes.items() for f in forms]
     sizes = (_GRID_START, 2 * _GRID_START - 1)
     with np.errstate(divide="ignore", invalid="ignore"):  # poles: see above
         while pending:
-            scans = _scan_level([formulas[k] for k in pending], r0z, r1z, rx,
-                                sizes[-1], len(sizes) == 2)
+            scans = _scan_level(pending, r0z, r1z, sizes[-1], len(sizes) == 2)
             kept = []
-            for k, scan in zip(pending, scans):
+            for key, scan in zip(pending, scans):
                 for n, (gap, cur) in zip(sizes, scan):
                     pole = not gap >= SINGULAR_TOL  # NaN fails the test too
                     cur = float(cur)
-                    settled = (prev[k] is not None
-                               and abs(cur - prev[k]) < _GRID_TOL)
+                    settled = key in prev and abs(cur - prev[key]) < _GRID_TOL
                     if pole or settled or 2 * n > _GRID_MAX_POINTS:
-                        out[k] = (gap, cur)
+                        out[key] = (gap, cur)
                         break
-                    prev[k] = cur
+                    prev[key] = cur
                 else:
-                    kept.append(k)
+                    kept.append(key)
             pending = kept
             sizes = (2 * sizes[-1] - 1,)
     return out
@@ -597,12 +605,13 @@ def _coeff_bounds(protos: Sequence[Protocol],
     The ranges of the settings a protocol's rows use (0Z, 1Z and its X
     references) alone choose its rule: the corner rules of ``_CORNER_RULES``
     when they all sit inside their analytic sectors, otherwise the exact
-    closed forms maximised on a dense grid. Each grid box is scanned once,
-    for the union of the forms all protocols take there (``_grid_maxima``),
-    and each corner rule runs once: rows are found by (row, X reference,
-    rule), protocol by protocol, row 1 first. A pole raises the message of
-    the first grid form in that order (0Z, 1Z, X within a row), as one call
-    per protocol in turn would.
+    closed forms maximised on a dense grid. All grid boxes are scanned
+    together, one scan per grid size, each box once with the union of the
+    forms all protocols take there (``_grid_maxima``), and each corner rule
+    runs once: rows are found by (row, X reference, rule), protocol by
+    protocol, row 1 first. A pole raises the message of the first grid form
+    in that order (0Z, 1Z, X within a row), as one call per protocol in
+    turn would.
     """
     r = {j: (ranges.lo[j], ranges.hi[j]) for j in ranges.lo}
     keys, boxes = [], {}
@@ -616,17 +625,16 @@ def _coeff_bounds(protos: Sequence[Protocol],
                                hi={j: ranges.hi[j] for j in used}
                                ).in_analytic_sectors()
         keys.append([(alpha, proto.x_ref[alpha], grid) for alpha in (1, 0)])
-        # rows with the same X reference share one box (three-state: 0X)
+        # rows with the same X range share one box (three-state: 0X)
         for alpha, x, _ in keys[-1]:
             if grid:
-                boxes.setdefault(x, {}).update(dict.fromkeys(_FORMULAS[alpha]))
-    found = {(x, f): v for x, forms in boxes.items() for f, v in
-             zip(forms, _grid_maxima(list(forms), r["0Z"], r["1Z"], r[x]))}
+                boxes.setdefault(r[x], {}).update(dict.fromkeys(_FORMULAS[alpha]))
+    found = _grid_maxima(boxes, r["0Z"], r["1Z"]) if boxes else {}
     rows = {}
     for key in dict.fromkeys(itertools.chain(*keys)):  # each key once, in order
         alpha, x, grid = key
         if grid:
-            gaps, rows[key] = zip(*(found[x, f] for f in _FORMULAS[alpha]))
+            gaps, rows[key] = zip(*(found[r[x], f] for f in _FORMULAS[alpha]))
             for gap in gaps:
                 _check_pole(gap)
         else:

@@ -2,12 +2,13 @@
 
 ``coeffs._coeff_bounds`` takes a sequence of protocols. Each keeps its own
 rule (corner rules in-sector, the grid outside), the grid rows of all
-protocols share one scan per X-reference box, and each row's bounds are
-found once per (row, X reference, rule): a corner rule the protocols share,
-row 0 over 0X, runs once. Every bound must be, by ``float.hex``, what the
-single-protocol functions give, called one protocol after another; where
-one of those calls raises SingularSystem, the pass must raise the message of
-the first call that does.
+protocols share one scan of all their X-reference boxes, each box once with
+the union of its forms, and each row's bounds are found once per (row, X
+reference, rule): a corner rule the protocols share, row 0 over 0X, runs
+once. Every bound must be, by ``float.hex``, what the single-protocol
+functions give, called one protocol after another; where one of those calls
+raises SingularSystem, the pass must raise the message of the first call
+that does.
 """
 
 import itertools
@@ -77,13 +78,20 @@ POLE_BOXES = [
 ]
 
 
+def _x_ranges(ranges):
+    """The X range of each X reference, by setting."""
+    return {j: (ranges.lo[j], ranges.hi[j]) for j in ("0X", "1X")}
+
+
 def _scans_and_rules(monkeypatch):
-    """Record the forms of each _grid_maxima call and each corner rule run."""
+    """Record each _grid_maxima call, as the list of its boxes (X range,
+    form names), and each corner rule run."""
     calls = []
 
-    def grid_maxima(formulas, *box, _original=coeffs._grid_maxima):
-        calls.append([f.__name__ for f in formulas])
-        return _original(formulas, *box)
+    def grid_maxima(boxes, *zs, _original=coeffs._grid_maxima):
+        calls.append([(rx, [f.__name__ for f in forms])
+                      for rx, forms in boxes.items()])
+        return _original(boxes, *zs)
 
     monkeypatch.setattr(coeffs, "_grid_maxima", grid_maxima)
     for key, rule in coeffs._CORNER_RULES.items():
@@ -141,9 +149,11 @@ def test_mixed_source_keeps_each_protocols_rule(monkeypatch, protos):
     for ranges, want in zip(sources, wants):
         calls.clear()
         assert shared(protos, ranges) == want
-        assert sorted(calls, key=str) == [
-            (0, "0X"), (1, "0X"), ["_c0_0z", "_c0_1z", "_c0_0x"],
-            ["_c1_0z", "_c1_1z", "_c1_x"]]
+        # bb84's two boxes in one scan, each with its own row's forms
+        x = _x_ranges(ranges)
+        assert sorted(calls, key=str) == [(0, "0X"), (1, "0X"), [
+            (x["1X"], ["_c1_0z", "_c1_1z", "_c1_x"]),
+            (x["0X"], ["_c0_0z", "_c0_1z", "_c0_0x"])]]
 
 
 @pytest.mark.parametrize("protos", ORDERS,
@@ -156,9 +166,27 @@ def test_in_sector_pass_runs_each_corner_rule_once(monkeypatch, protos):
 
 
 def test_both_out_of_sector_scan_each_box_once(monkeypatch):
-    # three-state's 0X box joins bb84's: 2 scans of 9 forms, not 3 of 12
+    # three-state's 0X box joins bb84's, and both boxes share one scan: 9
+    # (box, form) pairs, not 12, and one scan, not 2 or 3
     calls = _scans_and_rules(monkeypatch)
-    coeffs._coeff_bounds(PROTOCOLS, _source(0.6, 0.03))
-    assert calls == [["_c1_0z", "_c1_1z", "_c1_x"],
-                     ["_c0_0z", "_c0_1z", "_c0_0x",
-                      "_c1_0z", "_c1_1z", "_c1_x"]]
+    ranges = _source(0.6, 0.03)
+    coeffs._coeff_bounds(PROTOCOLS, ranges)
+    x = _x_ranges(ranges)
+    assert calls == [[(x["1X"], ["_c1_0z", "_c1_1z", "_c1_x"]),
+                      (x["0X"], ["_c0_0z", "_c0_1z", "_c0_0x",
+                                 "_c1_0z", "_c1_1z", "_c1_x"])]]
+
+
+@pytest.mark.parametrize("protos", ORDERS,
+                         ids=lambda o: "-".join(p.name for p in o))
+def test_boxes_of_unequal_x_blocks_equal_sequential_calls(monkeypatch, protos):
+    # delta = 0.6, Delta = 3e-16: the 1X range is one phase, one block on its
+    # X axis, while 0X is 4.4e-16 wide, six blocks on the 81-point grid; the
+    # stacked scan pads 1X's X axis with blocks it never visits. Five-block
+    # slabs cut every level into slabs of one row of both boxes
+    ranges = _source(0.6, 3e-16)
+    assert ranges.lo["1X"] == ranges.hi["1X"] and ranges.lo["0X"] < ranges.hi["0X"]
+    want = sequential(protos, ranges)
+    assert shared(protos, ranges) == want
+    monkeypatch.setattr(coeffs, "_SLAB_BLOCKS", 5)
+    assert shared(protos, ranges) == want

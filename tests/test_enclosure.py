@@ -10,8 +10,10 @@ than 2 pi, single-phase and one-ulp ranges, ranges next to the
 theta_0Z = theta_1Z pole) and check them, and check a sample of term ranges
 against mpmath's interval arithmetic. They also check that each form's
 affine table is the form itself, that the interval sums hold every
-summation order, and that the benchmark's out-of-sector sources evaluate
-no more blocks than the enclosures let through when these tests were written.
+summation order, that boxes stacked on one call's box axis get the bounds
+of their own calls, bit for bit, and that the benchmark's out-of-sector
+sources evaluate no more blocks than the enclosures let through when these
+tests were written.
 """
 
 import contextlib
@@ -74,6 +76,15 @@ def _mags(box):
     return [max(abs(lo), abs(hi)) for lo, hi in box]
 
 
+def _bound(formulas, box):
+    """``_bound_forms`` of ``formulas`` over ``box`` as the one box of a
+    call, its X ends and magnitude on a box axis of length 1."""
+    mags = _mags(box)
+    return coeffs._bound_forms([formulas], box[:2] + [[np.reshape(end, 1)
+                                                       for end in box[2]]],
+                               mags[:2] + [np.reshape(mags[2], 1)])
+
+
 def _term_ranges(box):
     """The value range of every term of _TERMS over the box, by name."""
     names = tuple(coeffs._TERMS)
@@ -99,7 +110,7 @@ def test_form_bounds_hold_every_computed_value(box, seed, formulas):
     # once per set of forms must be those of this set, row for row
     a, b, c = _points(box, np.random.default_rng(seed))
     with np.errstate(divide="ignore", invalid="ignore"):
-        bounds = coeffs._bound_forms(formulas, box, _mags(box))
+        bounds = _bound(formulas, box)
         for formula, upper, gap in zip(formulas, *bounds, strict=True):
             num, den = coeffs._at(formula, a, b, c)
             assert np.abs(den).min() >= gap, formula.__name__
@@ -107,6 +118,38 @@ def test_form_bounds_hold_every_computed_value(box, seed, formulas):
                 assert (num / den).max() <= upper, formula.__name__
             else:
                 assert upper == np.inf
+
+
+def _halves(box, shapes):
+    """Each axis of ``box`` cut into two blocks at its midpoint, as (lo, hi)
+    arrays of the given shapes."""
+    return [[np.reshape(ends, to) for ends in ((lo, (lo + hi) / 2),
+                                               ((lo + hi) / 2, hi))]
+            for (lo, hi), to in zip(box, shapes)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=boxes(), second=boxes(), forms=st.lists(
+    st.lists(st.sampled_from(FORMULAS), min_size=1, unique=True),
+    min_size=2, max_size=2))
+def test_stacked_boxes_give_each_boxs_own_bounds(first, second, forms):
+    # two boxes with the same 0Z and 1Z ranges, each cut into 2^3 blocks and
+    # given its own forms, their X block ends and X magnitudes stacked on
+    # the box axis as _scan_level stacks them: each box's bounds are those
+    # of its own call, bit for bit
+    pair = [first, first[:2] + second[2:]]
+    alone = [_halves(box, ((-1, 1, 1), (-1, 1), (1, 1, 1, -1))) for box in pair]
+    x_ends = [np.concatenate([blocks[2][k] for blocks in alone]) for k in (0, 1)]
+    mags = _mags(first)[:2] + [np.reshape([_mags(box)[2] for box in pair],
+                                          (-1, 1, 1, 1))]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stacked = coeffs._bound_forms(forms, alone[0][:2] + [x_ends], mags)
+        own = [coeffs._bound_forms([formulas], blocks, _mags(box)[:2] + [
+            np.reshape(_mags(box)[2], (1, 1, 1, 1))])
+            for formulas, box, blocks in zip(forms, pair, alone)]
+    for got, want in zip(stacked, zip(*own), strict=True):
+        assert ([float(x).hex() for x in got.ravel()]
+                == [float(x).hex() for x in np.concatenate(want).ravel()])
 
 
 def test_mean_value_form_is_second_order():
@@ -117,7 +160,7 @@ def test_mean_value_form_is_second_order():
     box = [(0.0, 0.001), (3.7, 3.701), (2.0, 2.001)]
     a, b, c = _points(box, np.random.default_rng(0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        bounds = coeffs._bound_forms(FORMULAS, box, _mags(box))
+        bounds = _bound(FORMULAS, box)
     for formula, upper, gap in zip(FORMULAS, *bounds):
         num, den = coeffs._at(formula, a, b, c)
         assert gap > coeffs.SINGULAR_TOL
@@ -182,7 +225,7 @@ def test_trig_range_is_exact(fn, iv_fn):
 
 
 def _tables(formulas=FORMULAS):
-    """The (b, A) rows of ``formulas`` as ``_bound_forms`` stacks them."""
+    """The (b, A) rows of ``formulas`` as ``_plan`` stacks them for one box."""
     b = np.array([coeffs._AFFINE[f][0] for f in formulas]).T
     a = np.array([coeffs._AFFINE[f][1] for f in formulas]).swapaxes(0, 1)
     return b, a
@@ -211,20 +254,21 @@ def test_affine_tables_are_exact(formula):
 def test_interval_map_holds_every_summation_order(seed, width):
     # each end of a numerator, a denominator or a derivative along an axis
     # holds its exact value and its float sum in every order, at term
-    # values anywhere in the ranges: the value maps of _interval_map, and
-    # the axis-derivative maps of _derivative_maps, whose rows are the
-    # tables times each axis's weights and signs
+    # values anywhere in the ranges: the value map and the axis-derivative
+    # maps that _plan builds for a box of all forms, whose rows are the
+    # tables, then the tables times each axis's weights and signs
     rng = np.random.default_rng(seed)
     b, a = _tables()
-    names = tuple(coeffs._TERMS)
+    names, (plan_maps,) = coeffs._plan((FORMULAS,))
+    assert names == tuple(coeffs._TERMS)
     lo = rng.uniform(-1.0, 1.0, len(names))
     hi = np.minimum(lo + width, 1.0)
     ranges = np.concatenate([lo, hi])
     signs = [coeffs._DERIVATIVE[coeffs._TERMS[name][0]][1] for name in names]
     weights = np.array([coeffs._WEIGHTS[name] for name in names]).T * signs
-    maps = [(a, b, coeffs._interval_map(a, b, ranges))] + [
-        (a * w, np.zeros_like(b), ends) for w, ends in
-        zip(weights, coeffs._derivative_maps(a, names, ranges), strict=True)]
+    maps = [(rows, const, coeffs._apply(m, ranges)) for (rows, const), m in zip(
+        [(a, b)] + [(a * w, np.zeros_like(b)) for w in weights], plan_maps,
+        strict=True)]
     t = [rng.uniform(lo, hi) for _ in range(3)] + [lo, hi]
     for rows, const, ends in maps:
         for part, form in np.ndindex(const.shape):

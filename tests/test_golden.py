@@ -166,13 +166,14 @@ def test_perfbench_readme_digest_is_the_committed_sweep():
 
 
 @pytest.mark.parametrize("argv, passes, scans", [
-    (README_SWEEP, 1, 0), (MULTI_SOURCE_SWEEP, 4, 0), (GRID_SWEEP, 1, 2),
+    (README_SWEEP, 1, 0), (MULTI_SOURCE_SWEEP, 4, 0), (GRID_SWEEP, 1, 1),
 ], ids=["readme_sweep", "multi_source_sweep", "grid_branch_sweep"])
 def test_sweep_bounds_coefficients_once_per_source(tmp_path, monkeypatch,
                                                    argv, passes, scans):
     # c^U depends on (protocol, delta, Delta) only, never on the loss: one
     # coefficient pass per (delta, Delta) serves every protocol, and out of
-    # sector it scans each X-reference box once (1X, and 0X for both)
+    # sector one grid scan covers all its X-reference boxes (1X, and 0X for
+    # both)
     count = {"_coeff_bounds": 0, "_grid_maxima": 0}
     for module, name in ((bounds, "_coeff_bounds"), (coeffs, "_grid_maxima")):
         def counted(*args, _original=getattr(module, name), _name=name,
