@@ -109,8 +109,11 @@ class ObservedStatistics:
         """Build clamped conditional estimates from raw counts.
 
         q[j][gamma] = N_{j,gammaX} / (N * p_j * p_XB); finite-sample noise can
-        push the ratio above 1, so it is clamped (upward bias is safe: the
-        outer bound is nondecreasing in every q). The counts may be float
+        push the ratio above 1, so it is clamped to 1. The outer bound is not
+        monotone in every q: raising q[j][1 - alpha] moves e_ph^U the way the
+        sign of c[alpha, j] says (G+ and G- both rise with q, and c < 0
+        enters with G-). So the clamp is not always safe: it lowers the
+        bound wherever c[alpha, j] > 0 (ROADMAP item 9). The counts may be float
         arrays, one entry for the run total and one per tag (the count
         column of ``column_bounds``); the estimates are then arrays too.
         """

@@ -18,9 +18,11 @@ provides:
     maximisation outside them. Each X-reference box's grid is cut into
     blocks; per grid size one array pass encloses every form over every
     block of every box (exact sin/cos term ranges, each form an affine map
-    of its terms, a mean-value quotient widened for float rounding), and
-    only the blocks that may hold the maximum or a pole are evaluated: the
-    full grid's values, bit for bit.
+    of its terms, a mean-value quotient widened for float rounding, a sign
+    per axis where the form certainly rises or falls), and only the blocks
+    that may hold the maximum or a pole are evaluated, away from poles only
+    on the face, edge or corner that can hold it: the full grid's values,
+    bit for bit.
 """
 
 from __future__ import annotations
@@ -403,23 +405,29 @@ def _product(a, b):
             np.maximum(np.maximum(p, q), np.maximum(r, s)))
 
 
-def _bound_forms(forms, boxes, mags):
-    """Upper bound and smallest-|denominator| bound of each form per block.
+def _bound_forms(forms, boxes, mags, steps):
+    """Upper bound, smallest-|denominator| bound and lean of each form per block.
 
     ``boxes`` and ``mags`` are as for ``_term_ranges``, shaped to broadcast
-    to (box, block...), and ``forms[i]`` lists the forms of box i. Returns
-    (upper, gap) over (form, block...), the forms box by box: every computed
-    grid value of a form in a block of its box is at most ``upper``, and
-    every computed |denominator| at least ``gap``. The term ranges of all
-    boxes are found at once; the interval maps of each box's forms' affine
+    to (box, block...), ``steps`` (shaped as ``mags``) the least spacing of
+    the grid per axis, and ``forms[i]`` lists the forms of box i. Returns
+    (upper, gap) over (form, block...), the forms box by box, and int8
+    ``lean`` over (axis, form, block...): every computed grid value of a
+    form in a block of its box is at most ``upper``, every computed
+    |denominator| at least ``gap``, and the computed values rise (fall)
+    strictly along each axis where ``lean`` is +1 (-1). The term ranges of
+    all boxes are found at once; the interval maps of each box's forms' affine
     maps (``_AFFINE``) over its own give the numerators, denominators and
     their derivatives along the three axes. Those maps, and the terms the
     forms use, are built once per tuple of forms per box (``_plan``), and
     ``_apply`` forms each row's sum. The upper bound is the smaller of the
     interval quotient and a mean-value form: the value at the block centre
     plus the interval gradient times the half-width, widened by the most
-    the computed values can differ from the exact ones. A denominator
-    enclosure that holds 0 gives gap 0 and upper +inf.
+    the computed values can differ from the exact ones. A form leans where
+    its interval derivative keeps one sign and moves it by more than twice
+    that over one step (the monotonicity test of interval optimisation),
+    never where gap lies below SINGULAR_TOL. A denominator enclosure that
+    holds 0 gives gap 0 and upper +inf.
     """
     names, maps = _plan(tuple(map(tuple, forms)))
     values, slopes = _term_ranges(names, boxes, mags)
@@ -445,13 +453,19 @@ def _bound_forms(forms, boxes, mags):
     # the most a computed value can differ from the exact one
     margin = point_err * (1.0 + size) / gap + 4 * _EPS * size
     # |f'| = |num' - f den'| / |den| along each axis, times the half-width
-    slope = 0.0
-    for ((dn_lo, dd_lo), (dn_hi, dd_hi)), r in zip(slope_ends, radii):
+    # lean where g = num' - f den' keeps one sign and |g| step / |den| > 2
+    # margin; the factor covers the rounding of the products and the step
+    slope, lean = 0.0, np.zeros((3,) + gap.shape, np.int8)
+    needed = 2 * margin * np.maximum(-den_lo, den_hi) * (1 + 16 * _EPS)
+    for axis, (((dn_lo, dd_lo), (dn_hi, dd_hi)), r, step) in enumerate(
+            zip(slope_ends, radii, steps)):
         drag = _product(value, (dd_lo, dd_hi))
         rounding = 8 * _EPS * (np.maximum(-dn_lo, dn_hi)
                                + np.maximum(-drag[0], drag[1]))
-        bound = np.maximum(drag[1] - dn_lo, dn_hi - drag[0]) + rounding
-        slope = slope + bound / gap * r
+        g_lo, g_hi = dn_lo - drag[1] - rounding, dn_hi - drag[0] + rounding
+        slope = slope + np.maximum(-g_lo, g_hi) / gap * r
+        sure = (np.maximum(g_lo, -g_hi) * own(step) > needed) & (gap >= SINGULAR_TOL)
+        lean[axis][sure] = (np.sign(g_lo) * np.sign(den_lo))[sure]
     # the value at each block centre, as ``_at`` gives it
     terms = {name: np.broadcast_to(_term(name, *centres), shape) for name in names}
     centre = np.array([np.divide(*f(*(terms[name][i] for name in _TERMS_OF[f])))
@@ -459,7 +473,7 @@ def _bound_forms(forms, boxes, mags):
     mean_value = centre + 2 * margin + slope
     mean_value = mean_value + 8 * _EPS * (np.abs(centre) + 2 * margin + slope)
     upper = np.where(gap > 0, np.fmin(high, mean_value), np.inf)
-    return np.where(np.isnan(upper), np.inf, upper), gap
+    return np.where(np.isnan(upper), np.inf, upper), gap, lean
 
 
 def _scan_level(keys, r0z, r1z, n: int, with_start: bool):
@@ -473,11 +487,13 @@ def _scan_level(keys, r0z, r1z, n: int, with_start: bool):
     form is then evaluated pointwise only on its box's blocks whose upper
     bound reaches the largest value found on the block with the highest
     bound, and on those whose denominator bound lies below SINGULAR_TOL.
-    The maxima are then those of the full grid, and so is the smallest
-    |denominator| wherever it lies below SINGULAR_TOL. Returns, per key, a
-    list of [gap, max] with one entry per grid size. With ``with_start``
-    the entry of the ``_GRID_START``-point grid comes first, read off the
-    even-index points: ``np.linspace(lo, hi, 2 * m - 1)[::2]`` is
+    Those are evaluated whole, the others only on the points of each axis
+    the form leans on that can hold their maxima (``cut``). The maxima are
+    then those of the full grid, and so is the smallest |denominator|
+    wherever it lies below SINGULAR_TOL. Returns, per key, a list of
+    [gap, max] with one entry per grid size. With ``with_start`` the entry
+    of the ``_GRID_START``-point grid comes first, read off the even-index
+    points: ``np.linspace(lo, hi, 2 * m - 1)[::2]`` is
     ``np.linspace(lo, hi, m)`` bit for bit.
     """
     xs = list(dict.fromkeys(rx for rx, _ in keys))
@@ -496,33 +512,43 @@ def _scan_level(keys, r0z, r1z, n: int, with_start: bool):
     x_ends = [np.reshape([end[k][i] for end, i in zip(ends[2:], pad)],
                          (-1, 1, 1, shape[3])) for k in (0, 1)]
     mags = [max(abs(g[0]), abs(g[-1])) for g in grids]
-    mags[2:] = [np.reshape(mags[2:], (-1, 1, 1, 1))]
+    steps = [np.diff(g).min() for g in grids]  # 0 where the points coincide
+    for per_axis in (mags, steps):
+        per_axis[2:] = [np.reshape(per_axis[2:], (-1, 1, 1, 1))]
     upper, gap = np.empty((2, len(keys)) + shape[1:])
+    lean = np.empty((3, len(keys)) + shape[1:], np.int8)
     rows = max(1, _SLAB_BLOCKS // (shape[0] * shape[2] * shape[3]))
     for i in range(0, shape[1], rows):
         slab = [[x[i:i + rows].reshape(-1, 1, 1) for x in ends[0]],
                 [x.reshape(-1, 1) for x in ends[1]], x_ends]
-        upper[:, i:i + rows], gap[:, i:i + rows] = _bound_forms(
-            forms, slab, mags)
+        upper[:, i:i + rows], gap[:, i:i + rows], lean[:, :, i:i + rows] = (
+            _bound_forms(forms, slab, mags, steps))
 
     views = [(slice(None, None, 2),) * 3] * with_start + [(slice(None),) * 3]
     bcast = ((-1, 1, 1), (-1, 1), (-1,))
     # per key: its form, the grids of its box and its bounds on their blocks
-    jobs = [(f, (0, 1, 2 + b), upper[k, ..., :counts[2 + b]],
-             gap[k, ..., :counts[2 + b]])
+    jobs = [(f, (0, 1, 2 + b), lean[:, k, ..., :counts[2 + b]],
+             upper[k, ..., :counts[2 + b]], gap[k, ..., :counts[2 + b]])
             for k, (b, f) in enumerate((xs.index(rx), f) for rx, f in keys)]
     found = [[[np.inf, -np.inf] for _ in views] for _ in keys]
     seen = [set() for _ in keys]
 
+    def cut(j, i, sign):
+        """Block i's points on axis j that can hold its maxima in both views:
+        from its last even index on where it rises, its first where it falls."""
+        start, stop = edges[j][i], edges[j][i + 1]
+        start += (stop - 1 - start) // 2 * 2 if sign > 0 else 0
+        return slice(start, start + 1 if sign < 0 else stop)
+
     def visit(wanted):
         """Evaluate key k's form on the blocks ``wanted[k]`` it has not seen."""
-        for (formula, on, bound, _), blocks, done, acc_k in zip(
+        for (formula, on, leans, bound, _), blocks, done, acc_k in zip(
                 jobs, wanted, seen, found):
             for b in set(blocks.tolist()) - done:
                 done.add(b)
-                phases = [grids[j][edges[j][i]:edges[j][i + 1]].reshape(to)
-                          for j, i, to in
-                          zip(on, np.unravel_index(b, bound.shape), bcast)]
+                at = np.unravel_index(b, bound.shape)
+                phases = [grids[j][cut(j, i, signs[at])].reshape(to)
+                          for j, i, signs, to in zip(on, at, leans, bcast)]
                 num, den = _at(formula, *phases)
                 size, value = np.abs(den), num / den
                 for view, acc in zip(views, acc_k):
@@ -548,14 +574,16 @@ def _grid_maxima(boxes, r0z, r1z):
     Each form is maximised on grids of n = 41, 81, 161, ... points per axis
     until a refinement moves its maximum by less than ``_GRID_TOL`` or the
     next grid would exceed ``_GRID_MAX_POINTS``: (gap, maximum) of its final
-    grid, gap the smallest |denominator|, or of the first grid on which gap
-    marks a pole (below SINGULAR_TOL or NaN); that pair stops, the others go
-    on. The pairs still refining share one scan per grid (``_scan_level``),
-    the first two grids one scan, and no result depends on the pairs it is
-    scanned with. A scan evaluates a form only on the blocks of ``_BLOCK``^3
-    points of its box whose enclosure may reach the maximum or a pole: the
-    full grid's result, in two floats per box, form and block, the
-    enclosures of at most ``_SLAB_BLOCKS`` blocks and one block's points.
+    grid, gap the smallest |denominator| evaluated, or of the first grid on
+    which gap marks a pole (below SINGULAR_TOL or NaN; the full grid's gap
+    then); that pair stops, the others go on. The pairs still refining share
+    one scan per grid (``_scan_level``), the first two grids one scan, and
+    no result depends on the pairs it is scanned with. A scan evaluates a
+    form only on the blocks of ``_BLOCK``^3 points of its box whose
+    enclosure may reach the maximum or a pole, away from poles only on the
+    face, edge or corner its lean leaves: the full grid's result, in two
+    floats and three int8 per box, form and block, the enclosures of at
+    most ``_SLAB_BLOCKS`` blocks and one block's points.
     """
     out, prev = {}, {}
     pending = [(rx, f) for rx, forms in boxes.items() for f in forms]

@@ -1,6 +1,7 @@
 """Tests for the phase-error bound assembly and key-rate formula."""
 
 import dataclasses
+import itertools
 import math
 from typing import Dict, Tuple
 
@@ -187,6 +188,30 @@ class TestObservedStatistics:
             n=1_000_000, n_x=n_x, n_det_z=100, n_err_z=1, probs=PROBS)
         assert all(stats.q[j][0] == 1.0 for j in SETTINGS_BB84)
         assert stats.e_bit == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("proto", PROTOCOLS, ids=lambda p: p.name)
+    def test_each_q_moves_the_bound_the_way_its_coefficient_says(self, proto):
+        # raising q[j][1 - alpha] by 1 % moves e_ph^U the way the sign of
+        # c[alpha, j] says, not always up: bb84's q[0Z][0] (c_{1,0Z} < 0)
+        # takes it from 3.19484962e-2 to 3.19444528e-2, at the default
+        # source with epsilon_u = 1e-6 and 10 dB
+        from qkdbound.simulator import ChannelParams, simulate_asymptotic
+
+        probs = ProtocolProbs.uniform(proto.settings)
+        stats = simulate_asymptotic(SourceSpec(delta=0.063), probs,
+                                    ChannelParams(loss_db=10.0), proto.name)
+        inputs = bound_inputs_from_source(
+            SourceSpec(delta=0.063, Delta=0.03, epsilon_u=1e-6), proto.name)
+        base = phase_error_bound(stats, probs, *inputs)
+        signs = []
+        for j, gamma in itertools.product(stats.q, (0, 1)):
+            q = dict(stats.q)
+            q[j] = tuple(v * 1.01 if g == gamma else v for g, v in enumerate(q[j]))
+            raised = dataclasses.replace(stats, q=q)
+            move = np.sign(phase_error_bound(raised, probs, *inputs) - base)
+            assert move == np.sign(inputs[0].c[1 - gamma][j]), (j, gamma)
+            signs.append(move)
+        assert -1 in signs and 1 in signs
 
     @pytest.mark.parametrize("q", [-0.5, 1.5, math.nan])
     def test_rejects_q_outside_unit_interval(self, q):

@@ -11,9 +11,10 @@ theta_0Z = theta_1Z pole) and check them, and check a sample of term ranges
 against mpmath's interval arithmetic. They also check that each form's
 affine table is the form itself, that the interval sums hold every
 summation order, that boxes stacked on one call's box axis get the bounds
-of their own calls, bit for bit, and that the benchmark's out-of-sector
-sources evaluate no more blocks than the enclosures let through when these
-tests were written.
+of their own calls, bit for bit, that along every axis on which a form is
+certified to lean its computed grid values rise or fall strictly, and that
+the benchmark's out-of-sector sources evaluate no more blocks and grid
+points than the enclosures let through when these tests were written.
 """
 
 import contextlib
@@ -76,13 +77,14 @@ def _mags(box):
     return [max(abs(lo), abs(hi)) for lo, hi in box]
 
 
-def _bound(formulas, box):
+def _bound(formulas, box, steps=(0.0, 0.0, 0.0)):
     """``_bound_forms`` of ``formulas`` over ``box`` as the one box of a
-    call, its X ends and magnitude on a box axis of length 1."""
+    call, its X ends, magnitude and grid step on a box axis of length 1."""
     mags = _mags(box)
     return coeffs._bound_forms([formulas], box[:2] + [[np.reshape(end, 1)
                                                        for end in box[2]]],
-                               mags[:2] + [np.reshape(mags[2], 1)])
+                               mags[:2] + [np.reshape(mags[2], 1)],
+                               list(steps[:2]) + [np.reshape(steps[2], 1)])
 
 
 def _term_ranges(box):
@@ -110,8 +112,10 @@ def test_form_bounds_hold_every_computed_value(box, seed, formulas):
     # once per set of forms must be those of this set, row for row
     a, b, c = _points(box, np.random.default_rng(seed))
     with np.errstate(divide="ignore", invalid="ignore"):
-        bounds = _bound(formulas, box)
-        for formula, upper, gap in zip(formulas, *bounds, strict=True):
+        upper, gap, lean = _bound(formulas, box)
+        # no axis leans without a grid step to lean over
+        assert not lean.any()
+        for formula, upper, gap in zip(formulas, upper, gap, strict=True):
             num, den = coeffs._at(formula, a, b, c)
             assert np.abs(den).min() >= gap, formula.__name__
             if gap > 0:
@@ -134,22 +138,28 @@ def _halves(box, shapes):
     min_size=2, max_size=2))
 def test_stacked_boxes_give_each_boxs_own_bounds(first, second, forms):
     # two boxes with the same 0Z and 1Z ranges, each cut into 2^3 blocks and
-    # given its own forms, their X block ends and X magnitudes stacked on
-    # the box axis as _scan_level stacks them: each box's bounds are those
-    # of its own call, bit for bit
+    # given its own forms, their X block ends, X magnitudes and X grid steps
+    # stacked on the box axis as _scan_level stacks them: each box's bounds
+    # and leans are those of its own call, bit for bit
     pair = [first, first[:2] + second[2:]]
     alone = [_halves(box, ((-1, 1, 1), (-1, 1), (1, 1, 1, -1))) for box in pair]
     x_ends = [np.concatenate([blocks[2][k] for blocks in alone]) for k in (0, 1)]
-    mags = _mags(first)[:2] + [np.reshape([_mags(box)[2] for box in pair],
-                                          (-1, 1, 1, 1))]
+    mags = [_mags(box) for box in pair]
+    # the steps of a 14-point grid on each half
+    steps = [[(hi - lo) / 26 for lo, hi in box] for box in pair]
+
+    def stack(per_box):
+        """Per-axis values of the boxes, the X ones on a box axis."""
+        return per_box[0][:2] + [np.reshape([x[2] for x in per_box], (-1, 1, 1, 1))]
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        stacked = coeffs._bound_forms(forms, alone[0][:2] + [x_ends], mags)
-        own = [coeffs._bound_forms([formulas], blocks, _mags(box)[:2] + [
-            np.reshape(_mags(box)[2], (1, 1, 1, 1))])
-            for formulas, box, blocks in zip(forms, pair, alone)]
-    for got, want in zip(stacked, zip(*own), strict=True):
+        stacked = coeffs._bound_forms(forms, alone[0][:2] + [x_ends],
+                                      stack(mags), stack(steps))
+        own = [coeffs._bound_forms([formulas], blocks, stack([mag]), stack([step]))
+               for formulas, blocks, mag, step in zip(forms, alone, mags, steps)]
+    for got, want, axis in zip(stacked, zip(*own), (0, 0, 1), strict=True):
         assert ([float(x).hex() for x in got.ravel()]
-                == [float(x).hex() for x in np.concatenate(want).ravel()])
+                == [float(x).hex() for x in np.concatenate(want, axis).ravel()])
 
 
 def test_mean_value_form_is_second_order():
@@ -160,11 +170,34 @@ def test_mean_value_form_is_second_order():
     box = [(0.0, 0.001), (3.7, 3.701), (2.0, 2.001)]
     a, b, c = _points(box, np.random.default_rng(0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        bounds = _bound(FORMULAS, box)
-    for formula, upper, gap in zip(FORMULAS, *bounds):
+        upper, gap, _ = _bound(FORMULAS, box)
+    for formula, upper, gap in zip(FORMULAS, upper, gap, strict=True):
         num, den = coeffs._at(formula, a, b, c)
         assert gap > coeffs.SINGULAR_TOL
         assert upper - (num / den).max() < 1e-5, formula.__name__
+
+
+@settings(max_examples=200, deadline=None)
+@given(los=st.tuples(*[st.floats(-7.0, 7.0)] * 3),
+       widths=st.tuples(*[st.floats(-14.0, 0.3)] * 3),
+       sizes=st.tuples(*[st.integers(3, coeffs._BLOCK)] * 3))
+def test_leaning_axes_order_every_computed_value(los, widths, sizes):
+    # a block whose form leans along an axis is evaluated only on its far
+    # (rising) or near (falling) end there, so along that axis every
+    # computed value of the block's grid must rise (fall) strictly. Widths
+    # run from 1e-14, where rounding swamps the slope, to ~2
+    grids = [np.linspace(lo, lo + 10.0 ** w, n)
+             for lo, w, n in zip(los, widths, sizes)]
+    box = [(g.min(), g.max()) for g in grids]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _, _, lean = _bound(FORMULAS, box, [np.diff(g).min() for g in grids])
+        a, b, c = grids[0][:, None, None], grids[1][:, None], grids[2]
+        for formula, signs in zip(FORMULAS, lean.swapaxes(0, 1), strict=True):
+            value = np.divide(*coeffs._at(formula, a, b, c))
+            for axis, sign in enumerate(signs):
+                if sign:
+                    order = np.sign(np.diff(value, axis=axis))
+                    assert (order == sign).all(), (formula.__name__, axis)
 
 
 @pytest.mark.parametrize("name", sorted(coeffs._TERMS))
@@ -285,33 +318,40 @@ def test_interval_map_holds_every_summation_order(seed, width):
 
 
 # the (delta, Delta) draws of the benchmark's sweep_out_of_sector workload
-# for seeds 1-5, and how many grid blocks its pruned scans evaluate there,
-# both protocols together
+# for seeds 1-5, how many grid blocks its pruned scans visit there and how
+# many grid points those visits evaluate, both protocols together. A visit
+# evaluates a block only where its leaning axes let the maxima lie: a
+# whole-block visit (14^3 points) alone is more than the points allowed
 OUT_OF_SECTOR_DRAWS = [
-    (0.6694867473874465, 0.052913238569298415, 27),
-    (0.6895654974118699, 0.03169654103180426, 27),
-    (0.6088458450591904, 0.04109865499644238, 27),
-    (0.5206332068461431, 0.04188174727832043, 23),
-    (0.6483573978521459, 0.0538558069669709, 27),
+    (0.6694867473874465, 0.052913238569298415, 27, 1857),
+    (0.6895654974118699, 0.03169654103180426, 27, 2077),
+    (0.6088458450591904, 0.04109865499644238, 27, 1857),
+    (0.5206332068461431, 0.04188174727832043, 23, 689),
+    (0.6483573978521459, 0.0538558069669709, 27, 1857),
 ]
 
 
-@pytest.mark.parametrize("delta, cap_delta, blocks", OUT_OF_SECTOR_DRAWS)
-def test_pruning_evaluates_no_more_blocks(monkeypatch, delta, cap_delta, blocks):
-    # a looser enclosure lets more blocks through to pointwise evaluation:
-    # each _at call the scan's visit makes evaluates one form on one block
+@pytest.mark.parametrize("delta, cap_delta, blocks, points", OUT_OF_SECTOR_DRAWS,
+                         ids=["-".join(map(str, draw[:3]))
+                              for draw in OUT_OF_SECTOR_DRAWS])
+def test_pruning_evaluates_no_more_blocks(monkeypatch, delta, cap_delta,
+                                          blocks, points):
+    # a looser enclosure lets more blocks through to pointwise evaluation,
+    # and a weaker lean certificate more points of each: each _at call the
+    # scan's visit makes evaluates one form on (part of) one block
     from qkdbound.bounds import bound_inputs_from_source
     from qkdbound.source import SourceSpec
 
     calls = []
     at = coeffs._at
 
-    def counted(*args):
+    def counted(formula, *phases):
         if sys._getframe(1).f_code.co_name == "visit":
-            calls.append(1)
-        return at(*args)
+            calls.append(np.broadcast(*phases).size)
+        return at(formula, *phases)
 
     monkeypatch.setattr(coeffs, "_at", counted)
     for protocol in ("bb84", "three_state"):
         bound_inputs_from_source(SourceSpec(delta=delta, Delta=cap_delta), protocol)
     assert 0 < len(calls) <= blocks
+    assert sum(calls) <= points
