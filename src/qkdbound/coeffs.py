@@ -15,14 +15,16 @@ provides:
     is the one evaluator of a closed form at phase values,
   * worst-case coefficient upper bounds over phase ranges: inside the
     validity sectors a corner rule per (row, X reference), and dense grid
-    maximisation outside them. Each X-reference box's grid is cut into
-    blocks; per grid size one array pass encloses every form over every
-    block of every box (exact sin/cos term ranges, each form an affine map
-    of its terms, a mean-value quotient widened for float rounding, a sign
-    per axis where the form certainly rises or falls), and only the blocks
-    that may hold the maximum or a pole are evaluated, away from poles only
-    on the face, edge or corner that can hold it: the full grid's values,
-    bit for bit.
+    maximisation outside them. One array pass first encloses every form
+    over its whole X-reference box (exact sin/cos term ranges, each form an
+    affine map of its terms, a mean-value quotient widened for float
+    rounding, a sign per axis where the form certainly rises or falls); a
+    form that rises or falls along all axes but at most one is evaluated
+    only on the corner or grid line that holds its maxima. The other forms'
+    grids are cut into blocks, per grid size one such pass encloses them
+    over every block of every box, and only the blocks that may hold the
+    maximum or a pole are evaluated, away from poles only on the face, edge
+    or corner that can hold it: the full grid's values, bit for bit.
 """
 
 from __future__ import annotations
@@ -322,33 +324,28 @@ def _term_ranges(names, boxes, mags):
 
     ``boxes`` holds, per phase axis, the (lo, hi) arrays of the blocks'
     phase ranges, shaped to broadcast; ``mags`` the largest |phase| per axis.
-    Each argument range spans only the axes its term weighs, widened by its
-    rounding; all, flattened into one array, take one exact sin and one
-    exact cos range (``trig_range``). Returns (values, slopes) over (term,
-    block), lower ends over upper ones, widened by _TRIG_ERR: the range of
-    each term's function, which holds every computed and exact value of the
-    term in the block, and of the other one, its derivative up to sign.
+    One broadcast pass over the terms' weights (``_WEIGHTS``) gives each
+    argument's range, widened by its rounding, and one exact sin and one
+    exact cos range of all (``trig_range``). Returns (values, slopes) over
+    (term, block), lower ends over upper ones, widened by _TRIG_ERR: the
+    range of each term's function, which holds every computed and exact
+    value of the term in the block, and of the other one, its derivative up
+    to sign.
     """
-    args = []
-    for weights in map(_WEIGHTS.get, names):
+    expand = (...,) + (None,) * max(np.ndim(x) for box in boxes for x in box)
+    weights = np.array([_WEIGHTS[name] for name in names]).T[expand]
+    lo = hi = slack = 0.0
+    for w, (low, high), mag in zip(weights, boxes, mags):
         # w * phase is least at the upper end of the phase when w < 0
-        lo = sum(w * box[w < 0] for w, box in zip(weights, boxes) if w)
-        hi = sum(w * box[w > 0] for w, box in zip(weights, boxes) if w)
-        slack = 4 * _EPS * (sum(abs(w) * m for w, m in zip(weights, mags)) + 1.0)
-        args.append((lo - slack, hi + slack))
-    cuts = np.cumsum([0] + [np.size(lo) for lo, _ in args])
-    flat = [np.concatenate([np.ravel(arg[k]) for arg in args]) for k in (0, 1)]
-    ranges = {fn: [end + widen for end, widen in
-                   zip(trig_range(fn, *flat), (-_TRIG_ERR, _TRIG_ERR))]
-              for fn in _DERIVATIVE}
-    shape = np.broadcast_shapes(*(np.shape(end) for box in boxes for end in box))
-    values, slopes = np.empty((2, 2, len(names)) + shape)
-    for i, (name, (lo, _)) in enumerate(zip(names, args)):
-        fn = _TERMS[name][0]
-        for out, of in ((values, fn), (slopes, _DERIVATIVE[fn][0])):
-            for k, end in enumerate(ranges[of]):
-                out[k, i] = end[cuts[i]:cuts[i + 1]].reshape(np.shape(lo))
-    return values.reshape((-1,) + shape), slopes.reshape((-1,) + shape)
+        lo = lo + np.where(w < 0, w * high, w * low)
+        hi = hi + np.where(w > 0, w * high, w * low)
+        slack = slack + np.abs(w) * mag
+    slack = 4 * _EPS * (slack + 1.0)
+    sin, cos = (trig_range(fn, lo - slack, hi + slack) for fn in (np.sin, np.cos))
+    widen = np.reshape((-_TRIG_ERR, _TRIG_ERR), (2,) + (1,) * lo.ndim)
+    sine = np.array([_TERMS[name][0] is np.sin for name in names])[expand]
+    return [(np.where(sine, a, b) + widen).reshape((-1,) + lo.shape[1:])
+            for a, b in ((sin, cos), (cos, sin))]
 
 
 def _map(a, b):
@@ -476,6 +473,66 @@ def _bound_forms(forms, boxes, mags, steps):
     return np.where(np.isnan(upper), np.inf, upper), gap, lean
 
 
+#: the points of the first two grids, or of one, among those evaluated:
+#: ``np.linspace(lo, hi, 2 * m - 1)[::2]`` is ``np.linspace(lo, hi, m)``
+_VIEWS = ((slice(None, None, 2),) * 3, (slice(None),) * 3)
+
+
+def _grids(r0z, r1z, xs, n: int, shape):
+    """The n-point grids of r0z, r1z and the X ranges xs, and per axis the
+    largest |phase| and least spacing (0 where the points coincide), those
+    of the X ranges stacked in ``shape``."""
+    grids = [np.linspace(lo, hi, n) for lo, hi in [r0z, r1z] + xs]
+    mags = [max(abs(g[0]), abs(g[-1])) for g in grids]
+    steps = [np.diff(g).min() for g in grids]
+    for per_axis in (mags, steps):
+        per_axis[2:] = [np.reshape(per_axis[2:], shape)]
+    return grids, mags, steps
+
+
+def _cut(start, stop, sign):
+    """The points of grid indices start..stop - 1 (start even) on one axis
+    that can hold the maxima of a form leaning ``sign`` there, in both
+    views: from the last even index on where it rises, the first where it
+    falls, all where it does neither."""
+    start += (stop - 1 - start) // 2 * 2 if sign > 0 else 0
+    return slice(start, start + 1 if sign < 0 else stop)
+
+
+def _fold(formula, axes, views, found):
+    """Evaluate a form on the grid of the points ``axes`` of (0Z, 1Z, X) and
+    fold each view's smallest |denominator| and largest value into its
+    [gap, max] in ``found``."""
+    a, b, c = axes
+    num, den = _at(formula, a.reshape(-1, 1, 1), b.reshape(-1, 1), c)
+    size, value = np.abs(den), num / den
+    for view, acc in zip(views, found):
+        # np.minimum keeps a NaN, so it fails the pole test
+        acc[0] = np.minimum(acc[0], size[view].min())
+        acc[1] = np.maximum(acc[1], value[view].max())
+
+
+def _whole_boxes(boxes, r0z, r1z, n: int):
+    """{key: ``_scan_level``'s result on the n-point grid with its start}
+    of the (X range, form) keys whose form leans along all axes but at most
+    one over its whole box, enclosed as one block with the n-point grid's
+    step (one ``_bound_forms`` call): from the corner or the grid line its
+    lean leaves (``_cut``), where both maxima lie. No pole is in the box."""
+    xs = list(boxes)
+    grids, mags, steps = _grids(r0z, r1z, xs, n, -1)
+    _, _, lean = _bound_forms([list(boxes[rx]) for rx in xs],
+                              [r0z, r1z, np.array(xs).T], mags, steps)
+    keys = [(rx, f, grids[:2] + [g]) for rx, g in zip(xs, grids[2:])
+            for f in boxes[rx]]
+    found = {}
+    for (rx, f, on), signs in zip(keys, lean.T):
+        if np.count_nonzero(signs) >= 2:
+            found[rx, f] = [[np.inf, -np.inf] for _ in _VIEWS]
+            _fold(f, [g[_cut(0, n, s)] for g, s in zip(on, signs)], _VIEWS,
+                  found[rx, f])
+    return found
+
+
 def _scan_level(keys, r0z, r1z, n: int, with_start: bool):
     """Smallest |denominator| and maximum of each (X range, form) key on
     the n-point grid of its box (r0z, r1z, X range), ``keys`` box by box.
@@ -488,17 +545,16 @@ def _scan_level(keys, r0z, r1z, n: int, with_start: bool):
     bound reaches the largest value found on the block with the highest
     bound, and on those whose denominator bound lies below SINGULAR_TOL.
     Those are evaluated whole, the others only on the points of each axis
-    the form leans on that can hold their maxima (``cut``). The maxima are
+    the form leans on that can hold their maxima (``_cut``). The maxima are
     then those of the full grid, and so is the smallest |denominator|
     wherever it lies below SINGULAR_TOL. Returns, per key, a list of
     [gap, max] with one entry per grid size. With ``with_start`` the entry
     of the ``_GRID_START``-point grid comes first, read off the even-index
-    points: ``np.linspace(lo, hi, 2 * m - 1)[::2]`` is
-    ``np.linspace(lo, hi, m)`` bit for bit.
+    points (``_VIEWS``).
     """
     xs = list(dict.fromkeys(rx for rx, _ in keys))
     forms = [[f for x, f in keys if x == rx] for rx in xs]
-    grids = [np.linspace(lo, hi, n) for lo, hi in [r0z, r1z] + xs]
+    grids, mags, steps = _grids(r0z, r1z, xs, n, (-1, 1, 1, 1))
     # the points of a range of one phase are all equal: its first stands
     # for all of them
     edges = [np.append(np.arange(0, n, _BLOCK), n) if g[0] < g[-1]
@@ -511,10 +567,6 @@ def _scan_level(keys, r0z, r1z, n: int, with_start: bool):
     pad = np.minimum.outer(np.subtract(counts[2:], 1), np.arange(shape[3]))
     x_ends = [np.reshape([end[k][i] for end, i in zip(ends[2:], pad)],
                          (-1, 1, 1, shape[3])) for k in (0, 1)]
-    mags = [max(abs(g[0]), abs(g[-1])) for g in grids]
-    steps = [np.diff(g).min() for g in grids]  # 0 where the points coincide
-    for per_axis in (mags, steps):
-        per_axis[2:] = [np.reshape(per_axis[2:], (-1, 1, 1, 1))]
     upper, gap = np.empty((2, len(keys)) + shape[1:])
     lean = np.empty((3, len(keys)) + shape[1:], np.int8)
     rows = max(1, _SLAB_BLOCKS // (shape[0] * shape[2] * shape[3]))
@@ -524,21 +576,13 @@ def _scan_level(keys, r0z, r1z, n: int, with_start: bool):
         upper[:, i:i + rows], gap[:, i:i + rows], lean[:, :, i:i + rows] = (
             _bound_forms(forms, slab, mags, steps))
 
-    views = [(slice(None, None, 2),) * 3] * with_start + [(slice(None),) * 3]
-    bcast = ((-1, 1, 1), (-1, 1), (-1,))
+    views = _VIEWS[not with_start:]
     # per key: its form, the grids of its box and its bounds on their blocks
     jobs = [(f, (0, 1, 2 + b), lean[:, k, ..., :counts[2 + b]],
              upper[k, ..., :counts[2 + b]], gap[k, ..., :counts[2 + b]])
             for k, (b, f) in enumerate((xs.index(rx), f) for rx, f in keys)]
     found = [[[np.inf, -np.inf] for _ in views] for _ in keys]
     seen = [set() for _ in keys]
-
-    def cut(j, i, sign):
-        """Block i's points on axis j that can hold its maxima in both views:
-        from its last even index on where it rises, its first where it falls."""
-        start, stop = edges[j][i], edges[j][i + 1]
-        start += (stop - 1 - start) // 2 * 2 if sign > 0 else 0
-        return slice(start, start + 1 if sign < 0 else stop)
 
     def visit(wanted):
         """Evaluate key k's form on the blocks ``wanted[k]`` it has not seen."""
@@ -547,14 +591,10 @@ def _scan_level(keys, r0z, r1z, n: int, with_start: bool):
             for b in set(blocks.tolist()) - done:
                 done.add(b)
                 at = np.unravel_index(b, bound.shape)
-                phases = [grids[j][cut(j, i, signs[at])].reshape(to)
-                          for j, i, signs, to in zip(on, at, leans, bcast)]
-                num, den = _at(formula, *phases)
-                size, value = np.abs(den), num / den
-                for view, acc in zip(views, acc_k):
-                    # np.minimum keeps a NaN, so it fails the pole test
-                    acc[0] = np.minimum(acc[0], size[view].min())
-                    acc[1] = np.maximum(acc[1], value[view].max())
+                _fold(formula, [grids[j][_cut(edges[j][i], edges[j][i + 1],
+                                              signs[at])]
+                                for j, i, signs in zip(on, at, leans)],
+                      views, acc_k)
 
     # the block with the highest bound, and every block near a pole (a NaN
     # bound counts as one)
@@ -578,22 +618,28 @@ def _grid_maxima(boxes, r0z, r1z):
     which gap marks a pole (below SINGULAR_TOL or NaN; the full grid's gap
     then); that pair stops, the others go on. The pairs still refining share
     one scan per grid (``_scan_level``), the first two grids one scan, and
-    no result depends on the pairs it is scanned with. A scan evaluates a
-    form only on the blocks of ``_BLOCK``^3 points of its box whose
-    enclosure may reach the maximum or a pole, away from poles only on the
-    face, edge or corner its lean leaves: the full grid's result, in two
-    floats and three int8 per box, form and block, the enclosures of at
-    most ``_SLAB_BLOCKS`` blocks and one block's points.
+    no result depends on the pairs it is scanned with. The forms that lean
+    over their whole box along all axes but at most one get the first two
+    grids' pairs from one corner or grid line instead (``_whole_boxes``).
+    A scan evaluates a form only on the blocks of ``_BLOCK``^3 points of its
+    box whose enclosure may reach the maximum or a pole, away from poles
+    only on the face, edge or corner its lean leaves: the full grid's
+    result, in two floats and three int8 per box, form and block, the
+    enclosures of at most ``_SLAB_BLOCKS`` blocks and one block's points.
     """
     out, prev = {}, {}
     pending = [(rx, f) for rx, forms in boxes.items() for f in forms]
     sizes = (_GRID_START, 2 * _GRID_START - 1)
     with np.errstate(divide="ignore", invalid="ignore"):  # poles: see above
+        found = _whole_boxes(boxes, r0z, r1z, sizes[-1])
         while pending:
-            scans = _scan_level(pending, r0z, r1z, sizes[-1], len(sizes) == 2)
+            rest = [key for key in pending if key not in found]
+            if rest:
+                found.update(zip(rest, _scan_level(rest, r0z, r1z, sizes[-1],
+                                                   len(sizes) == 2)))
             kept = []
-            for key, scan in zip(pending, scans):
-                for n, (gap, cur) in zip(sizes, scan):
+            for key in pending:
+                for n, (gap, cur) in zip(sizes, found.pop(key)):
                     pole = not gap >= SINGULAR_TOL  # NaN fails the test too
                     cur = float(cur)
                     settled = key in prev and abs(cur - prev[key]) < _GRID_TOL

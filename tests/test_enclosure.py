@@ -11,10 +11,14 @@ theta_0Z = theta_1Z pole) and check them, and check a sample of term ranges
 against mpmath's interval arithmetic. They also check that each form's
 affine table is the form itself, that the interval sums hold every
 summation order, that boxes stacked on one call's box axis get the bounds
-of their own calls, bit for bit, that along every axis on which a form is
-certified to lean its computed grid values rise or fall strictly, and that
-the benchmark's out-of-sector sources evaluate no more blocks and grid
-points than the enclosures let through when these tests were written.
+of their own calls, bit for bit, as do the boxes the grid scans stack, and
+that along every axis on which a form is certified to lean its computed
+grid values rise or fall strictly. The forms that lean over their whole
+box along all axes but one skip the blocked scan: their maxima and pole
+decisions must be the scan's, and one whose maximum still moves at 81
+points must refine as the full grid does. The benchmark's out-of-sector
+sources must evaluate no more forms, blocks and grid points than the
+enclosures let through at the last count.
 """
 
 import contextlib
@@ -26,11 +30,15 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 from mpmath import iv
 
 from qkdbound import coeffs
+from qkdbound.bounds import bound_inputs_from_source
 from qkdbound.gmath import trig_range
+from qkdbound.source import (BB84, PROTOCOLS, THREE_STATE, PhaseRanges,
+                             SourceSpec)
+from test_coeff_grid import assert_grid_matches_reference, takes_grid
 
 FORMULAS = tuple(f for row in coeffs._FORMULAS.values() for f in row)
 
@@ -318,40 +326,197 @@ def test_interval_map_holds_every_summation_order(seed, width):
 
 
 # the (delta, Delta) draws of the benchmark's sweep_out_of_sector workload
-# for seeds 1-5, how many grid blocks its pruned scans visit there and how
-# many grid points those visits evaluate, both protocols together. A visit
-# evaluates a block only where its leaning axes let the maxima lie: a
-# whole-block visit (14^3 points) alone is more than the points allowed
+# for seeds 1-5, how many grid evaluations (whole-box corners and lines, and
+# visited blocks) the out-of-sector pass makes there and how many grid
+# points they evaluate, both protocols together. A visit evaluates a block
+# only where its leaning axes let the maxima lie: a whole-block visit (14^3
+# points) alone is more than the points allowed
 OUT_OF_SECTOR_DRAWS = [
-    (0.6694867473874465, 0.052913238569298415, 27, 1857),
-    (0.6895654974118699, 0.03169654103180426, 27, 2077),
-    (0.6088458450591904, 0.04109865499644238, 27, 1857),
-    (0.5206332068461431, 0.04188174727832043, 23, 689),
-    (0.6483573978521459, 0.0538558069669709, 27, 1857),
+    (0.6694867473874465, 0.052913238569298415, 22, 1984),
+    (0.6895654974118699, 0.03169654103180426, 22, 2124),
+    (0.6088458450591904, 0.04109865499644238, 22, 1904),
+    (0.5206332068461431, 0.04188174727832043, 18, 736),
+    (0.6483573978521459, 0.0538558069669709, 22, 1984),
 ]
 
 
-@pytest.mark.parametrize("delta, cap_delta, blocks, points", OUT_OF_SECTOR_DRAWS,
+@pytest.mark.parametrize("delta, cap_delta, evaluations, points",
+                         OUT_OF_SECTOR_DRAWS,
                          ids=["-".join(map(str, draw[:3]))
                               for draw in OUT_OF_SECTOR_DRAWS])
 def test_pruning_evaluates_no_more_blocks(monkeypatch, delta, cap_delta,
-                                          blocks, points):
+                                          evaluations, points):
     # a looser enclosure lets more blocks through to pointwise evaluation,
-    # and a weaker lean certificate more points of each: each _at call the
-    # scan's visit makes evaluates one form on (part of) one block
-    from qkdbound.bounds import bound_inputs_from_source
-    from qkdbound.source import SourceSpec
-
-    calls = []
-    at = coeffs._at
+    # and a weaker lean certificate more points of each and more forms to
+    # the blocked scan: each _at call of _fold evaluates one form on the
+    # corner or line of its whole box, or on (part of) one block. Only
+    # c_{0,0X}, whose whole box leans on no axis, reaches the blocked scan
+    calls, scanned = [], []
+    at, scan_level = coeffs._at, coeffs._scan_level
 
     def counted(formula, *phases):
-        if sys._getframe(1).f_code.co_name == "visit":
+        if sys._getframe(1).f_code.co_name == "_fold":
             calls.append(np.broadcast(*phases).size)
         return at(formula, *phases)
 
+    def scan(keys, r0z, r1z, n, with_start):
+        scanned.append(list(keys))
+        return scan_level(keys, r0z, r1z, n, with_start)
+
     monkeypatch.setattr(coeffs, "_at", counted)
+    monkeypatch.setattr(coeffs, "_scan_level", scan)
     for protocol in ("bb84", "three_state"):
-        bound_inputs_from_source(SourceSpec(delta=delta, Delta=cap_delta), protocol)
-    assert 0 < len(calls) <= blocks
+        spec = SourceSpec(delta=delta, Delta=cap_delta)
+        bound_inputs_from_source(spec, protocol)
+        ranges = PhaseRanges.from_source(spec)
+        r0x = (ranges.lo["0X"], ranges.hi["0X"])
+        assert scanned.pop() == [(r0x, coeffs._c0_0x)]
+        assert not scanned
+    assert 0 < len(calls) <= evaluations
     assert sum(calls) <= points
+
+
+def _pass_boxes(delta, cap_delta):
+    """The grid boxes of one pass for both protocols at the source, as
+    ``_coeff_bounds`` hands them to ``_grid_maxima``: ({X range: forms},
+    r0z, r1z)."""
+    ranges = PhaseRanges.from_source(SourceSpec(delta=delta, Delta=cap_delta))
+    r = {j: (ranges.lo[j], ranges.hi[j]) for j in ranges.lo}
+    boxes = {}
+    for proto in (BB84, THREE_STATE):
+        for alpha in (1, 0) if takes_grid(proto, ranges) else ():
+            boxes.setdefault(r[proto.x_ref[alpha]], {}).update(
+                dict.fromkeys(coeffs._FORMULAS[alpha]))
+    return boxes, r["0Z"], r["1Z"]
+
+
+def _recorded(mp):
+    """Every ``_bound_forms`` call made after this one, as (args, result)."""
+    calls = []
+    bound_forms = coeffs._bound_forms
+
+    def recorded(*args):
+        calls.append((args, bound_forms(*args)))
+        return calls[-1][1]
+
+    mp.setattr(coeffs, "_bound_forms", recorded)
+    return calls
+
+
+def _axis(rx, n):
+    """An X range's n-point grid, its least spacing and the (lo, hi) ends of
+    its blocks, as ``_scan_level`` cuts them."""
+    g = np.linspace(*rx, n)
+    starts = np.arange(0, n, coeffs._BLOCK) if rx[0] < rx[1] else [0]
+    return g, np.diff(g).min(), [f.reduceat(g, starts)
+                                 for f in (np.minimum, np.maximum)]
+
+
+@pytest.mark.parametrize("delta, cap_delta",
+                         [(0.6, 0.05), (-0.75, 0.02), (1.05, 0.004)])
+def test_scans_give_each_box_the_bounds_of_its_own_call(monkeypatch, delta,
+                                                        cap_delta):
+    # the scans stack each box's X block ends, X magnitude and X grid step
+    # on one box axis: every box must get the bounds and leans of a
+    # _bound_forms call of its own, with those three worked out here from
+    # its X range. On the blocked level bit for bit. The whole-box call has
+    # one block per box, and einsum may sum a call of one block in another
+    # order (see _apply), so there the bounds need only agree within a
+    # relative 1e-12, each holding the other up to rounding, and lean alike
+    boxes, r0z, r1z = _pass_boxes(delta, cap_delta)
+    assert len(boxes) == 2
+    keys = [(rx, f) for rx, forms in boxes.items() for f in forms]
+    calls = _recorded(monkeypatch)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coeffs._scan_level(keys, r0z, r1z, 81, True)
+        coeffs._whole_boxes(boxes, r0z, r1z, 81)
+        (blocked, stacked), (whole, stacked_whole) = calls
+        k = 0
+        for b, (rx, forms) in enumerate(boxes.items()):
+            forms = list(forms)
+            g, step, ends = _axis(rx, 81)
+            m = max(abs(g[0]), abs(g[-1]))
+            own = coeffs._bound_forms(
+                [forms], blocked[1][:2] + [[e.reshape(1, 1, 1, -1) for e in ends]],
+                blocked[2][:2] + [np.reshape(m, (1, 1, 1, 1))],
+                blocked[3][:2] + [np.reshape(step, (1, 1, 1, 1))])
+            for got, want in zip(stacked, own, strict=True):
+                got = got[..., k:k + len(forms), :, :, :len(ends[0])]
+                assert got.tobytes() == want.tobytes(), (b, rx)
+            own = coeffs._bound_forms([forms], [r0z, r1z, np.reshape(rx, (2, 1))],
+                                      whole[2][:2] + [np.reshape(m, 1)],
+                                      whole[3][:2] + [np.reshape(step, 1)])
+            for got, want, rtol in zip(stacked_whole, own, (1e-12, 1e-12, 0),
+                                       strict=True):
+                got = got[..., k:k + len(forms)]
+                assert np.allclose(got, want, rtol=rtol, atol=0), (b, rx)
+            k += len(forms)
+    assert k == len(keys)
+
+
+@seed(20261020)
+@settings(max_examples=5, deadline=None)
+@given(delta=st.floats(0.35, 1.2), side=st.sampled_from([-1, 1]),
+       cap_delta=st.floats(0.0, 0.1))
+def test_whole_box_leans_order_the_grid_and_settle_as_the_scan(delta, side,
+                                                              cap_delta):
+    # an out-of-sector pass for both protocols: along every axis on which a
+    # form leans over its whole box, its computed 81-point grid values rise
+    # or fall strictly, and a key settled there (at most one axis free) has
+    # the maxima and pole decisions that the blocked scan gives it alone
+    boxes, r0z, r1z = _pass_boxes(side * delta, cap_delta)
+    assume(boxes)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(divide="ignore",
+                                                         invalid="ignore"):
+        calls = _recorded(mp)
+        found = coeffs._whole_boxes(boxes, r0z, r1z, 81)
+    (_, (_, _, lean)), = calls
+    keys = [(rx, f) for rx, forms in boxes.items() for f in forms]
+    for (rx, f), signs in zip(keys, lean.T, strict=True):
+        assert ((rx, f) in found) == (np.count_nonzero(signs) >= 2)
+        a, b, c = (np.linspace(*r, 81) for r in (r0z, r1z, rx))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = np.divide(*coeffs._at(f, a[:, None, None], b[:, None], c))
+        for axis, sign in enumerate(signs):
+            if sign:
+                order = np.sign(np.diff(value, axis=axis))
+                assert (order == sign).all(), (f.__name__, axis)
+        if (rx, f) in found:
+            alone = coeffs._scan_level([(rx, f)], r0z, r1z, 81, True)[0]
+            for (gap, top), (gap_alone, top_alone) in zip(found[rx, f], alone,
+                                                         strict=True):
+                assert float(top).hex() == float(top_alone).hex()
+                tol = coeffs.SINGULAR_TOL
+                assert (gap >= tol) == (gap_alone >= tol)
+
+
+def test_whole_box_key_that_moves_at_81_points_refines_to_the_reference(
+        monkeypatch):
+    # a box from a seeded search (numpy seed 1, 3,000 boxes of phases in
+    # [-pi, 2 pi) and widths 0, 1e-6 or up to 0.3, the 904th): c_{0,0Z}
+    # leans over its whole 0X box along all axes but X, and its 41- and
+    # 81-point maxima on that X line differ by 1.4e-7 >= _GRID_TOL. So it
+    # settles at depth 0 only to go on to the 161-point scan, and both
+    # protocols must end where the full grid does
+    lo = {"0Z": -3.010095805918806, "1Z": 4.30846330604306,
+          "0X": 1.4608574987233442, "1X": -2.1267800005181057}
+    hi = dict(lo, **{"0Z": -2.966014874797573, "1Z": 4.30846430604306,
+                     "0X": 1.5028569597058017})
+    key = ((lo["0X"], hi["0X"]), coeffs._c0_0z)
+    r0z, r1z = ((lo[j], hi[j]) for j in ("0Z", "1Z"))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        (_, top_41), (_, top_81) = coeffs._whole_boxes(
+            {key[0]: [key[1]]}, r0z, r1z, 81)[key]
+    assert abs(top_81 - top_41) >= coeffs._GRID_TOL
+    scanned = {}
+    scan_level = coeffs._scan_level
+
+    def scan(keys, r0z, r1z, n, with_start):
+        scanned.setdefault(n, []).extend(keys)
+        return scan_level(keys, r0z, r1z, n, with_start)
+
+    monkeypatch.setattr(coeffs, "_scan_level", scan)
+    for proto in PROTOCOLS:
+        scanned.clear()
+        assert_grid_matches_reference(proto, PhaseRanges(lo=lo, hi=hi))
+        assert key not in scanned.get(81, []) and key in scanned[161], proto.name
