@@ -18,10 +18,12 @@ provides:
     maximisation outside them. One array pass first encloses every form
     over its whole X-reference box (exact sin/cos term ranges, each form an
     affine map of its terms, a mean-value quotient widened for float
-    rounding, a sign per axis where the form certainly rises or falls); a
+    rounding, a sign per axis where the form certainly rises or falls, and
+    where its second derivative along X certainly keeps it convex there); a
     form that rises or falls along all axes but at most one is evaluated
-    only on the corner or grid line that holds its maxima. The other forms'
-    grids are cut into blocks, per grid size one such pass encloses them
+    only on the corner or grid line that holds its maxima, one convex along
+    X only on the box's two X end faces. The other forms' grids are cut
+    into blocks, per grid size one such pass encloses them
     over every block of every box, and only the blocks that may hold the
     maximum or a pole are evaluated, away from poles only on the face, edge
     or corner that can hold it: the full grid's values, bit for bit.
@@ -384,15 +386,17 @@ def _derivative_rows(a, names):
 def _plan(forms):
     """What ``_bound_forms`` derives from its forms alone, ``forms[i]`` the
     tuple of box i's: the terms they use, in _TERMS order, and per box the
-    ``_map`` of its forms' (num, den) rows (``_AFFINE`` over those terms)
-    and those of the rows' derivatives along the three phase axes."""
+    ``_map`` of its forms' (num, den) rows (``_AFFINE`` over those terms),
+    of their second derivatives along X (a term's is -w_X^2 times the term)
+    and of their derivatives along the three phase axes."""
     used = [any(name in _TERMS_OF[f] for f in itertools.chain(*forms))
             for name in _TERMS]
     names = tuple(itertools.compress(_TERMS, used))
     tables = [(np.array([_AFFINE[f][1][:, used] for f in fs]).swapaxes(0, 1),
                np.array([_AFFINE[f][0] for f in fs]).T) for fs in forms]
-    return names, [[_map(a, b)] + [_map(rows, 0.0) for rows in _derivative_rows(
-        a, names)] for a, b in tables]
+    bend = -np.array([_WEIGHTS[name][2] for name in names]) ** 2
+    return names, [[_map(a, b), _map(a * bend, 0.0)] + [
+        _map(rows, 0.0) for rows in _derivative_rows(a, names)] for a, b in tables]
 
 
 def _product(a, b):
@@ -408,22 +412,29 @@ def _bound_forms(forms, boxes, mags, steps):
     ``boxes`` and ``mags`` are as for ``_term_ranges``, shaped to broadcast
     to (box, block...), ``steps`` (shaped as ``mags``) the least spacing of
     the grid per axis, and ``forms[i]`` lists the forms of box i. Returns
-    (upper, gap) over (form, block...), the forms box by box, and int8
-    ``lean`` over (axis, form, block...): every computed grid value of a
-    form in a block of its box is at most ``upper``, every computed
-    |denominator| at least ``gap``, and the computed values rise (fall)
-    strictly along each axis where ``lean`` is +1 (-1). The term ranges of
-    all boxes are found at once; the interval maps of each box's forms' affine
-    maps (``_AFFINE``) over its own give the numerators, denominators and
-    their derivatives along the three axes. Those maps, and the terms the
-    forms use, are built once per tuple of forms per box (``_plan``), and
-    ``_apply`` forms each row's sum. The upper bound is the smaller of the
+    (upper, gap) over (form, block...), the forms box by box, int8
+    ``lean`` over (axis, form, block...) and bool ``convex`` over (form,
+    block...): every computed grid value of a form in a block of its box is
+    at most ``upper``, every computed |denominator| at least ``gap``, the
+    computed values rise (fall) strictly along each axis where ``lean`` is
+    +1 (-1), and where ``convex`` holds every computed value strictly inside
+    a line of the grid along X lies below the larger of the line's ends. The
+    term ranges of all boxes are found at once; the interval maps of each
+    box's forms' affine maps (``_AFFINE``) over its own give the numerators,
+    denominators, their derivatives along the three axes and their second
+    derivatives along X. Those maps, and the terms the forms use, are built
+    once per tuple of forms per box (``_plan``), and ``_apply`` forms each
+    row's sum. The upper bound is the smaller of the
     interval quotient and a mean-value form: the value at the block centre
     plus the interval gradient times the half-width, widened by the most
     the computed values can differ from the exact ones. A form leans where
     its interval derivative keeps one sign and moves it by more than twice
     that over one step (the monotonicity test of interval optimisation),
-    never where gap lies below SINGULAR_TOL. A denominator enclosure that
+    never where gap lies below SINGULAR_TOL. Likewise a form is convex
+    where the lower end kappa of its interval second derivative along X
+    gives kappa h (w - h) / 2 > 2 margin, h the step and w the block's
+    width (the convexity test): every interior point's exact value then
+    lies that far below the larger end's. A denominator enclosure that
     holds 0 gives gap 0 and upper +inf.
     """
     names, maps = _plan(tuple(map(tuple, forms)))
@@ -434,10 +445,10 @@ def _bound_forms(forms, boxes, mags, steps):
         """``x`` over (box, block...) as over (form, block...)."""
         return np.repeat(np.broadcast_to(x, shape), list(map(len, forms)), axis=0)
 
-    ((num_lo, den_lo), (num_hi, den_hi)), *slope_ends = (
+    ((num_lo, den_lo), (num_hi, den_hi)), bend_ends, *slope_ends = (
         np.concatenate(ends, axis=2) for ends in zip(*(
-            [_apply(m, (slopes if k else values)[:, i]) for k, m in enumerate(box)]
-            for i, box in enumerate(maps))))
+            [_apply(m, (slopes if k > 1 else values)[:, i])
+             for k, m in enumerate(box)] for i, box in enumerate(maps))))
     centres = [(lo + hi) / 2 for lo, hi in boxes]
     radii = [own(np.maximum(hi - mid, mid - lo) * (1 + 4 * _EPS))
              for (lo, hi), mid in zip(boxes, centres)]
@@ -463,6 +474,20 @@ def _bound_forms(forms, boxes, mags, steps):
         slope = slope + np.maximum(-g_lo, g_hi) / gap * r
         sure = (np.maximum(g_lo, -g_hi) * own(step) > needed) & (gap >= SINGULAR_TOL)
         lean[axis][sure] = (np.sign(g_lo) * np.sign(den_lo))[sure]
+    # along X (the loop's last axis) den f'' = num'' - 2 f' den' - f den''
+    # with f' = g / den, at least ``bent`` times the sign of den: convex
+    # where bent h (w - h) > 4 margin |den|, h the step and w the width
+    (bn_lo, bd_lo), (bn_hi, bd_hi) = bend_ends
+    cross = _product(_product((g_lo, g_hi), (1 / den_hi, 1 / den_lo)), (dd_lo, dd_hi))
+    drag = _product(value, (bd_lo, bd_hi))
+    rounding = 8 * _EPS * (np.maximum(-bn_lo, bn_hi) + np.maximum(-drag[0], drag[1])
+                           + 2 * np.maximum(-cross[0], cross[1]))
+    bent = np.where(den_lo > 0, bn_lo - 2 * cross[1] - drag[1],
+                    2 * cross[0] + drag[0] - bn_hi) - rounding
+    step, width = own(steps[2]), own(boxes[2][1] - boxes[2][0])
+    with np.errstate(over="ignore"):  # a huge box: +-inf decides alike
+        convex = bent * step * (width - step) > 2 * needed
+    convex &= gap >= SINGULAR_TOL
     # the value at each block centre, as ``_at`` gives it
     terms = {name: np.broadcast_to(_term(name, *centres), shape) for name in names}
     centre = np.array([np.divide(*f(*(terms[name][i] for name in _TERMS_OF[f])))
@@ -470,12 +495,14 @@ def _bound_forms(forms, boxes, mags, steps):
     mean_value = centre + 2 * margin + slope
     mean_value = mean_value + 8 * _EPS * (np.abs(centre) + 2 * margin + slope)
     upper = np.where(gap > 0, np.fmin(high, mean_value), np.inf)
-    return np.where(np.isnan(upper), np.inf, upper), gap, lean
+    return np.where(np.isnan(upper), np.inf, upper), gap, lean, convex
 
 
 #: the points of the first two grids, or of one, among those evaluated:
 #: ``np.linspace(lo, hi, 2 * m - 1)[::2]`` is ``np.linspace(lo, hi, m)``
 _VIEWS = ((slice(None, None, 2),) * 3, (slice(None),) * 3)
+#: the same where the X axis holds only the two ends, which both grids share
+_END_VIEWS = tuple(view[:2] + (slice(None),) for view in _VIEWS)
 
 
 def _grids(r0z, r1z, xs, n: int, shape):
@@ -515,21 +542,26 @@ def _fold(formula, axes, views, found):
 def _whole_boxes(boxes, r0z, r1z, n: int):
     """{key: ``_scan_level``'s result on the n-point grid with its start}
     of the (X range, form) keys whose form leans along all axes but at most
-    one over its whole box, enclosed as one block with the n-point grid's
-    step (one ``_bound_forms`` call): from the corner or the grid line its
-    lean leaves (``_cut``), where both maxima lie. No pole is in the box."""
+    one, or is convex along X, over its whole box, enclosed as one block
+    with the n-point grid's step (one ``_bound_forms`` call): from the
+    corner or the grid line its lean leaves (``_cut``), the X ends of a
+    convex X axis that does not lean, where both maxima lie. No pole is in
+    the box."""
     xs = list(boxes)
     grids, mags, steps = _grids(r0z, r1z, xs, n, -1)
-    _, _, lean = _bound_forms([list(boxes[rx]) for rx in xs],
-                              [r0z, r1z, np.array(xs).T], mags, steps)
+    _, _, lean, convex = _bound_forms([list(boxes[rx]) for rx in xs],
+                                      [r0z, r1z, np.array(xs).T], mags, steps)
     keys = [(rx, f, grids[:2] + [g]) for rx, g in zip(xs, grids[2:])
             for f in boxes[rx]]
     found = {}
-    for (rx, f, on), signs in zip(keys, lean.T):
-        if np.count_nonzero(signs) >= 2:
-            found[rx, f] = [[np.inf, -np.inf] for _ in _VIEWS]
-            _fold(f, [g[_cut(0, n, s)] for g, s in zip(on, signs)], _VIEWS,
-                  found[rx, f])
+    for (rx, f, on), signs, bent in zip(keys, lean.T, convex):
+        if np.count_nonzero(signs) >= 2 or bent:
+            axes = [g[_cut(0, n, s)] for g, s in zip(on, signs)]
+            views = _VIEWS
+            if not signs[2] and bent:
+                axes[2], views = on[2][::n - 1], _END_VIEWS
+            found[rx, f] = [[np.inf, -np.inf] for _ in views]
+            _fold(f, axes, views, found[rx, f])
     return found
 
 
@@ -573,7 +605,7 @@ def _scan_level(keys, r0z, r1z, n: int, with_start: bool):
     for i in range(0, shape[1], rows):
         slab = [[x[i:i + rows].reshape(-1, 1, 1) for x in ends[0]],
                 [x.reshape(-1, 1) for x in ends[1]], x_ends]
-        upper[:, i:i + rows], gap[:, i:i + rows], lean[:, :, i:i + rows] = (
+        upper[:, i:i + rows], gap[:, i:i + rows], lean[:, :, i:i + rows], _ = (
             _bound_forms(forms, slab, mags, steps))
 
     views = _VIEWS[not with_start:]
@@ -620,7 +652,8 @@ def _grid_maxima(boxes, r0z, r1z):
     one scan per grid (``_scan_level``), the first two grids one scan, and
     no result depends on the pairs it is scanned with. The forms that lean
     over their whole box along all axes but at most one get the first two
-    grids' pairs from one corner or grid line instead (``_whole_boxes``).
+    grids' pairs from one corner or grid line instead, and those convex
+    along X there from its two X end faces (``_whole_boxes``).
     A scan evaluates a form only on the blocks of ``_BLOCK``^3 points of its
     box whose enclosure may reach the maximum or a pole, away from poles
     only on the face, edge or corner its lean leaves: the full grid's

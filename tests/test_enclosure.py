@@ -30,7 +30,8 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings, strategies as st
+from hypothesis import (assume, example, given, seed, settings,
+                        strategies as st)
 from mpmath import iv
 
 from qkdbound import coeffs
@@ -120,9 +121,9 @@ def test_form_bounds_hold_every_computed_value(box, seed, formulas):
     # once per set of forms must be those of this set, row for row
     a, b, c = _points(box, np.random.default_rng(seed))
     with np.errstate(divide="ignore", invalid="ignore"):
-        upper, gap, lean = _bound(formulas, box)
-        # no axis leans without a grid step to lean over
-        assert not lean.any()
+        upper, gap, lean, convex = _bound(formulas, box)
+        # no axis leans or bends without a grid step to do it over
+        assert not lean.any() and not convex.any()
         for formula, upper, gap in zip(formulas, upper, gap, strict=True):
             num, den = coeffs._at(formula, a, b, c)
             assert np.abs(den).min() >= gap, formula.__name__
@@ -165,7 +166,7 @@ def test_stacked_boxes_give_each_boxs_own_bounds(first, second, forms):
                                       stack(mags), stack(steps))
         own = [coeffs._bound_forms([formulas], blocks, stack([mag]), stack([step]))
                for formulas, blocks, mag, step in zip(forms, alone, mags, steps)]
-    for got, want, axis in zip(stacked, zip(*own), (0, 0, 1), strict=True):
+    for got, want, axis in zip(stacked, zip(*own), (0, 0, 1, 0), strict=True):
         assert ([float(x).hex() for x in got.ravel()]
                 == [float(x).hex() for x in np.concatenate(want, axis).ravel()])
 
@@ -178,7 +179,7 @@ def test_mean_value_form_is_second_order():
     box = [(0.0, 0.001), (3.7, 3.701), (2.0, 2.001)]
     a, b, c = _points(box, np.random.default_rng(0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        upper, gap, _ = _bound(FORMULAS, box)
+        upper, gap, *_ = _bound(FORMULAS, box)
     for formula, upper, gap in zip(FORMULAS, upper, gap, strict=True):
         num, den = coeffs._at(formula, a, b, c)
         assert gap > coeffs.SINGULAR_TOL
@@ -198,7 +199,7 @@ def test_leaning_axes_order_every_computed_value(los, widths, sizes):
              for lo, w, n in zip(los, widths, sizes)]
     box = [(g.min(), g.max()) for g in grids]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _, _, lean = _bound(FORMULAS, box, [np.diff(g).min() for g in grids])
+        _, _, lean, _ = _bound(FORMULAS, box, [np.diff(g).min() for g in grids])
         a, b, c = grids[0][:, None, None], grids[1][:, None], grids[2]
         for formula, signs in zip(FORMULAS, lean.swapaxes(0, 1), strict=True):
             value = np.divide(*coeffs._at(formula, a, b, c))
@@ -206,6 +207,34 @@ def test_leaning_axes_order_every_computed_value(los, widths, sizes):
                 if sign:
                     order = np.sign(np.diff(value, axis=axis))
                     assert (order == sign).all(), (formula.__name__, axis)
+
+
+@seed(20261021)
+@settings(max_examples=200, deadline=None)
+@given(los=st.tuples(*[st.floats(-7.0, 7.0)] * 3),
+       widths=st.tuples(st.floats(-14.0, -0.5), st.floats(-14.0, -0.5),
+                        st.floats(-4.5, 0.0)),
+       sizes=st.tuples(*[st.integers(1, 9)] * 2))
+@example(los=(-0.0529, 3.7582, 1.8526), widths=(-0.9754,) * 3,
+         sizes=(9, 9))  # the box of a sweep_out_of_sector draw
+def test_convex_x_axes_keep_every_maximum_at_an_end(los, widths, sizes):
+    # a form certified convex along X over its whole box is evaluated only
+    # on the box's two X end faces, so on every X line of the 81-point grid,
+    # and of the 41-point grid it holds, each interior computed value must
+    # lie strictly below the larger of the two end values. X widths run
+    # from 1e-5, where rounding swamps the curvature, to ~2
+    grids = [np.linspace(lo, lo + 10.0 ** w, n)
+             for lo, w, n in zip(los, widths, sizes + (81,))]
+    box = [(g.min(), g.max()) for g in grids]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        *_, convex = _bound(FORMULAS, box, [0.0, 0.0, np.diff(grids[2]).min()])
+        a, b, c = grids[0][:, None, None], grids[1][:, None], grids[2]
+        for formula, bent in zip(FORMULAS, convex, strict=True):
+            if bent:
+                value = np.divide(*coeffs._at(formula, a, b, c))
+                for line in (value, value[..., ::2]):
+                    ends = np.maximum(line[..., :1], line[..., -1:])
+                    assert (line[..., 1:-1] < ends).all(), formula.__name__
 
 
 @pytest.mark.parametrize("name", sorted(coeffs._TERMS))
@@ -293,11 +322,12 @@ def test_affine_tables_are_exact(formula):
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), width=st.sampled_from([0.0, 1e-15, 1e-9]))
 def test_interval_map_holds_every_summation_order(seed, width):
-    # each end of a numerator, a denominator or a derivative along an axis
-    # holds its exact value and its float sum in every order, at term
-    # values anywhere in the ranges: the value map and the axis-derivative
-    # maps that _plan builds for a box of all forms, whose rows are the
-    # tables, then the tables times each axis's weights and signs
+    # each end of a numerator, a denominator or a derivative holds its
+    # exact value and its float sum in every order, at term values anywhere
+    # in the ranges: the value map, the second-derivative map along X and
+    # the axis-derivative maps that _plan builds for a box of all forms,
+    # whose rows are the tables, the tables times -w_X^2, then the tables
+    # times each axis's weights and signs
     rng = np.random.default_rng(seed)
     b, a = _tables()
     names, (plan_maps,) = coeffs._plan((FORMULAS,))
@@ -307,9 +337,10 @@ def test_interval_map_holds_every_summation_order(seed, width):
     ranges = np.concatenate([lo, hi])
     signs = [coeffs._DERIVATIVE[coeffs._TERMS[name][0]][1] for name in names]
     weights = np.array([coeffs._WEIGHTS[name] for name in names]).T * signs
+    bend = -np.array([coeffs._WEIGHTS[name][2] for name in names]) ** 2
     maps = [(rows, const, coeffs._apply(m, ranges)) for (rows, const), m in zip(
-        [(a, b)] + [(a * w, np.zeros_like(b)) for w in weights], plan_maps,
-        strict=True)]
+        [(a, b)] + [(a * w, np.zeros_like(b)) for w in [bend, *weights]],
+        plan_maps, strict=True)]
     t = [rng.uniform(lo, hi) for _ in range(3)] + [lo, hi]
     for rows, const, ends in maps:
         for part, form in np.ndindex(const.shape):
@@ -326,31 +357,39 @@ def test_interval_map_holds_every_summation_order(seed, width):
 
 
 # the (delta, Delta) draws of the benchmark's sweep_out_of_sector workload
-# for seeds 1-5, how many grid evaluations (whole-box corners and lines, and
-# visited blocks) the out-of-sector pass makes there and how many grid
-# points they evaluate, both protocols together. A visit evaluates a block
-# only where its leaning axes let the maxima lie: a whole-block visit (14^3
-# points) alone is more than the points allowed
+# for seeds 1-5, how many grid evaluations (whole-box corners, lines and
+# faces, and visited blocks) the out-of-sector pass makes there and how
+# many grid points they evaluate, both protocols together, and the (X
+# reference, form) keys of each protocol that reach the blocked scan: none,
+# as c_{0,0X} is convex along X over its whole box and is settled on its two
+# X end faces (2 * 81^2 points per protocol). Last, a seeded source (numpy
+# seed 7, the 20th of 100 with delta in [-1.5, 1.5] and Delta in [0, 0.2])
+# where the denominator enclosure of bb84's c_{1,1X} over its whole box
+# holds 0, so no certificate applies and the blocked scan still prunes it.
+# A visit evaluates a block only where its leaning axes let the maxima lie:
+# a whole-block visit (14^3 points) alone is more than the points allowed
 OUT_OF_SECTOR_DRAWS = [
-    (0.6694867473874465, 0.052913238569298415, 22, 1984),
-    (0.6895654974118699, 0.03169654103180426, 22, 2124),
-    (0.6088458450591904, 0.04109865499644238, 22, 1904),
-    (0.5206332068461431, 0.04188174727832043, 18, 736),
-    (0.6483573978521459, 0.0538558069669709, 22, 1984),
+    (0.6694867473874465, 0.052913238569298415, 12, 26414, {}),
+    (0.6895654974118699, 0.03169654103180426, 12, 26334, {}),
+    (0.6088458450591904, 0.04109865499644238, 12, 26334, {}),
+    (0.5206332068461431, 0.04188174727832043, 12, 26334, {}),
+    (0.6483573978521459, 0.0538558069669709, 12, 26414, {}),
+    (0.9901431894052366, 0.030892216212287972, 17, 26339,
+     {"bb84": [("1X", coeffs._c1_x)]}),
 ]
 
 
-@pytest.mark.parametrize("delta, cap_delta, evaluations, points",
+@pytest.mark.parametrize("delta, cap_delta, evaluations, points, scans",
                          OUT_OF_SECTOR_DRAWS,
                          ids=["-".join(map(str, draw[:3]))
                               for draw in OUT_OF_SECTOR_DRAWS])
 def test_pruning_evaluates_no_more_blocks(monkeypatch, delta, cap_delta,
-                                          evaluations, points):
+                                          evaluations, points, scans):
     # a looser enclosure lets more blocks through to pointwise evaluation,
-    # and a weaker lean certificate more points of each and more forms to
-    # the blocked scan: each _at call of _fold evaluates one form on the
-    # corner or line of its whole box, or on (part of) one block. Only
-    # c_{0,0X}, whose whole box leans on no axis, reaches the blocked scan
+    # and a weaker lean or convexity certificate more points of each and
+    # more forms to the blocked scan: each _at call of _fold evaluates one
+    # form on the corner, line or X end faces of its whole box, or on (part
+    # of) one block
     calls, scanned = [], []
     at, scan_level = coeffs._at, coeffs._scan_level
 
@@ -360,7 +399,7 @@ def test_pruning_evaluates_no_more_blocks(monkeypatch, delta, cap_delta,
         return at(formula, *phases)
 
     def scan(keys, r0z, r1z, n, with_start):
-        scanned.append(list(keys))
+        scanned.extend(keys)
         return scan_level(keys, r0z, r1z, n, with_start)
 
     monkeypatch.setattr(coeffs, "_at", counted)
@@ -369,9 +408,9 @@ def test_pruning_evaluates_no_more_blocks(monkeypatch, delta, cap_delta,
         spec = SourceSpec(delta=delta, Delta=cap_delta)
         bound_inputs_from_source(spec, protocol)
         ranges = PhaseRanges.from_source(spec)
-        r0x = (ranges.lo["0X"], ranges.hi["0X"])
-        assert scanned.pop() == [(r0x, coeffs._c0_0x)]
-        assert not scanned
+        assert scanned == [((ranges.lo[x], ranges.hi[x]), f)
+                           for x, f in scans.get(protocol, [])], protocol
+        scanned.clear()
     assert 0 < len(calls) <= evaluations
     assert sum(calls) <= points
 
@@ -422,7 +461,8 @@ def test_scans_give_each_box_the_bounds_of_its_own_call(monkeypatch, delta,
     # its X range. On the blocked level bit for bit. The whole-box call has
     # one block per box, and einsum may sum a call of one block in another
     # order (see _apply), so there the bounds need only agree within a
-    # relative 1e-12, each holding the other up to rounding, and lean alike
+    # relative 1e-12, each holding the other up to rounding, and lean and
+    # bend alike
     boxes, r0z, r1z = _pass_boxes(delta, cap_delta)
     assert len(boxes) == 2
     keys = [(rx, f) for rx, forms in boxes.items() for f in forms]
@@ -446,10 +486,10 @@ def test_scans_give_each_box_the_bounds_of_its_own_call(monkeypatch, delta,
             own = coeffs._bound_forms([forms], [r0z, r1z, np.reshape(rx, (2, 1))],
                                       whole[2][:2] + [np.reshape(m, 1)],
                                       whole[3][:2] + [np.reshape(step, 1)])
-            for got, want, rtol in zip(stacked_whole, own, (1e-12, 1e-12, 0),
+            for got, want, rtol in zip(stacked_whole, own, (1e-12, 1e-12, 0, 0),
                                        strict=True):
                 got = got[..., k:k + len(forms)]
-                assert np.allclose(got, want, rtol=rtol, atol=0), (b, rx)
+                assert np.allclose(1 * got, 1 * want, rtol=rtol, atol=0), (b, rx)
             k += len(forms)
     assert k == len(keys)
 
@@ -458,22 +498,28 @@ def test_scans_give_each_box_the_bounds_of_its_own_call(monkeypatch, delta,
 @settings(max_examples=5, deadline=None)
 @given(delta=st.floats(0.35, 1.2), side=st.sampled_from([-1, 1]),
        cap_delta=st.floats(0.0, 0.1))
+@example(delta=OUT_OF_SECTOR_DRAWS[0][0], side=1,
+         cap_delta=OUT_OF_SECTOR_DRAWS[0][1])
+@example(delta=0.4, side=1, cap_delta=1e-10)
 def test_whole_box_leans_order_the_grid_and_settle_as_the_scan(delta, side,
                                                               cap_delta):
     # an out-of-sector pass for both protocols: along every axis on which a
     # form leans over its whole box, its computed 81-point grid values rise
-    # or fall strictly, and a key settled there (at most one axis free) has
-    # the maxima and pole decisions that the blocked scan gives it alone
+    # or fall strictly, along X where it is convex there every interior
+    # value lies below the larger end, and a key settled there (at most one
+    # axis free, or a convex X axis) has the maxima and pole decisions that
+    # the blocked scan gives it alone. The example is a benchmark draw,
+    # where c_{0,0X} is settled by convexity alone
     boxes, r0z, r1z = _pass_boxes(side * delta, cap_delta)
     assume(boxes)
     with pytest.MonkeyPatch.context() as mp, np.errstate(divide="ignore",
                                                          invalid="ignore"):
         calls = _recorded(mp)
         found = coeffs._whole_boxes(boxes, r0z, r1z, 81)
-    (_, (_, _, lean)), = calls
+    (_, (_, _, lean, convex)), = calls
     keys = [(rx, f) for rx, forms in boxes.items() for f in forms]
-    for (rx, f), signs in zip(keys, lean.T, strict=True):
-        assert ((rx, f) in found) == (np.count_nonzero(signs) >= 2)
+    for (rx, f), signs, bent in zip(keys, lean.T, convex, strict=True):
+        assert ((rx, f) in found) == (np.count_nonzero(signs) >= 2 or bent)
         a, b, c = (np.linspace(*r, 81) for r in (r0z, r1z, rx))
         with np.errstate(divide="ignore", invalid="ignore"):
             value = np.divide(*coeffs._at(f, a[:, None, None], b[:, None], c))
@@ -481,6 +527,9 @@ def test_whole_box_leans_order_the_grid_and_settle_as_the_scan(delta, side,
             if sign:
                 order = np.sign(np.diff(value, axis=axis))
                 assert (order == sign).all(), (f.__name__, axis)
+        if bent:
+            ends = np.maximum(value[..., :1], value[..., -1:])
+            assert (value[..., 1:-1] < ends).all(), f.__name__
         if (rx, f) in found:
             alone = coeffs._scan_level([(rx, f)], r0z, r1z, 81, True)[0]
             for (gap, top), (gap_alone, top_alone) in zip(found[rx, f], alone,
