@@ -16,17 +16,17 @@ provides:
   * worst-case coefficient upper bounds over phase ranges: inside the
     validity sectors a corner rule per (row, X reference), and dense grid
     maximisation outside them. One array pass first encloses every form
-    over its whole X-reference box (exact sin/cos term ranges, each form an
-    affine map of its terms, a mean-value quotient widened for float
-    rounding, a sign per axis where the form certainly rises or falls, and
-    where its second derivative along X certainly keeps it convex there); a
-    form that rises or falls along all axes but at most one is evaluated
-    only on the corner or grid line that holds its maxima, one convex along
-    X only on the box's two X end faces. The other forms' grids are cut
-    into blocks, per grid size one such pass encloses them
-    over every block of every box, and only the blocks that may hold the
-    maximum or a pole are evaluated, away from poles only on the face, edge
-    or corner that can hold it: the full grid's values, bit for bit.
+    over every X-reference box, each box one block (exact sin/cos term
+    ranges, each form an affine map of its terms, a mean-value quotient
+    widened for float rounding, a sign per axis where the form certainly
+    rises or falls, and where its second derivative along X certainly keeps
+    it convex there); a form that rises or falls along all axes but at
+    most one is evaluated only on the corner or grid line that holds its
+    maxima, one convex along X only on the box's two X end faces. The
+    other forms' grids are cut into blocks, per box and grid size one such
+    pass encloses them over every block, and only the blocks that may hold
+    the maximum or a pole are evaluated, away from poles only on the face,
+    edge or corner that can hold it: the full grid's values, bit for bit.
 """
 
 from __future__ import annotations
@@ -298,8 +298,8 @@ _GRID_MAX_POINTS = 700
 #: grid points per axis of one block of the pruned scan; even, so that every
 #: block starts on an even index and holds points of the coarser grid
 _BLOCK = 14
-#: blocks enclosed at once, but at least one row of blocks: what bounds the
-#: enclosure pass's working memory, about 0.3 kB per block and form
+#: blocks of one box enclosed at once, but at least one row of blocks: what
+#: bounds the enclosure pass's working memory, about 0.3 kB per block and form
 _SLAB_BLOCKS = 1 << 11
 
 #: the derivative of each term function, as (function, sign)
@@ -384,19 +384,18 @@ def _derivative_rows(a, names):
 
 @functools.cache
 def _plan(forms):
-    """What ``_bound_forms`` derives from its forms alone, ``forms[i]`` the
-    tuple of box i's: the terms they use, in _TERMS order, and per box the
-    ``_map`` of its forms' (num, den) rows (``_AFFINE`` over those terms),
-    of their second derivatives along X (a term's is -w_X^2 times the term)
-    and of their derivatives along the three phase axes."""
-    used = [any(name in _TERMS_OF[f] for f in itertools.chain(*forms))
-            for name in _TERMS]
+    """What ``_bound_forms`` derives from the tuple ``forms`` alone: the
+    terms they use, in _TERMS order, and the ``_map`` of their (num, den)
+    rows (``_AFFINE`` over those terms), of their second derivatives along X
+    (a term's is -w_X^2 times the term) and of their derivatives along the
+    three phase axes."""
+    used = [any(name in _TERMS_OF[f] for f in forms) for name in _TERMS]
     names = tuple(itertools.compress(_TERMS, used))
-    tables = [(np.array([_AFFINE[f][1][:, used] for f in fs]).swapaxes(0, 1),
-               np.array([_AFFINE[f][0] for f in fs]).T) for fs in forms]
+    a = np.array([_AFFINE[f][1][:, used] for f in forms]).swapaxes(0, 1)
+    b = np.array([_AFFINE[f][0] for f in forms]).T
     bend = -np.array([_WEIGHTS[name][2] for name in names]) ** 2
-    return names, [[_map(a, b), _map(a * bend, 0.0)] + [
-        _map(rows, 0.0) for rows in _derivative_rows(a, names)] for a, b in tables]
+    return names, [_map(a, b), _map(a * bend, 0.0)] + [
+        _map(rows, 0.0) for rows in _derivative_rows(a, names)]
 
 
 def _product(a, b):
@@ -409,50 +408,40 @@ def _product(a, b):
 def _bound_forms(forms, boxes, mags, steps):
     """Upper bound, smallest-|denominator| bound and lean of each form per block.
 
-    ``boxes`` and ``mags`` are as for ``_term_ranges``, shaped to broadcast
-    to (box, block...), ``steps`` (shaped as ``mags``) the least spacing of
-    the grid per axis, and ``forms[i]`` lists the forms of box i. Returns
-    (upper, gap) over (form, block...), the forms box by box, int8
-    ``lean`` over (axis, form, block...) and bool ``convex`` over (form,
-    block...): every computed grid value of a form in a block of its box is
-    at most ``upper``, every computed |denominator| at least ``gap``, the
-    computed values rise (fall) strictly along each axis where ``lean`` is
-    +1 (-1), and where ``convex`` holds every computed value strictly inside
-    a line of the grid along X lies below the larger of the line's ends. The
-    term ranges of all boxes are found at once; the interval maps of each
-    box's forms' affine maps (``_AFFINE``) over its own give the numerators,
+    ``boxes`` and ``mags`` are as for ``_term_ranges``, ``steps`` (shaped as
+    ``mags``) the least spacing of the grid per axis, all broadcasting to
+    the blocks' shape, so that each block has its own phase ends, magnitude
+    and step. Returns (upper, gap) over (form, block...), int8 ``lean`` over
+    (axis, form, block...) and bool ``convex`` over (form, block...): every
+    computed grid value of a form in a block is at most ``upper``, every
+    computed |denominator| at least ``gap``, the computed values rise
+    (fall) strictly along each axis where ``lean`` is +1 (-1), and where
+    ``convex`` holds every computed value strictly inside a line of the
+    grid along X lies below the larger of the line's ends. The interval
+    maps of the forms' affine maps (``_AFFINE``), built once per tuple of
+    forms (``_plan``), give over the term ranges the numerators,
     denominators, their derivatives along the three axes and their second
-    derivatives along X. Those maps, and the terms the forms use, are built
-    once per tuple of forms per box (``_plan``), and ``_apply`` forms each
-    row's sum. The upper bound is the smaller of the
-    interval quotient and a mean-value form: the value at the block centre
-    plus the interval gradient times the half-width, widened by the most
-    the computed values can differ from the exact ones. A form leans where
-    its interval derivative keeps one sign and moves it by more than twice
-    that over one step (the monotonicity test of interval optimisation),
-    never where gap lies below SINGULAR_TOL. Likewise a form is convex
-    where the lower end kappa of its interval second derivative along X
-    gives kappa h (w - h) / 2 > 2 margin, h the step and w the block's
-    width (the convexity test): every interior point's exact value then
-    lies that far below the larger end's. A denominator enclosure that
+    derivatives along X; ``_apply`` forms each row's sum. The upper bound
+    is the smaller of the interval quotient and a mean-value form: the value
+    at the block centre plus the interval gradient times the half-width,
+    widened by the most the computed values can differ from the exact ones.
+    A form leans where its interval derivative keeps one sign and moves it
+    by more than twice that over one step (the monotonicity test of interval
+    optimisation), never where gap lies below SINGULAR_TOL. Likewise a form
+    is convex where the lower end kappa of its interval second derivative
+    along X gives kappa h (w - h) / 2 > 2 margin, h the step and w the
+    block's width (the convexity test): every interior point's exact value
+    then lies that far below the larger end's. A denominator enclosure that
     holds 0 gives gap 0 and upper +inf.
     """
-    names, maps = _plan(tuple(map(tuple, forms)))
+    names, maps = _plan(tuple(forms))
     values, slopes = _term_ranges(names, boxes, mags)
-    shape = values.shape[1:]
-
-    def own(x):
-        """``x`` over (box, block...) as over (form, block...)."""
-        return np.repeat(np.broadcast_to(x, shape), list(map(len, forms)), axis=0)
-
     ((num_lo, den_lo), (num_hi, den_hi)), bend_ends, *slope_ends = (
-        np.concatenate(ends, axis=2) for ends in zip(*(
-            [_apply(m, (slopes if k > 1 else values)[:, i])
-             for k, m in enumerate(box)] for i, box in enumerate(maps))))
+        _apply(m, slopes if k > 1 else values) for k, m in enumerate(maps))
     centres = [(lo + hi) / 2 for lo, hi in boxes]
-    radii = [own(np.maximum(hi - mid, mid - lo) * (1 + 4 * _EPS))
+    radii = [np.maximum(hi - mid, mid - lo) * (1 + 4 * _EPS)
              for (lo, hi), mid in zip(boxes, centres)]
-    big = own(functools.reduce(np.maximum, mags))
+    big = functools.reduce(np.maximum, mags)
     point_err = _TERM_WEIGHT * (4 * _EPS * (2 * big + 1) + _TRIG_ERR) + _SUM_ERR
     gap = np.maximum(np.maximum(den_lo, -den_hi), 0.0)
     value = _product((num_lo, num_hi), (1 / den_hi, 1 / den_lo))
@@ -472,7 +461,7 @@ def _bound_forms(forms, boxes, mags, steps):
                                + np.maximum(-drag[0], drag[1]))
         g_lo, g_hi = dn_lo - drag[1] - rounding, dn_hi - drag[0] + rounding
         slope = slope + np.maximum(-g_lo, g_hi) / gap * r
-        sure = (np.maximum(g_lo, -g_hi) * own(step) > needed) & (gap >= SINGULAR_TOL)
+        sure = (np.maximum(g_lo, -g_hi) * step > needed) & (gap >= SINGULAR_TOL)
         lean[axis][sure] = (np.sign(g_lo) * np.sign(den_lo))[sure]
     # along X (the loop's last axis) den f'' = num'' - 2 f' den' - f den''
     # with f' = g / den, at least ``bent`` times the sign of den: convex
@@ -484,14 +473,15 @@ def _bound_forms(forms, boxes, mags, steps):
                            + 2 * np.maximum(-cross[0], cross[1]))
     bent = np.where(den_lo > 0, bn_lo - 2 * cross[1] - drag[1],
                     2 * cross[0] + drag[0] - bn_hi) - rounding
-    step, width = own(steps[2]), own(boxes[2][1] - boxes[2][0])
+    step, width = steps[2], boxes[2][1] - boxes[2][0]
     with np.errstate(over="ignore"):  # a huge box: +-inf decides alike
         convex = bent * step * (width - step) > 2 * needed
     convex &= gap >= SINGULAR_TOL
     # the value at each block centre, as ``_at`` gives it
-    terms = {name: np.broadcast_to(_term(name, *centres), shape) for name in names}
-    centre = np.array([np.divide(*f(*(terms[name][i] for name in _TERMS_OF[f])))
-                       for i, formulas in enumerate(forms) for f in formulas])
+    terms = {name: np.broadcast_to(_term(name, *centres), values.shape[1:])
+             for name in names}
+    centre = np.array([np.divide(*f(*(terms[name] for name in _TERMS_OF[f])))
+                       for f in forms])
     mean_value = centre + 2 * margin + slope
     mean_value = mean_value + 8 * _EPS * (np.abs(centre) + 2 * margin + slope)
     upper = np.where(gap > 0, np.fmin(high, mean_value), np.inf)
@@ -505,15 +495,15 @@ _VIEWS = ((slice(None, None, 2),) * 3, (slice(None),) * 3)
 _END_VIEWS = tuple(view[:2] + (slice(None),) for view in _VIEWS)
 
 
-def _grids(r0z, r1z, xs, n: int, shape):
+def _grids(r0z, r1z, xs, n: int):
     """The n-point grids of r0z, r1z and the X ranges xs, and per axis the
     largest |phase| and least spacing (0 where the points coincide), those
-    of the X ranges stacked in ``shape``."""
+    of the X ranges in one array."""
     grids = [np.linspace(lo, hi, n) for lo, hi in [r0z, r1z] + xs]
     mags = [max(abs(g[0]), abs(g[-1])) for g in grids]
     steps = [np.diff(g).min() for g in grids]
     for per_axis in (mags, steps):
-        per_axis[2:] = [np.reshape(per_axis[2:], shape)]
+        per_axis[2:] = [np.array(per_axis[2:])]
     return grids, mags, steps
 
 
@@ -542,100 +532,88 @@ def _fold(formula, axes, views, found):
 def _whole_boxes(boxes, r0z, r1z, n: int):
     """{key: ``_scan_level``'s result on the n-point grid with its start}
     of the (X range, form) keys whose form leans along all axes but at most
-    one, or is convex along X, over its whole box, enclosed as one block
-    with the n-point grid's step (one ``_bound_forms`` call): from the
-    corner or the grid line its lean leaves (``_cut``), the X ends of a
-    convex X axis that does not lean, where both maxima lie. No pole is in
-    the box."""
+    one, or is convex along X, over its whole box, enclosed with the n-point
+    grid's step in one ``_bound_forms`` call of the union of the forms,
+    each X range one block along X: from the corner or the grid line its
+    lean leaves (``_cut``), the X ends of a convex X axis that does not
+    lean, where both maxima lie. No pole is in the box."""
     xs = list(boxes)
-    grids, mags, steps = _grids(r0z, r1z, xs, n, -1)
-    _, _, lean, convex = _bound_forms([list(boxes[rx]) for rx in xs],
-                                      [r0z, r1z, np.array(xs).T], mags, steps)
-    keys = [(rx, f, grids[:2] + [g]) for rx, g in zip(xs, grids[2:])
-            for f in boxes[rx]]
+    forms = tuple(dict.fromkeys(itertools.chain(*boxes.values())))
+    grids, mags, steps = _grids(r0z, r1z, xs, n)
+    _, _, lean, convex = _bound_forms(forms, [r0z, r1z, np.array(xs).T], mags, steps)
     found = {}
-    for (rx, f, on), signs, bent in zip(keys, lean.T, convex):
-        if np.count_nonzero(signs) >= 2 or bent:
-            axes = [g[_cut(0, n, s)] for g, s in zip(on, signs)]
-            views = _VIEWS
-            if not signs[2] and bent:
-                axes[2], views = on[2][::n - 1], _END_VIEWS
-            found[rx, f] = [[np.inf, -np.inf] for _ in views]
-            _fold(f, axes, views, found[rx, f])
+    for box, rx in enumerate(xs):
+        on = grids[:2] + [grids[2 + box]]
+        for f in boxes[rx]:
+            k = forms.index(f)
+            signs, bent = lean[:, k, box], convex[k, box]
+            if np.count_nonzero(signs) >= 2 or bent:
+                axes = [g[_cut(0, n, s)] for g, s in zip(on, signs)]
+                views = _VIEWS
+                if not signs[2] and bent:
+                    axes[2], views = on[2][::n - 1], _END_VIEWS
+                found[rx, f] = [[np.inf, -np.inf] for _ in views]
+                _fold(f, axes, views, found[rx, f])
     return found
 
 
-def _scan_level(keys, r0z, r1z, n: int, with_start: bool):
-    """Smallest |denominator| and maximum of each (X range, form) key on
-    the n-point grid of its box (r0z, r1z, X range), ``keys`` box by box.
+def _scan_level(forms, r0z, r1z, rx, n: int, with_start: bool):
+    """Smallest |denominator| and maximum of each of ``forms`` on the
+    n-point grid of the box (r0z, r1z, rx).
 
-    The boxes share the 0Z and 1Z grids. Each axis is cut into blocks of
-    ``_BLOCK`` points, the boxes' X blocks stacked on a leading box axis,
-    and every form of ``keys`` is enclosed over every block of every box
-    (``_bound_forms``) in slabs of at most ``_SLAB_BLOCKS`` blocks. A key's
-    form is then evaluated pointwise only on its box's blocks whose upper
-    bound reaches the largest value found on the block with the highest
-    bound, and on those whose denominator bound lies below SINGULAR_TOL.
-    Those are evaluated whole, the others only on the points of each axis
-    the form leans on that can hold their maxima (``_cut``). The maxima are
-    then those of the full grid, and so is the smallest |denominator|
-    wherever it lies below SINGULAR_TOL. Returns, per key, a list of
-    [gap, max] with one entry per grid size. With ``with_start`` the entry
-    of the ``_GRID_START``-point grid comes first, read off the even-index
-    points (``_VIEWS``).
+    Each axis is cut into blocks of ``_BLOCK`` points, and every form is
+    enclosed over every block (``_bound_forms``) in slabs of at most
+    ``_SLAB_BLOCKS`` blocks. A form is then evaluated pointwise only on the
+    blocks whose upper bound reaches the largest value found on the block
+    with the highest bound, and on those whose denominator bound lies below
+    SINGULAR_TOL. Those are evaluated whole, the others only on the points
+    of each axis the form leans on that can hold their maxima (``_cut``).
+    The maxima are then those of the full grid, and so is the smallest
+    |denominator| wherever it lies below SINGULAR_TOL. Returns, per form, a
+    list of [gap, max] with one entry per grid size. With ``with_start`` the
+    entry of the ``_GRID_START``-point grid comes first, read off the
+    even-index points (``_VIEWS``).
     """
-    xs = list(dict.fromkeys(rx for rx, _ in keys))
-    forms = [[f for x, f in keys if x == rx] for rx in xs]
-    grids, mags, steps = _grids(r0z, r1z, xs, n, (-1, 1, 1, 1))
+    grids, mags, steps = _grids(r0z, r1z, [rx], n)
     # the points of a range of one phase are all equal: its first stands
     # for all of them
     edges = [np.append(np.arange(0, n, _BLOCK), n) if g[0] < g[-1]
              else np.array([0, 1]) for g in grids]
     counts = [len(e) - 1 for e in edges]
-    shape = (len(xs), *counts[:2], max(counts[2:]))
     ends = [[f.reduceat(g, e[:-1]) for f in (np.minimum, np.maximum)]
             for g, e in zip(grids, edges)]
-    # a box with fewer X blocks repeats its last one, which no key visits
-    pad = np.minimum.outer(np.subtract(counts[2:], 1), np.arange(shape[3]))
-    x_ends = [np.reshape([end[k][i] for end, i in zip(ends[2:], pad)],
-                         (-1, 1, 1, shape[3])) for k in (0, 1)]
-    upper, gap = np.empty((2, len(keys)) + shape[1:])
-    lean = np.empty((3, len(keys)) + shape[1:], np.int8)
-    rows = max(1, _SLAB_BLOCKS // (shape[0] * shape[2] * shape[3]))
-    for i in range(0, shape[1], rows):
+    upper, gap = np.empty((2, len(forms), *counts))
+    lean = np.empty((3, len(forms), *counts), np.int8)
+    rows = max(1, _SLAB_BLOCKS // (counts[1] * counts[2]))
+    for i in range(0, counts[0], rows):
         slab = [[x[i:i + rows].reshape(-1, 1, 1) for x in ends[0]],
-                [x.reshape(-1, 1) for x in ends[1]], x_ends]
+                [x.reshape(-1, 1) for x in ends[1]], ends[2]]
         upper[:, i:i + rows], gap[:, i:i + rows], lean[:, :, i:i + rows], _ = (
             _bound_forms(forms, slab, mags, steps))
 
     views = _VIEWS[not with_start:]
-    # per key: its form, the grids of its box and its bounds on their blocks
-    jobs = [(f, (0, 1, 2 + b), lean[:, k, ..., :counts[2 + b]],
-             upper[k, ..., :counts[2 + b]], gap[k, ..., :counts[2 + b]])
-            for k, (b, f) in enumerate((xs.index(rx), f) for rx, f in keys)]
-    found = [[[np.inf, -np.inf] for _ in views] for _ in keys]
-    seen = [set() for _ in keys]
+    found = [[[np.inf, -np.inf] for _ in views] for _ in forms]
+    seen = [set() for _ in forms]
 
     def visit(wanted):
-        """Evaluate key k's form on the blocks ``wanted[k]`` it has not seen."""
-        for (formula, on, leans, bound, _), blocks, done, acc_k in zip(
-                jobs, wanted, seen, found):
+        """Evaluate form k on the blocks ``wanted[k]`` it has not seen."""
+        for formula, leans, blocks, done, acc in zip(
+                forms, lean.swapaxes(0, 1), wanted, seen, found):
             for b in set(blocks.tolist()) - done:
                 done.add(b)
-                at = np.unravel_index(b, bound.shape)
-                _fold(formula, [grids[j][_cut(edges[j][i], edges[j][i + 1],
-                                              signs[at])]
-                                for j, i, signs in zip(on, at, leans)],
-                      views, acc_k)
+                at = np.unravel_index(b, counts)
+                _fold(formula, [g[_cut(e[i], e[i + 1], signs[at])]
+                                for g, e, i, signs in zip(grids, edges, at, leans)],
+                      views, acc)
 
     # the block with the highest bound, and every block near a pole (a NaN
     # bound counts as one)
-    visit([np.append(np.flatnonzero(~(gap >= SINGULAR_TOL)), np.argmax(upper))
-           for *_, upper, gap in jobs])
+    visit([np.append(np.flatnonzero(~(low >= SINGULAR_TOL)), np.argmax(high))
+           for high, low in zip(upper, gap)])
     # every block that may beat the values found so far; a NaN value is a
     # pole the check raises on
-    visit([np.flatnonzero(upper >= np.fmin.reduce([acc[1] for acc in per_size]))
-           for (*_, upper, _), per_size in zip(jobs, found)])
+    visit([np.flatnonzero(high >= np.fmin.reduce([acc[1] for acc in per_size]))
+           for high, per_size in zip(upper, found)])
     return found
 
 
@@ -648,17 +626,18 @@ def _grid_maxima(boxes, r0z, r1z):
     next grid would exceed ``_GRID_MAX_POINTS``: (gap, maximum) of its final
     grid, gap the smallest |denominator| evaluated, or of the first grid on
     which gap marks a pole (below SINGULAR_TOL or NaN; the full grid's gap
-    then); that pair stops, the others go on. The pairs still refining share
-    one scan per grid (``_scan_level``), the first two grids one scan, and
-    no result depends on the pairs it is scanned with. The forms that lean
-    over their whole box along all axes but at most one get the first two
-    grids' pairs from one corner or grid line instead, and those convex
-    along X there from its two X end faces (``_whole_boxes``).
-    A scan evaluates a form only on the blocks of ``_BLOCK``^3 points of its
-    box whose enclosure may reach the maximum or a pole, away from poles
-    only on the face, edge or corner its lean leaves: the full grid's
-    result, in two floats and three int8 per box, form and block, the
-    enclosures of at most ``_SLAB_BLOCKS`` blocks and one block's points.
+    then); that pair stops, the others go on. The forms that lean over their
+    whole box along all axes but at most one get the first two grids' pairs
+    from one corner or grid line, and those convex along X there from its
+    two X end faces (one ``_whole_boxes`` call for all boxes). Each box's
+    other pairs still refining share one scan per grid (``_scan_level``),
+    the first two grids one scan, and no result depends on the pairs it is
+    scanned with. A scan evaluates a form only on the blocks of
+    ``_BLOCK``^3 points of its box whose enclosure may reach the maximum or
+    a pole, away from poles only on the face, edge or corner its lean
+    leaves: the full grid's result, in two floats and three int8 per form
+    and block, the enclosures of at most ``_SLAB_BLOCKS`` blocks and one
+    block's points.
     """
     out, prev = {}, {}
     pending = [(rx, f) for rx, forms in boxes.items() for f in forms]
@@ -667,9 +646,10 @@ def _grid_maxima(boxes, r0z, r1z):
         found = _whole_boxes(boxes, r0z, r1z, sizes[-1])
         while pending:
             rest = [key for key in pending if key not in found]
-            if rest:
-                found.update(zip(rest, _scan_level(rest, r0z, r1z, sizes[-1],
-                                                   len(sizes) == 2)))
+            for rx in dict.fromkeys(rx for rx, _ in rest):
+                forms = tuple(f for x, f in rest if x == rx)
+                found.update(zip([(rx, f) for f in forms], _scan_level(
+                    forms, r0z, r1z, rx, sizes[-1], len(sizes) == 2)))
             kept = []
             for key in pending:
                 for n, (gap, cur) in zip(sizes, found.pop(key)):

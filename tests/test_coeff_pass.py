@@ -181,9 +181,9 @@ def test_both_out_of_sector_scan_each_box_once(monkeypatch):
                          ids=lambda o: "-".join(p.name for p in o))
 def test_boxes_of_unequal_x_blocks_equal_sequential_calls(monkeypatch, protos):
     # delta = 0.6, Delta = 3e-16: the 1X range is one phase, one block on its
-    # X axis, while 0X is 4.4e-16 wide, six blocks on the 81-point grid; the
-    # stacked scan pads 1X's X axis with blocks it never visits. Five-block
-    # slabs cut every level into slabs of one row of both boxes
+    # X axis, while 0X is 4.4e-16 wide, six blocks on the 81-point grid;
+    # each box is scanned over its own blocks. Five-block slabs cut every
+    # level into slabs of one row of blocks
     ranges = _source(0.6, 3e-16)
     assert ranges.lo["1X"] == ranges.hi["1X"] and ranges.lo["0X"] < ranges.hi["0X"]
     want = sequential(protos, ranges)

@@ -10,11 +10,11 @@ than 2 pi, single-phase and one-ulp ranges, ranges next to the
 theta_0Z = theta_1Z pole) and check them, and check a sample of term ranges
 against mpmath's interval arithmetic. They also check that each form's
 affine table is the form itself, that the interval sums hold every
-summation order, that boxes stacked on one call's box axis get the bounds
-of their own calls, bit for bit, as do the boxes the grid scans stack, and
-that along every axis on which a form is certified to lean its computed
-grid values rise or fall strictly. The forms that lean over their whole
-box along all axes but one skip the blocked scan: their maxima and pole
+summation order, that blocks with their own X magnitude and step get the
+bounds of a call of their own, bit for bit, as does each box the grid
+scans, and that along every axis on which a form is certified to lean its
+computed grid values rise or fall strictly. The forms that lean over their
+whole box along all axes but one skip the blocked scan: their maxima and pole
 decisions must be the scan's, and one whose maximum still moves at 81
 points must refine as the full grid does. The benchmark's out-of-sector
 sources must evaluate no more forms, blocks and grid points than the
@@ -87,13 +87,9 @@ def _mags(box):
 
 
 def _bound(formulas, box, steps=(0.0, 0.0, 0.0)):
-    """``_bound_forms`` of ``formulas`` over ``box`` as the one box of a
-    call, its X ends, magnitude and grid step on a box axis of length 1."""
-    mags = _mags(box)
-    return coeffs._bound_forms([formulas], box[:2] + [[np.reshape(end, 1)
-                                                       for end in box[2]]],
-                               mags[:2] + [np.reshape(mags[2], 1)],
-                               list(steps[:2]) + [np.reshape(steps[2], 1)])
+    """``_bound_forms`` of ``formulas`` over ``box`` as the one block of a
+    call."""
+    return coeffs._bound_forms(formulas, box, _mags(box), list(steps))
 
 
 def _term_ranges(box):
@@ -142,33 +138,34 @@ def _halves(box, shapes):
 
 
 @settings(max_examples=60, deadline=None)
-@given(first=boxes(), second=boxes(), forms=st.lists(
-    st.lists(st.sampled_from(FORMULAS), min_size=1, unique=True),
-    min_size=2, max_size=2))
-def test_stacked_boxes_give_each_boxs_own_bounds(first, second, forms):
-    # two boxes with the same 0Z and 1Z ranges, each cut into 2^3 blocks and
-    # given its own forms, their X block ends, X magnitudes and X grid steps
-    # stacked on the box axis as _scan_level stacks them: each box's bounds
-    # and leans are those of its own call, bit for bit
+@given(first=boxes(), second=boxes(),
+       forms=st.lists(st.sampled_from(FORMULAS), min_size=1, unique=True))
+def test_blocks_with_their_own_x_magnitude_and_step_get_their_own_bounds(
+        first, second, forms):
+    # two boxes with the same 0Z and 1Z ranges, each cut into 2^3 blocks,
+    # their X blocks side by side on the X axis of one call, each with the
+    # X magnitude and X grid step of its own box: each box's bounds, leans
+    # and convexity are those of a call of its own, bit for bit
     pair = [first, first[:2] + second[2:]]
-    alone = [_halves(box, ((-1, 1, 1), (-1, 1), (1, 1, 1, -1))) for box in pair]
-    x_ends = [np.concatenate([blocks[2][k] for blocks in alone]) for k in (0, 1)]
+    alone = [_halves(box, ((-1, 1, 1), (-1, 1), (-1,))) for box in pair]
     mags = [_mags(box) for box in pair]
     # the steps of a 14-point grid on each half
     steps = [[(hi - lo) / 26 for lo, hi in box] for box in pair]
 
-    def stack(per_box):
-        """Per-axis values of the boxes, the X ones on a box axis."""
-        return per_box[0][:2] + [np.reshape([x[2] for x in per_box], (-1, 1, 1, 1))]
+    def side_by_side(per_box):
+        """Per-axis values of the boxes, the X ones repeated per X block."""
+        return per_box[0][:2] + [np.repeat([x[2] for x in per_box], 2)]
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        stacked = coeffs._bound_forms(forms, alone[0][:2] + [x_ends],
-                                      stack(mags), stack(steps))
-        own = [coeffs._bound_forms([formulas], blocks, stack([mag]), stack([step]))
-               for formulas, blocks, mag, step in zip(forms, alone, mags, steps)]
-    for got, want, axis in zip(stacked, zip(*own), (0, 0, 1, 0), strict=True):
+        both = coeffs._bound_forms(
+            forms, alone[0][:2] + [[np.concatenate([blocks[2][k] for blocks in alone])
+                                    for k in (0, 1)]],
+            side_by_side(mags), side_by_side(steps))
+        own = [coeffs._bound_forms(forms, blocks, mag, step)
+               for blocks, mag, step in zip(alone, mags, steps)]
+    for got, want in zip(both, zip(*own), strict=True):
         assert ([float(x).hex() for x in got.ravel()]
-                == [float(x).hex() for x in np.concatenate(want, axis).ravel()])
+                == [float(x).hex() for x in np.concatenate(want, -1).ravel()])
 
 
 def test_mean_value_form_is_second_order():
@@ -325,12 +322,12 @@ def test_interval_map_holds_every_summation_order(seed, width):
     # each end of a numerator, a denominator or a derivative holds its
     # exact value and its float sum in every order, at term values anywhere
     # in the ranges: the value map, the second-derivative map along X and
-    # the axis-derivative maps that _plan builds for a box of all forms,
+    # the axis-derivative maps that _plan builds for all forms,
     # whose rows are the tables, the tables times -w_X^2, then the tables
     # times each axis's weights and signs
     rng = np.random.default_rng(seed)
     b, a = _tables()
-    names, (plan_maps,) = coeffs._plan((FORMULAS,))
+    names, plan_maps = coeffs._plan(FORMULAS)
     assert names == tuple(coeffs._TERMS)
     lo = rng.uniform(-1.0, 1.0, len(names))
     hi = np.minimum(lo + width, 1.0)
@@ -398,9 +395,9 @@ def test_pruning_evaluates_no_more_blocks(monkeypatch, delta, cap_delta,
             calls.append(np.broadcast(*phases).size)
         return at(formula, *phases)
 
-    def scan(keys, r0z, r1z, n, with_start):
-        scanned.extend(keys)
-        return scan_level(keys, r0z, r1z, n, with_start)
+    def scan(forms, r0z, r1z, rx, n, with_start):
+        scanned.extend((rx, f) for f in forms)
+        return scan_level(forms, r0z, r1z, rx, n, with_start)
 
     monkeypatch.setattr(coeffs, "_at", counted)
     monkeypatch.setattr(coeffs, "_scan_level", scan)
@@ -455,43 +452,35 @@ def _axis(rx, n):
                          [(0.6, 0.05), (-0.75, 0.02), (1.05, 0.004)])
 def test_scans_give_each_box_the_bounds_of_its_own_call(monkeypatch, delta,
                                                         cap_delta):
-    # the scans stack each box's X block ends, X magnitude and X grid step
-    # on one box axis: every box must get the bounds and leans of a
-    # _bound_forms call of its own, with those three worked out here from
-    # its X range. On the blocked level bit for bit. The whole-box call has
-    # one block per box, and einsum may sum a call of one block in another
-    # order (see _apply), so there the bounds need only agree within a
-    # relative 1e-12, each holding the other up to rounding, and lean and
-    # bend alike
+    # each box's blocked scan, and its column of the whole-box call (the
+    # union of the forms, each box one block along X), must get the bounds,
+    # leans and convexity of a _bound_forms call of its own forms, with the
+    # X block ends, X magnitude and X grid step worked out here from its X
+    # range, bit for bit. einsum may sum a call of one block in another
+    # order (see _apply), so the whole box's own call holds it twice
     boxes, r0z, r1z = _pass_boxes(delta, cap_delta)
     assert len(boxes) == 2
-    keys = [(rx, f) for rx, forms in boxes.items() for f in forms]
     calls = _recorded(monkeypatch)
     with np.errstate(divide="ignore", invalid="ignore"):
-        coeffs._scan_level(keys, r0z, r1z, 81, True)
         coeffs._whole_boxes(boxes, r0z, r1z, 81)
-        (blocked, stacked), (whole, stacked_whole) = calls
-        k = 0
-        for b, (rx, forms) in enumerate(boxes.items()):
-            forms = list(forms)
+        for rx, forms in boxes.items():
+            coeffs._scan_level(tuple(forms), r0z, r1z, rx, 81, True)
+        ((union, _, mags, steps), stacked), *scans = calls
+        assert len(scans) == len(boxes)
+        for box, ((rx, forms), ((_, blocked, *_), scanned)) in enumerate(
+                zip(boxes.items(), scans)):
+            forms = tuple(forms)
             g, step, ends = _axis(rx, 81)
             m = max(abs(g[0]), abs(g[-1]))
+            own = coeffs._bound_forms(forms, blocked[:2] + [ends],
+                                      mags[:2] + [m], steps[:2] + [step])
+            assert [x.tobytes() for x in scanned] == [x.tobytes() for x in own], rx
             own = coeffs._bound_forms(
-                [forms], blocked[1][:2] + [[e.reshape(1, 1, 1, -1) for e in ends]],
-                blocked[2][:2] + [np.reshape(m, (1, 1, 1, 1))],
-                blocked[3][:2] + [np.reshape(step, (1, 1, 1, 1))])
-            for got, want in zip(stacked, own, strict=True):
-                got = got[..., k:k + len(forms), :, :, :len(ends[0])]
-                assert got.tobytes() == want.tobytes(), (b, rx)
-            own = coeffs._bound_forms([forms], [r0z, r1z, np.reshape(rx, (2, 1))],
-                                      whole[2][:2] + [np.reshape(m, 1)],
-                                      whole[3][:2] + [np.reshape(step, 1)])
-            for got, want, rtol in zip(stacked_whole, own, (1e-12, 1e-12, 0, 0),
-                                       strict=True):
-                got = got[..., k:k + len(forms)]
-                assert np.allclose(1 * got, 1 * want, rtol=rtol, atol=0), (b, rx)
-            k += len(forms)
-    assert k == len(keys)
+                forms, [r0z, r1z, np.repeat(np.reshape(rx, (2, 1)), 2, 1)],
+                mags[:2] + [np.repeat(m, 2)], steps[:2] + [np.repeat(step, 2)])
+            rows = [union.index(f) for f in forms]
+            assert ([x[..., rows, box].tobytes() for x in stacked]
+                    == [x[..., 0].tobytes() for x in own]), rx
 
 
 @seed(20261020)
@@ -516,9 +505,12 @@ def test_whole_box_leans_order_the_grid_and_settle_as_the_scan(delta, side,
                                                          invalid="ignore"):
         calls = _recorded(mp)
         found = coeffs._whole_boxes(boxes, r0z, r1z, 81)
-    (_, (_, _, lean, convex)), = calls
-    keys = [(rx, f) for rx, forms in boxes.items() for f in forms]
-    for (rx, f), signs, bent in zip(keys, lean.T, convex, strict=True):
+    ((union, *_), (_, _, lean, convex)), = calls
+    # the certificates of (box, form) at [form, box]
+    keys = [(rx, f, box, union.index(f)) for box, (rx, forms)
+            in enumerate(boxes.items()) for f in forms]
+    for rx, f, box, row in keys:
+        signs, bent = lean[:, row, box], convex[row, box]
         assert ((rx, f) in found) == (np.count_nonzero(signs) >= 2 or bent)
         a, b, c = (np.linspace(*r, 81) for r in (r0z, r1z, rx))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -531,7 +523,7 @@ def test_whole_box_leans_order_the_grid_and_settle_as_the_scan(delta, side,
             ends = np.maximum(value[..., :1], value[..., -1:])
             assert (value[..., 1:-1] < ends).all(), f.__name__
         if (rx, f) in found:
-            alone = coeffs._scan_level([(rx, f)], r0z, r1z, 81, True)[0]
+            alone = coeffs._scan_level((f,), r0z, r1z, rx, 81, True)[0]
             for (gap, top), (gap_alone, top_alone) in zip(found[rx, f], alone,
                                                          strict=True):
                 assert float(top).hex() == float(top_alone).hex()
@@ -560,9 +552,9 @@ def test_whole_box_key_that_moves_at_81_points_refines_to_the_reference(
     scanned = {}
     scan_level = coeffs._scan_level
 
-    def scan(keys, r0z, r1z, n, with_start):
-        scanned.setdefault(n, []).extend(keys)
-        return scan_level(keys, r0z, r1z, n, with_start)
+    def scan(forms, r0z, r1z, rx, n, with_start):
+        scanned.setdefault(n, []).extend((rx, f) for f in forms)
+        return scan_level(forms, r0z, r1z, rx, n, with_start)
 
     monkeypatch.setattr(coeffs, "_scan_level", scan)
     for proto in PROTOCOLS:
