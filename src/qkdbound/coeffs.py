@@ -15,18 +15,18 @@ provides:
     is the one evaluator of a closed form at phase values,
   * worst-case coefficient upper bounds over phase ranges: inside the
     validity sectors a corner rule per (row, X reference), and dense grid
-    maximisation outside them. One array pass first encloses every form
-    over every X-reference box, each box one block (exact sin/cos term
+    maximisation outside them. Per grid size one array pass encloses every
+    form over every X-reference box, each box one block (exact sin/cos term
     ranges, each form an affine map of its terms, a mean-value quotient
     widened for float rounding, a sign per axis where the form certainly
     rises or falls, and where its second derivative along X certainly keeps
     it convex there); a form that rises or falls along all axes but at
     most one is evaluated only on the corner or grid line that holds its
     maxima, one convex along X only on the box's two X end faces. The
-    other forms' grids are cut into blocks, per box and grid size one such
-    pass encloses them over every block, and only the blocks that may hold
-    the maximum or a pole are evaluated, away from poles only on the face,
-    edge or corner that can hold it: the full grid's values, bit for bit.
+    other forms' grids are cut into blocks, per box one such pass encloses
+    them over every block, and only the blocks that may hold the maximum
+    or a pole are evaluated, away from poles only on the face, edge or
+    corner that can hold it: the full grid's values, bit for bit.
 """
 
 from __future__ import annotations
@@ -272,21 +272,16 @@ def coeffs_three_state(th0z: float, th1z: float, th0x: float) -> CoefficientSet:
 # ---------------------------------------------------------------------------
 # Worst-case upper bounds over phase ranges.
 
-#: (row, end) indices of the 8 corners of a phase box, one column each
-_CORNERS = (np.arange(3)[:, None],
-            np.array(list(itertools.product((0, 1), repeat=3))).T)
-
-
 def _corner_max(formula, r0z: Tuple[float, float], r1z: Tuple[float, float],
                 rx: Tuple[float, float]) -> float:
     """The largest value of a closed form over the 8 corners of a box.
 
-    One array call of the form at all corners, each the value the scalar
-    form gives there. A corner within SINGULAR_TOL of a pole raises
-    SingularSystem, naming the smallest |denominator| over all 8.
+    One array call of the form on the 2x2x2 grid of the ends (``np.ix_``),
+    each the value the scalar form gives there. A corner within
+    SINGULAR_TOL of a pole raises SingularSystem, naming the smallest
+    |denominator| over all 8.
     """
-    a, b, c = np.array((r0z, r1z, rx))[_CORNERS]
-    return float(_checked(*_at(formula, a, b, c)).max())
+    return float(_checked(*_at(formula, *np.ix_(r0z, r1z, rx))).max())
 
 
 #: grid points per axis of the first grid; each refinement takes n -> 2n - 1
@@ -491,8 +486,6 @@ def _bound_forms(forms, boxes, mags, steps):
 #: the points of the first two grids, or of one, among those evaluated:
 #: ``np.linspace(lo, hi, 2 * m - 1)[::2]`` is ``np.linspace(lo, hi, m)``
 _VIEWS = ((slice(None, None, 2),) * 3, (slice(None),) * 3)
-#: the same where the X axis holds only the two ends, which both grids share
-_END_VIEWS = tuple(view[:2] + (slice(None),) for view in _VIEWS)
 
 
 def _grids(r0z, r1z, xs, n: int):
@@ -529,37 +522,50 @@ def _fold(formula, axes, views, found):
         acc[1] = np.maximum(acc[1], value[view].max())
 
 
-def _whole_boxes(boxes, r0z, r1z, n: int):
-    """{key: ``_scan_level``'s result on the n-point grid with its start}
-    of the (X range, form) keys whose form leans along all axes but at most
-    one, or is convex along X, over its whole box, enclosed with the n-point
-    grid's step in one ``_bound_forms`` call of the union of the forms,
-    each X range one block along X: from the corner or the grid line its
-    lean leaves (``_cut``), the X ends of a convex X axis that does not
-    lean, where both maxima lie. No pole is in the box."""
+def _scan_level(boxes, r0z, r1z, n: int):
+    """{(X range, form): [gap, max] per grid size} of the forms of ``boxes``
+    (X ranges to forms) on the n-point grid of their box (r0z, r1z, X
+    range), gap the least |denominator| seen; at n = 2 ``_GRID_START`` - 1
+    the ``_GRID_START``-point grid's entry comes first (``_VIEWS``).
+
+    One ``_bound_forms`` call encloses the union of the forms over every
+    box, each one block along X, with the n-point grid's step. A form that
+    leans there along all axes but at most one is evaluated only from the
+    corner or grid line its lean leaves (``_cut``), one convex along X that
+    does not lean along X only on the box's two X end faces: where both
+    maxima lie, and no pole is in its box. Each box's other forms share one
+    blocked scan of its grid (``_scan_blocks``).
+    """
     xs = list(boxes)
     forms = tuple(dict.fromkeys(itertools.chain(*boxes.values())))
     grids, mags, steps = _grids(r0z, r1z, xs, n)
     _, _, lean, convex = _bound_forms(forms, [r0z, r1z, np.array(xs).T], mags, steps)
-    found = {}
+    views, found = _VIEWS[n != 2 * _GRID_START - 1:], {}
     for box, rx in enumerate(xs):
-        on = grids[:2] + [grids[2 + box]]
+        on, rest = grids[:2] + [grids[2 + box]], []
         for f in boxes[rx]:
             k = forms.index(f)
             signs, bent = lean[:, k, box], convex[k, box]
-            if np.count_nonzero(signs) >= 2 or bent:
-                axes = [g[_cut(0, n, s)] for g, s in zip(on, signs)]
-                views = _VIEWS
-                if not signs[2] and bent:
-                    axes[2], views = on[2][::n - 1], _END_VIEWS
-                found[rx, f] = [[np.inf, -np.inf] for _ in views]
-                _fold(f, axes, views, found[rx, f])
+            if np.count_nonzero(signs) < 2 and not bent:
+                rest.append(f)
+                continue
+            axes, cut = [g[_cut(0, n, s)] for g, s in zip(on, signs)], views
+            if not signs[2] and bent:  # the two X ends, which every view holds
+                axes[2] = on[2][::n - 1]
+                cut = [v[:2] + (slice(None),) for v in views]
+            found[rx, f] = [[np.inf, -np.inf] for _ in views]
+            _fold(f, axes, cut, found[rx, f])
+        if rest:
+            own = [per_axis[:2] + [per_axis[2][box]] for per_axis in (mags, steps)]
+            found.update(zip([(rx, f) for f in rest],
+                             _scan_blocks(rest, on, *own, views)))
     return found
 
 
-def _scan_level(forms, r0z, r1z, rx, n: int, with_start: bool):
-    """Smallest |denominator| and maximum of each of ``forms`` on the
-    n-point grid of the box (r0z, r1z, rx).
+def _scan_blocks(forms, grids, mags, steps, views):
+    """Smallest |denominator| and maximum of each of ``forms`` on the grid
+    of one box: ``grids`` its points, ``mags`` and ``steps`` its largest
+    |phase| and least spacing, per axis, as ``_grids`` gives them.
 
     Each axis is cut into blocks of ``_BLOCK`` points, and every form is
     enclosed over every block (``_bound_forms``) in slabs of at most
@@ -570,14 +576,11 @@ def _scan_level(forms, r0z, r1z, rx, n: int, with_start: bool):
     of each axis the form leans on that can hold their maxima (``_cut``).
     The maxima are then those of the full grid, and so is the smallest
     |denominator| wherever it lies below SINGULAR_TOL. Returns, per form, a
-    list of [gap, max] with one entry per grid size. With ``with_start`` the
-    entry of the ``_GRID_START``-point grid comes first, read off the
-    even-index points (``_VIEWS``).
+    list of [gap, max], one per view of the grid in ``views`` (``_VIEWS``).
     """
-    grids, mags, steps = _grids(r0z, r1z, [rx], n)
     # the points of a range of one phase are all equal: its first stands
     # for all of them
-    edges = [np.append(np.arange(0, n, _BLOCK), n) if g[0] < g[-1]
+    edges = [np.append(np.arange(0, len(g), _BLOCK), len(g)) if g[0] < g[-1]
              else np.array([0, 1]) for g in grids]
     counts = [len(e) - 1 for e in edges]
     ends = [[f.reduceat(g, e[:-1]) for f in (np.minimum, np.maximum)]
@@ -591,7 +594,6 @@ def _scan_level(forms, r0z, r1z, rx, n: int, with_start: bool):
         upper[:, i:i + rows], gap[:, i:i + rows], lean[:, :, i:i + rows], _ = (
             _bound_forms(forms, slab, mags, steps))
 
-    views = _VIEWS[not with_start:]
     found = [[[np.inf, -np.inf] for _ in views] for _ in forms]
     seen = [set() for _ in forms]
 
@@ -626,33 +628,21 @@ def _grid_maxima(boxes, r0z, r1z):
     next grid would exceed ``_GRID_MAX_POINTS``: (gap, maximum) of its final
     grid, gap the smallest |denominator| evaluated, or of the first grid on
     which gap marks a pole (below SINGULAR_TOL or NaN; the full grid's gap
-    then); that pair stops, the others go on. The forms that lean over their
-    whole box along all axes but at most one get the first two grids' pairs
-    from one corner or grid line, and those convex along X there from its
-    two X end faces (one ``_whole_boxes`` call for all boxes). Each box's
-    other pairs still refining share one scan per grid (``_scan_level``),
-    the first two grids one scan, and no result depends on the pairs it is
-    scanned with. A scan evaluates a form only on the blocks of
-    ``_BLOCK``^3 points of its box whose enclosure may reach the maximum or
-    a pole, away from poles only on the face, edge or corner its lean
-    leaves: the full grid's result, in two floats and three int8 per form
-    and block, the enclosures of at most ``_SLAB_BLOCKS`` blocks and one
-    block's points.
+    then); that pair stops, the others go on. One pass per grid size
+    (``_scan_level``, the first two grids in one) takes every pair still
+    refining, and no result depends on the pairs it is taken with. Its
+    blocked scan evaluates a form only on the blocks of ``_BLOCK``^3
+    points of its box whose enclosure may reach the maximum or a pole, away
+    from poles only on the face, edge or corner its lean leaves: the full
+    grid's result, in two floats and three int8 per form and block, the
+    enclosures of at most ``_SLAB_BLOCKS`` blocks and one block's points.
     """
     out, prev = {}, {}
-    pending = [(rx, f) for rx, forms in boxes.items() for f in forms]
-    sizes = (_GRID_START, 2 * _GRID_START - 1)
+    n = 2 * _GRID_START - 1
     with np.errstate(divide="ignore", invalid="ignore"):  # poles: see above
-        found = _whole_boxes(boxes, r0z, r1z, sizes[-1])
-        while pending:
-            rest = [key for key in pending if key not in found]
-            for rx in dict.fromkeys(rx for rx, _ in rest):
-                forms = tuple(f for x, f in rest if x == rx)
-                found.update(zip([(rx, f) for f in forms], _scan_level(
-                    forms, r0z, r1z, rx, sizes[-1], len(sizes) == 2)))
-            kept = []
-            for key in pending:
-                for n, (gap, cur) in zip(sizes, found.pop(key)):
+        while boxes:
+            for key, per_size in _scan_level(boxes, r0z, r1z, n).items():
+                for gap, cur in per_size:
                     pole = not gap >= SINGULAR_TOL  # NaN fails the test too
                     cur = float(cur)
                     settled = key in prev and abs(cur - prev[key]) < _GRID_TOL
@@ -660,10 +650,9 @@ def _grid_maxima(boxes, r0z, r1z):
                         out[key] = (gap, cur)
                         break
                     prev[key] = cur
-                else:
-                    kept.append(key)
-            pending = kept
-            sizes = (2 * sizes[-1] - 1,)
+            boxes = {rx: rest for rx, forms in boxes.items()
+                     if (rest := [f for f in forms if (rx, f) not in out])}
+            n = 2 * n - 1
     return out
 
 

@@ -1,6 +1,6 @@
 """Soundness of the block enclosures behind the pruned out-of-sector grid.
 
-``coeffs._scan_level`` skips a grid block when its enclosure shows that the
+``coeffs._scan_blocks`` skips a grid block when its enclosure shows that the
 block cannot hold a form's maximum or a pole. That is only bit-identical to
 the full grid if every computed value in a block lies inside its enclosure:
 each term's range, each form's upper bound and each |denominator| lower
@@ -15,7 +15,8 @@ bounds of a call of their own, bit for bit, as does each box the grid
 scans, and that along every axis on which a form is certified to lean its
 computed grid values rise or fall strictly. The forms that lean over their
 whole box along all axes but one skip the blocked scan: their maxima and pole
-decisions must be the scan's, and one whose maximum still moves at 81
+decisions must be the scan's, each grid level's pass must certify them with
+the step of the grid it evaluates, and one whose maximum still moves at 81
 points must refine as the full grid does. The benchmark's out-of-sector
 sources must evaluate no more forms, blocks and grid points than the
 enclosures let through at the last count.
@@ -388,19 +389,15 @@ def test_pruning_evaluates_no_more_blocks(monkeypatch, delta, cap_delta,
     # form on the corner, line or X end faces of its whole box, or on (part
     # of) one block
     calls, scanned = [], []
-    at, scan_level = coeffs._at, coeffs._scan_level
+    at = coeffs._at
 
     def counted(formula, *phases):
         if sys._getframe(1).f_code.co_name == "_fold":
             calls.append(np.broadcast(*phases).size)
         return at(formula, *phases)
 
-    def scan(forms, r0z, r1z, rx, n, with_start):
-        scanned.extend((rx, f) for f in forms)
-        return scan_level(forms, r0z, r1z, rx, n, with_start)
-
     monkeypatch.setattr(coeffs, "_at", counted)
-    monkeypatch.setattr(coeffs, "_scan_level", scan)
+    _record_blocked_scans(monkeypatch, scanned)
     for protocol in ("bb84", "three_state"):
         spec = SourceSpec(delta=delta, Delta=cap_delta)
         bound_inputs_from_source(spec, protocol)
@@ -439,9 +436,21 @@ def _recorded(mp):
     return calls
 
 
+def _record_blocked_scans(mp, scanned):
+    """Append the (X range, form) keys of every ``_scan_blocks`` call made
+    after this one to ``scanned``; a grid's ends are its range's."""
+    scan_blocks = coeffs._scan_blocks
+
+    def scan(forms, grids, *rest):
+        scanned.extend(((grids[2][0], grids[2][-1]), f) for f in forms)
+        return scan_blocks(forms, grids, *rest)
+
+    mp.setattr(coeffs, "_scan_blocks", scan)
+
+
 def _axis(rx, n):
     """An X range's n-point grid, its least spacing and the (lo, hi) ends of
-    its blocks, as ``_scan_level`` cuts them."""
+    its blocks, as ``_scan_blocks`` cuts them."""
     g = np.linspace(*rx, n)
     starts = np.arange(0, n, coeffs._BLOCK) if rx[0] < rx[1] else [0]
     return g, np.diff(g).min(), [f.reduceat(g, starts)
@@ -452,24 +461,34 @@ def _axis(rx, n):
                          [(0.6, 0.05), (-0.75, 0.02), (1.05, 0.004)])
 def test_scans_give_each_box_the_bounds_of_its_own_call(monkeypatch, delta,
                                                         cap_delta):
-    # each box's blocked scan, and its column of the whole-box call (the
-    # union of the forms, each box one block along X), must get the bounds,
-    # leans and convexity of a _bound_forms call of its own forms, with the
-    # X block ends, X magnitude and X grid step worked out here from its X
-    # range, bit for bit. einsum may sum a call of one block in another
-    # order (see _apply), so the whole box's own call holds it twice
+    # the level pass's column of each box in its whole-box call (the union
+    # of the forms, each box one block along X), and each box's blocked
+    # scan, must get the bounds, leans and convexity of a _bound_forms call
+    # of its own forms, with the X block ends, X magnitude and X grid step
+    # worked out here from its X range, bit for bit. einsum may sum a call
+    # of one block in another order (see _apply), so the whole box's own
+    # call holds it twice. The pass is shown no certificate, so that every
+    # form of each box goes on to the box's blocked scan
     boxes, r0z, r1z = _pass_boxes(delta, cap_delta)
     assert len(boxes) == 2
     calls = _recorded(monkeypatch)
+    recorded = coeffs._bound_forms
+
+    def uncertified(*args):
+        upper, gap, lean, convex = recorded(*args)
+        if len(calls) == 1:  # the whole-box call
+            return upper, gap, np.zeros_like(lean), np.zeros_like(convex)
+        return upper, gap, lean, convex
+
+    monkeypatch.setattr(coeffs, "_bound_forms", uncertified)
     with np.errstate(divide="ignore", invalid="ignore"):
-        coeffs._whole_boxes(boxes, r0z, r1z, 81)
-        for rx, forms in boxes.items():
-            coeffs._scan_level(tuple(forms), r0z, r1z, rx, 81, True)
+        coeffs._scan_level(boxes, r0z, r1z, 81)
         ((union, _, mags, steps), stacked), *scans = calls
         assert len(scans) == len(boxes)
-        for box, ((rx, forms), ((_, blocked, *_), scanned)) in enumerate(
+        for box, ((rx, forms), ((given, blocked, *_), scanned)) in enumerate(
                 zip(boxes.items(), scans)):
             forms = tuple(forms)
+            assert tuple(given) == forms
             g, step, ends = _axis(rx, 81)
             m = max(abs(g[0]), abs(g[-1]))
             own = coeffs._bound_forms(forms, blocked[:2] + [ends],
@@ -492,26 +511,31 @@ def test_scans_give_each_box_the_bounds_of_its_own_call(monkeypatch, delta,
 @example(delta=0.4, side=1, cap_delta=1e-10)
 def test_whole_box_leans_order_the_grid_and_settle_as_the_scan(delta, side,
                                                               cap_delta):
-    # an out-of-sector pass for both protocols: along every axis on which a
-    # form leans over its whole box, its computed 81-point grid values rise
-    # or fall strictly, along X where it is convex there every interior
-    # value lies below the larger end, and a key settled there (at most one
-    # axis free, or a convex X axis) has the maxima and pole decisions that
-    # the blocked scan gives it alone. The example is a benchmark draw,
-    # where c_{0,0X} is settled by convexity alone
+    # the 81-point level pass for both protocols: along every axis on which
+    # a form leans over its whole box, its computed 81-point grid values
+    # rise or fall strictly, along X where it is convex there every interior
+    # value lies below the larger end, and a key the pass settles there (at
+    # most one axis free, or a convex X axis) without the blocked scan has
+    # the maxima and pole decisions that the blocked scan gives it alone.
+    # The example is a benchmark draw, where c_{0,0X} is settled by
+    # convexity alone
     boxes, r0z, r1z = _pass_boxes(side * delta, cap_delta)
     assume(boxes)
+    scanned = []
     with pytest.MonkeyPatch.context() as mp, np.errstate(divide="ignore",
                                                          invalid="ignore"):
         calls = _recorded(mp)
-        found = coeffs._whole_boxes(boxes, r0z, r1z, 81)
-    ((union, *_), (_, _, lean, convex)), = calls
+        _record_blocked_scans(mp, scanned)
+        found = coeffs._scan_level(boxes, r0z, r1z, 81)
+    ((union, *_), (_, _, lean, convex)), *_ = calls
     # the certificates of (box, form) at [form, box]
     keys = [(rx, f, box, union.index(f)) for box, (rx, forms)
             in enumerate(boxes.items()) for f in forms]
+    assert set(found) == {(rx, f) for rx, f, *_ in keys}
     for rx, f, box, row in keys:
         signs, bent = lean[:, row, box], convex[row, box]
-        assert ((rx, f) in found) == (np.count_nonzero(signs) >= 2 or bent)
+        settled = (rx, f) not in scanned
+        assert settled == (np.count_nonzero(signs) >= 2 or bent)
         a, b, c = (np.linspace(*r, 81) for r in (r0z, r1z, rx))
         with np.errstate(divide="ignore", invalid="ignore"):
             value = np.divide(*coeffs._at(f, a[:, None, None], b[:, None], c))
@@ -522,8 +546,9 @@ def test_whole_box_leans_order_the_grid_and_settle_as_the_scan(delta, side,
         if bent:
             ends = np.maximum(value[..., :1], value[..., -1:])
             assert (value[..., 1:-1] < ends).all(), f.__name__
-        if (rx, f) in found:
-            alone = coeffs._scan_level((f,), r0z, r1z, rx, 81, True)[0]
+        if settled:
+            alone = coeffs._scan_blocks((f,), *coeffs._grids(r0z, r1z, [rx], 81),
+                                        coeffs._VIEWS)[0]
             for (gap, top), (gap_alone, top_alone) in zip(found[rx, f], alone,
                                                          strict=True):
                 assert float(top).hex() == float(top_alone).hex()
@@ -531,33 +556,67 @@ def test_whole_box_leans_order_the_grid_and_settle_as_the_scan(delta, side,
                 assert (gap >= tol) == (gap_alone >= tol)
 
 
+# a box from a seeded search (numpy seed 1, 3,000 boxes of phases in
+# [-pi, 2 pi) and widths 0, 1e-6 or up to 0.3, the 904th): c_{0,0Z} leans
+# over its whole 0X box along all axes but X, and its 41- and 81-point
+# maxima on that X line differ by 1.4e-7 >= _GRID_TOL
+MOVING_LO = {"0Z": -3.010095805918806, "1Z": 4.30846330604306,
+             "0X": 1.4608574987233442, "1X": -2.1267800005181057}
+MOVING_HI = dict(MOVING_LO, **{"0Z": -2.966014874797573, "1Z": 4.30846430604306,
+                               "0X": 1.5028569597058017})
+MOVING_KEY = ((MOVING_LO["0X"], MOVING_HI["0X"]), coeffs._c0_0z)
+MOVING_ZS = tuple((MOVING_LO[j], MOVING_HI[j]) for j in ("0Z", "1Z"))
+
+
 def test_whole_box_key_that_moves_at_81_points_refines_to_the_reference(
         monkeypatch):
-    # a box from a seeded search (numpy seed 1, 3,000 boxes of phases in
-    # [-pi, 2 pi) and widths 0, 1e-6 or up to 0.3, the 904th): c_{0,0Z}
-    # leans over its whole 0X box along all axes but X, and its 41- and
-    # 81-point maxima on that X line differ by 1.4e-7 >= _GRID_TOL. So it
-    # settles at depth 0 only to go on to the 161-point scan, and both
-    # protocols must end where the full grid does
-    lo = {"0Z": -3.010095805918806, "1Z": 4.30846330604306,
-          "0X": 1.4608574987233442, "1X": -2.1267800005181057}
-    hi = dict(lo, **{"0Z": -2.966014874797573, "1Z": 4.30846430604306,
-                     "0X": 1.5028569597058017})
-    key = ((lo["0X"], hi["0X"]), coeffs._c0_0z)
-    r0z, r1z = ((lo[j], hi[j]) for j in ("0Z", "1Z"))
+    # the moving key settles in the 81-point level pass only to go on to
+    # the 161-point one, which settles it too without a blocked scan, and
+    # both protocols must end where the full grid does
+    key, (r0z, r1z) = MOVING_KEY, MOVING_ZS
     with np.errstate(divide="ignore", invalid="ignore"):
-        (_, top_41), (_, top_81) = coeffs._whole_boxes(
+        (_, top_41), (_, top_81) = coeffs._scan_level(
             {key[0]: [key[1]]}, r0z, r1z, 81)[key]
     assert abs(top_81 - top_41) >= coeffs._GRID_TOL
-    scanned = {}
+    levels, scanned = {}, []
     scan_level = coeffs._scan_level
 
-    def scan(forms, r0z, r1z, rx, n, with_start):
-        scanned.setdefault(n, []).extend((rx, f) for f in forms)
-        return scan_level(forms, r0z, r1z, rx, n, with_start)
+    def level(boxes, r0z, r1z, n):
+        levels.setdefault(n, []).extend((rx, f) for rx, forms in boxes.items()
+                                        for f in forms)
+        return scan_level(boxes, r0z, r1z, n)
 
-    monkeypatch.setattr(coeffs, "_scan_level", scan)
+    monkeypatch.setattr(coeffs, "_scan_level", level)
+    _record_blocked_scans(monkeypatch, scanned)
     for proto in PROTOCOLS:
-        scanned.clear()
-        assert_grid_matches_reference(proto, PhaseRanges(lo=lo, hi=hi))
-        assert key not in scanned.get(81, []) and key in scanned[161], proto.name
+        levels.clear()
+        assert_grid_matches_reference(proto, PhaseRanges(lo=MOVING_LO,
+                                                         hi=MOVING_HI))
+        assert [n for n, keys in levels.items() if key in keys] == [81, 161], proto.name
+        assert key not in scanned, proto.name
+
+
+def test_level_passes_certify_with_the_step_of_the_grid_they_evaluate(
+        monkeypatch):
+    # on the moving key's box, the 81- and 161-point level passes each
+    # enclose with the least spacing of their own grid and give the key the
+    # maximum of that full grid, and the key's leans at 161 points put its
+    # computed 161-point values in strict order along every leaning axis
+    key, (r0z, r1z) = MOVING_KEY, MOVING_ZS
+    calls = _recorded(monkeypatch)
+    for n in (81, 161):
+        calls.clear()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            found = coeffs._scan_level({key[0]: [key[1]]}, r0z, r1z, n)
+        ((_, _, _, steps), (_, _, lean, _)), = calls
+        grids = [np.linspace(*r, n) for r in (r0z, r1z, key[0])]
+        assert ([float(np.ravel(s)[0]) for s in steps]
+                == [np.diff(g).min() for g in grids]), n
+        value = np.divide(*coeffs._at(key[1], grids[0][:, None, None],
+                                      grids[1][:, None], grids[2]))
+        assert float(found[key][-1][1]).hex() == float(value.max()).hex(), n
+    signs = lean[:, 0, 0]
+    assert np.count_nonzero(signs) >= 2
+    for axis, sign in enumerate(signs):
+        if sign:
+            assert (np.sign(np.diff(value, axis=axis)) == sign).all(), axis
